@@ -80,6 +80,7 @@ from repro.experiments.figures import (
     format_series,
 )
 from repro.experiments.tables import format_table1, table1
+from repro.routing import LoopError
 
 
 def _add_scenario_args(parser):
@@ -512,7 +513,12 @@ def cmd_connectivity(args):
 def cmd_audit(args):
     config = _scenario_from(args).replaced(protocol="ldr", loop_check=True)
     scenario = build_scenario(config)
-    scenario.run()
+    try:
+        scenario.run()
+    except LoopError as err:
+        # The checker recorded the breach before raising; the run stops
+        # at the first one.
+        print("breach           : %s" % err)
     checker = scenario.loop_checker
     print("table audits run : %d" % checker.checks_run)
     print("violations       : %d" % len(checker.violations))

@@ -500,13 +500,10 @@ class Scenario:
                 self.metrics.observe_final_seqno(
                     dst, protocol.own_sequence_value()
                 )
-        # End-of-run audit sweep plus violation surfacing: the monitor
-        # already streamed its counts into the collector; a plain loop
-        # checker only accumulates, so push its tally here.
+        # End-of-run audit sweep; the monitor streams its counts into the
+        # collector (a plain loop checker raises instead).
         if self.monitor is not None:
             self.monitor.check_all(self.traffic.destinations_used())
-        elif self.loop_checker is not None and self.loop_checker.violations:
-            self.metrics.on_loop_violation(len(self.loop_checker.violations))
         return RunReport(self.metrics, profile=profiler)
 
 

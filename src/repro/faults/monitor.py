@@ -1,18 +1,21 @@
 """Always-on invariant monitor for (possibly faulted) simulations.
 
-Wraps the :class:`~repro.routing.loopcheck.LoopChecker` and adds the
-fault-aware checks the paper's claims are actually about:
+Runs the :mod:`repro.routing.loopcheck` engine over the live (non-crashed)
+protocols on every table change, and adds the fault-aware checks the
+paper's claims are actually about:
 
 * **loop / ordering** — Theorem 4 (instantaneous loop freedom) and the
-  Theorem 2 ordering criterion, delegated to the loop checker but
-  *recorded* instead of raised, so a campaign surfaces violation counts
-  in its metric rows rather than dying mid-grid;
+  Theorem 2 ordering criterion, *recorded* instead of raised, so a
+  campaign surfaces violation counts in its metric rows rather than
+  dying mid-grid;
 * **seqnum_ownership** — no node ever holds a route whose sequence label
   is fresher than anything the destination itself has issued (Section 2.2:
   "firm control stays with the owner"), tracked across reboots so a
   rebooted destination that fails to outrun its stale labels is caught;
-* **dead_delivery / dead_transmit** — crashed nodes neither receive
-  application packets nor put frames on the air;
+  the monitor samples the destination's label, the engine compares;
+* **dead_delivery / dead_transmit / dead_table_change** — crashed nodes
+  neither receive application packets, put frames on the air, nor
+  change their tables;
 * **reconvergence** — after a heal event, routes for active traffic
   demands must be re-established within ``reconvergence_bound`` seconds
   (only flagged when the protocol has also *given up* — no route and no
@@ -21,11 +24,16 @@ fault-aware checks the paper's claims are actually about:
 Violations accumulate in :attr:`InvariantMonitor.violations` and are
 counted into the metrics collector (``invariant_violations`` per kind),
 which is how they reach :class:`~repro.metrics.report.RunReport` rows and
-campaign tables.  ``strict=True`` additionally re-raises, for tests that
+campaign tables.  ``strict=True`` additionally raises, for tests that
 want the offending update pinpointed.
 """
 
-from repro.routing.loopcheck import LoopChecker, LoopError
+from repro.routing.loopcheck import (
+    first_breach,
+    ownership_breaches,
+    raise_ceiling,
+    reaches,
+)
 
 
 class InvariantViolation(AssertionError):
@@ -75,9 +83,10 @@ class InvariantMonitor:
         self.strict = strict
         self.reconvergence_bound = reconvergence_bound
         self.demand_fn = demand_fn
-        self.checker = LoopChecker(
-            list(self.protocols.values()), check_ordering=check_ordering
-        )
+        self.check_ordering = check_ordering
+        # The audited tables, in walk order: a crash removes the node, a
+        # reboot re-appends its fresh instance.
+        self._live = dict(self.protocols)
         self.violations = []  # (sim-time, kind, detail)
         # Observability seam (repro.obs): fn(kind, detail) per violation,
         # called before strict-mode raises so traces keep the breach.
@@ -102,13 +111,13 @@ class InvariantMonitor:
     def on_crash(self, node_id):
         """The fault layer crashed ``node_id``: drop it from the audits."""
         self._crashed.add(node_id)
-        self.checker.protocols.pop(node_id, None)
+        self._live.pop(node_id, None)
 
     def on_reboot(self, node_id, protocol):
         """``node_id`` is back with a fresh ``protocol`` instance."""
         self._crashed.discard(node_id)
         self.protocols[node_id] = protocol
-        self.checker.protocols[node_id] = protocol
+        self._live[node_id] = protocol
         protocol.table_change_hook = self.on_table_change
         # Deliberately NOT resetting _max_issued[node_id]: the ownership
         # ceiling spans incarnations.  A correct reboot outruns the old
@@ -155,48 +164,25 @@ class InvariantMonitor:
         if protocol is not self.protocols.get(node_id):
             return  # stale pre-reboot instance; its state is gone
         self.checks_run += 1
-        try:
-            self.checker.check_destination(dst)
-        except LoopError as err:
-            self._record(getattr(err, "kind", "loop"), str(err))
-        self._check_seqnum_ownership(dst)
+        self._audit(dst)
 
     def check_all(self, destinations):
         """Audit every destination (end-of-run sweep)."""
         for dst in destinations:
-            try:
-                self.checker.check_destination(dst)
-            except LoopError as err:
-                self._record(getattr(err, "kind", "loop"), str(err))
-            self._check_seqnum_ownership(dst)
+            self._audit(dst)
 
-    def _check_seqnum_ownership(self, dst):
-        """No route may carry a label the destination never issued."""
+    def _audit(self, dst):
+        """Loop/ordering, then seqnum ownership, for one destination."""
+        breach = first_breach(self._live, dst, self.check_ordering)
+        if breach is not None:
+            self._record(breach.kind, breach.detail)
         dest = self.protocols.get(dst)
         if dest is not None and dst not in self._crashed:
-            own = getattr(dest, "own_seq", None)
-            if own is not None:
-                ceiling = self._max_issued.get(dst)
-                if ceiling is None or own > ceiling:
-                    self._max_issued[dst] = own
-        ceiling = self._max_issued.get(dst)
-        if ceiling is None:
-            return
-        for node_id, protocol in self.checker.protocols.items():
-            if node_id == dst:
-                continue
-            metric = protocol.route_metric(dst)
-            if metric is None or metric[0] is None:
-                continue
-            try:
-                forged = metric[0] > ceiling
-            except TypeError:
-                continue  # label types differ across protocols; skip
-            if forged:
-                self._record(
-                    "seqnum_ownership",
-                    "node %r holds sn=%r for %r but the destination only "
-                    "ever issued up to %r" % (node_id, metric[0], dst, ceiling))
+            self._max_issued[dst] = raise_ceiling(
+                self._max_issued.get(dst), getattr(dest, "own_seq", None))
+        for detail in ownership_breaches(self._live, dst,
+                                         self._max_issued.get(dst)):
+            self._record("seqnum_ownership", detail)
 
     def _on_deliver(self, node, packet):
         if not node.alive or node.node_id in self._crashed:
@@ -221,7 +207,7 @@ class InvariantMonitor:
                 continue
             if not self._physically_connected(src, dst):
                 continue
-            if self._route_complete(src, dst):
+            if reaches(self._live, src, dst):
                 continue
             if self._discovery_in_flight(src, dst):
                 continue  # still trying: not converged, but not given up
@@ -244,20 +230,6 @@ class InvariantMonitor:
                     visited.add(neighbor)
                     frontier.append(neighbor)
         return False
-
-    def _route_complete(self, src, dst):
-        """Does the successor chain from ``src`` actually reach ``dst``?"""
-        current = src
-        visited = set()
-        while current is not None and current != dst:
-            if current in visited:
-                return False
-            visited.add(current)
-            protocol = self.checker.protocols.get(current)
-            if protocol is None:
-                return False
-            current = protocol.successor(dst)
-        return current == dst
 
     def _discovery_in_flight(self, src, dst):
         protocol = self.protocols.get(src)

@@ -86,13 +86,6 @@ FEASIBILITY_PREDICATES: FrozenSet[str] = frozenset(
 #: create a loop; Theorem 4's argument only constrains *adoption*).
 INFINITY_NAMES: FrozenSet[str] = frozenset({"INFINITY", "INF", "UNREACHABLE"})
 
-#: Legacy modules whose import is flagged (RL007) with the replacement to
-#: name in the message.  ``repro.trace`` became a deprecation shim when
-#: PR 5 moved tracing into ``repro.obs``.
-DEPRECATED_MODULES: Mapping[str, str] = {
-    "repro.trace": "repro.obs",
-}
-
 #: Methods exempt from the table-change notification rule: construction
 #: and startup run before the LoopChecker is installed.
 TABLE_EXEMPT_METHODS: FrozenSet[str] = frozenset({"__init__", "start"})
@@ -130,9 +123,6 @@ class LintConfig:
     guarded_fields: FrozenSet[str] = GUARDED_FIELDS
     feasibility_predicates: FrozenSet[str] = FEASIBILITY_PREDICATES
     infinity_names: FrozenSet[str] = INFINITY_NAMES
-    deprecated_modules: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEPRECATED_MODULES)
-    )
     allowlist: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_ALLOWLIST)
     )

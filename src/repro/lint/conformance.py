@@ -77,8 +77,8 @@ class RequireRouteMetric(ConformanceRule):
     protocols that expose metrics.  Inheriting the base stub is a silent
     opt-out; a protocol without the LDR notions must still *explicitly*
     return ``None`` and say why in its docstring.  Any tuple it does
-    return must have exactly three elements, the shape
-    ``LoopChecker._check_ordering`` unpacks.
+    return must have exactly three elements, the shape the ordering
+    audit in :mod:`repro.routing.loopcheck` unpacks.
     """
 
     id = "RL102"

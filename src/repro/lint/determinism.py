@@ -395,62 +395,6 @@ class BanUnorderedTieBreaks(DeterministicLayerRule):
                         )
 
 
-class BanDeprecatedImport(Rule):
-    """RL007: no new imports of retired legacy modules.
-
-    Invariant protected: *single source of truth for shared subsystems*.
-    ``repro.trace`` became a deprecation shim when the observability
-    layer (``repro.obs``) absorbed tracing; code importing the legacy
-    path keeps two names alive for one artifact format, and a future
-    divergence between them would be invisible to the byte-identity
-    gates.  The registry of retired modules (and their replacements)
-    lives in :data:`repro.lint.config.DEPRECATED_MODULES`.
-    """
-
-    id = "RL007"
-    title = "import of a deprecated legacy module"
-
-    @staticmethod
-    def _lookup(name: str, table: Dict[str, str]) -> Optional[Tuple[str, str]]:
-        for legacy, replacement in table.items():
-            if name == legacy or name.startswith(legacy + "."):
-                return legacy, replacement
-        return None
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        # Accept both absolute and lint-root-relative spellings: inside
-        # the tree the shim's root-relative dotted name is 'trace'.
-        table: Dict[str, str] = {}
-        for legacy, replacement in ctx.config.deprecated_modules.items():
-            table[legacy] = replacement
-            if legacy.startswith("repro."):
-                table[legacy[len("repro."):]] = replacement
-        for node in ast.walk(ctx.tree):
-            candidates: list = []
-            if isinstance(node, ast.Import):
-                candidates = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = resolve_relative(ctx.package, node.level, node.module)
-                if base is None:
-                    continue
-                candidates = [base] + [
-                    base + "." + alias.name
-                    for alias in node.names
-                    if alias.name != "*"
-                ]
-            for candidate in candidates:
-                hit = self._lookup(candidate, table)
-                if hit is not None:
-                    legacy, replacement = hit
-                    yield ctx.violation(
-                        node,
-                        self.id,
-                        "import of deprecated module '%s'; use '%s' instead"
-                        % (legacy, replacement),
-                    )
-                    break
-
-
 DETERMINISM_RULES: Tuple[type, ...] = (
     BanAmbientRandom,
     BanWallClock,
@@ -458,5 +402,4 @@ DETERMINISM_RULES: Tuple[type, ...] = (
     BanIdOrdering,
     BanHashDependence,
     BanUnorderedTieBreaks,
-    BanDeprecatedImport,
 )

@@ -38,7 +38,7 @@ class MetricsCollector:
         self.seqno_final = {}  # destination id -> final own-sequence counter
         self.duplicate_delivered = 0
         self._delivered_uids = set()
-        # invariant audits (loop checker / fault monitor)
+        # invariant audits (the fault-aware invariant monitor)
         self.invariant_violations = Counter()  # kind -> count
         self.loop_violations = 0
 
@@ -107,8 +107,3 @@ class MetricsCollector:
         self.invariant_violations[kind] += 1
         if kind in ("loop", "ordering"):
             self.loop_violations += 1
-
-    def on_loop_violation(self, count=1):
-        """Plain loop-checker violations (no monitor installed)."""
-        self.loop_violations += count
-        self.invariant_violations["loop"] += count

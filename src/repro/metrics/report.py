@@ -85,7 +85,7 @@ class RunReport:
 
     @property
     def loop_violations(self):
-        """Loop/ordering breaches seen by the checker or monitor.
+        """Loop/ordering breaches recorded by the invariant monitor.
 
         Zero is the paper's Theorem 4 / Theorem 2 claim; anything else in
         an LDR run is a reproduction bug worth failing CI over.

@@ -18,8 +18,6 @@ package provides it:
   exporter behind ``repro profile --flame``.
 * :mod:`repro.obs.cli` — the ``repro trace`` subcommands (summary, show,
   routes, diff).
-
-``repro.trace`` remains as a thin compatibility shim over this package.
 """
 
 from repro.obs.events import EVENT_KINDS, SCHEMA_VERSION, TraceEvent, jsonable

@@ -6,8 +6,10 @@
   data packets while route discovery runs.
 * :mod:`repro.routing.seqnum` — LDR's (timestamp, counter) labels and
   AODV's circular 32-bit sequence-number comparison.
-* :mod:`repro.routing.loopcheck` — instant-by-instant successor-graph loop
-  audit; the test-suite's empirical check of the paper's Theorem 4.
+* :mod:`repro.routing.loopcheck` — the one instant-by-instant
+  successor-graph audit (Theorem 4 loops, Theorem 2 ordering, seqnum
+  ownership) behind the loop checker, the invariant monitor and the
+  offline trace replay.
 """
 
 from repro.routing.base import PacketBuffer, RoutingProtocol

@@ -3,10 +3,11 @@
 Third parties should not have to trust the simulator's online
 :class:`~repro.faults.monitor.InvariantMonitor` — a ``.trace.jsonl(.gz)``
 artifact carries everything needed to re-check the paper's claims with no
-simulator in the loop.  :func:`replay_trace` rebuilds per-destination
-successor graphs from the ``route`` events' ``(successor, metric,
-dst_own)`` payloads, tracks crashes and reboots from the structured
-``fault`` events, and re-runs the same checks the monitor ran online:
+simulator in the loop.  :func:`replay_trace` rebuilds per-node routing
+tables from the ``route`` events' ``(successor, metric, dst_own)``
+payloads, tracks crashes and reboots from the structured ``fault``
+events, and hands the tables to the engine the monitor runs online
+(:mod:`repro.routing.loopcheck`):
 
 * **loop** — walk every node's successor chain after each table change
   (Theorem 4, instantaneous loop freedom);
@@ -16,13 +17,17 @@ dst_own)`` payloads, tracks crashes and reboots from the structured
 * **seqnum_ownership** — no node may hold a label fresher than the
   destination's own (``dst_own``) label ceiling, tracked across reboots;
 * **dead_delivery / dead_transmit / dead_table_change** — crashed nodes
-  neither receive, transmit, nor mutate tables.
+  neither receive, transmit, nor mutate tables (checked here, from the
+  ``fault`` events).
 
 The replay is a *conformance* check: for every trace, the offline
 verdict must agree with the monitor's recorded ``violation`` events —
 :attr:`ReplayResult.agreement` is False on any divergence, and the test
-suite treats that as a failure in its own right (either the monitor or
-the replay is wrong; both cannot be trusted until they re-agree).
+suite treats that as a failure in its own right.  With one engine, a
+divergence means the trace does not carry the state the monitor saw:
+agreement holds only for protocols whose ``successor()`` changes only
+alongside a table-change notification (TORA's depends on neighbour
+heights that change silently, so its replay can miss a loop).
 
 Truncated traces (header ``truncated`` flag — the recorder's retention
 cap dropped events) are never certified: the verdict is
@@ -33,6 +38,11 @@ queries) and are excluded from the agreement comparison.
 """
 
 from repro.obs.reader import iter_trace
+from repro.routing.loopcheck import (
+    first_breach,
+    ownership_breaches,
+    raise_ceiling,
+)
 
 #: Violation kinds the offline replay can re-derive from a trace.  The
 #: monitor's ``reconvergence`` check is deliberately absent — it queries
@@ -98,13 +108,31 @@ class ReplayResult:
         return " ".join(bits)
 
 
+class _Table:
+    """One node's routing table as rebuilt from its ``route`` events."""
+
+    __slots__ = ("routes",)
+
+    def __init__(self):
+        self.routes = {}  # dst -> (successor, comparable metric)
+
+    def successor(self, dst):
+        route = self.routes.get(dst)
+        return None if route is None else route[0]
+
+    def route_metric(self, dst):
+        route = self.routes.get(dst)
+        return None if route is None else route[1]
+
+
 class ReplayChecker:
     """Streaming invariant re-checker over trace events.
 
-    Mirrors the online monitor exactly — same walk order (node-id order,
-    crashes removed, reboots re-appended), same at-most-one loop/ordering
-    violation per table change, same ownership-ceiling semantics — so
-    agreement can be checked timestamp-for-timestamp.
+    Feeds the online monitor's own engine (:mod:`repro.routing.loopcheck`)
+    with per-node tables rebuilt from the trace, kept in the monitor's walk
+    order (node-id order; a crash deletes the node's table, a reboot
+    re-inserts a fresh one), so agreement can be checked
+    timestamp-for-timestamp.
     """
 
     def __init__(self, header):
@@ -113,13 +141,8 @@ class ReplayChecker:
         num_nodes = int(config.get("num_nodes", 0))
         self.check_ordering = config.get("protocol") == "ldr"
         self.duration = float(config.get("duration", 0.0))
-        # Walk order mirrors the monitor's checker dict: initial node-id
-        # order; a crash removes the node, a reboot re-appends it.
-        self._order = list(range(num_nodes))
-        self._active = set(self._order)
+        self._tables = {node: _Table() for node in range(num_nodes)}
         self._crashed = set()
-        self._succ = {node: {} for node in self._order}
-        self._metric = {node: {} for node in self._order}
         self._ceiling = {}   # dst -> freshest dst_own seen (comparable)
         self._route_dsts = set()
         self.violations = []  # (time, kind, detail)
@@ -150,8 +173,7 @@ class ReplayChecker:
             destinations = sorted(self._route_dsts)
         when = self.duration or self._last_time
         for dst in destinations:
-            self._check_destination(dst, when)
-            self._check_ownership(dst, when)
+            self._audit(dst, when)
         return self
 
     # -- per-kind handlers -----------------------------------------------
@@ -168,37 +190,26 @@ class ReplayChecker:
                          "crashed node %r changed its table for %r"
                          % (node, dst))
             return
-        if node not in self._succ:
-            self._succ[node] = {}
-            self._metric[node] = {}
-        self._succ[node][dst] = event.data.get("successor")
-        self._metric[node][dst] = event.data.get("metric")
-        own = event.data.get("dst_own")
-        if own is not None:
-            own = _comparable(own)
-            ceiling = self._ceiling.get(dst)
-            if ceiling is None or own > ceiling:
-                self._ceiling[dst] = own
-        self._check_destination(dst, event.time)
-        self._check_ownership(dst, event.time)
+        table = self._tables.get(node)
+        if table is not None:
+            table.routes[dst] = (event.data.get("successor"),
+                                 _comparable(event.data.get("metric")))
+        self._ceiling[dst] = raise_ceiling(
+            self._ceiling.get(dst), _comparable(event.data.get("dst_own")))
+        self._audit(dst, event.time)
 
     def _on_fault(self, event):
         fault = event.data.get("fault")
         target = event.data.get("target")
         if fault == "crash" and target is not None:
-            self._crashed.add(target)
-            if target in self._active:
-                self._active.discard(target)
-                self._order.remove(target)
             # State loss: the reboot (if any) installs a factory-fresh
             # table, so the crashed tables must not resurface.
-            self._succ[target] = {}
-            self._metric[target] = {}
+            self._crashed.add(target)
+            self._tables.pop(target, None)
         elif fault == "reboot" and target is not None:
             self._crashed.discard(target)
-            if target not in self._active:
-                self._active.add(target)
-                self._order.append(target)
+            if target not in self._tables:
+                self._tables[target] = _Table()
 
     def _on_deliver(self, event):
         if event.node in self._crashed:
@@ -215,89 +226,19 @@ class ReplayChecker:
         if kind in REPLAY_KINDS:
             self.recorded.append((event.time, kind))
 
-    # -- checks (mirroring LoopChecker / InvariantMonitor) ---------------
+    # -- checks (the engine the monitor runs online) ---------------------
 
     def _record(self, when, kind, detail):
         self.violations.append((when, kind, detail))
 
-    def _check_destination(self, dst, when):
-        """Walk every active node's successor chain toward ``dst``.
-
-        Like the online checker, at most one loop/ordering violation is
-        recorded per audit (the checker raises on the first breach and
-        the monitor records that one error).
-        """
-        for start in self._order:
-            if self._walk(start, dst, when):
-                return
-
-    def _walk(self, start, dst, when):
-        seen = []
-        seen_set = set()
-        current = start
-        while current is not None and current != dst:
-            if current in seen_set:
-                loop = seen[seen.index(current):] + [current]
-                self._record(
-                    when, "loop",
-                    "routing loop for destination {}: {}".format(dst, loop))
-                return True
-            seen.append(current)
-            seen_set.add(current)
-            if current not in self._active:
-                break
-            nxt = self._succ.get(current, {}).get(dst)
-            if nxt is not None and self.check_ordering:
-                if self._ordering_breach(current, nxt, dst, when):
-                    return True
-            current = nxt
-        return False
-
-    def _ordering_breach(self, upstream, downstream, dst, when):
-        if downstream == dst or downstream not in self._active:
-            return False
-        up = self._metric.get(upstream, {}).get(dst)
-        down = self._metric.get(downstream, {}).get(dst)
-        if up is None or down is None:
-            return False
-        up_sn, up_fd = _comparable(up[0]), up[1]
-        down_sn, down_fd = _comparable(down[0]), down[1]
-        if down_sn < up_sn:
-            self._record(
-                when, "ordering",
-                "ordering violated toward {}: {}(sn={}) uses {}(sn={})"
-                .format(dst, upstream, up_sn, downstream, down_sn))
-            return True
-        if down_sn == up_sn and not (down_fd < up_fd):
-            self._record(
-                when, "ordering",
-                "feasible-distance ordering violated toward {}: "
-                "{} (fd={}) -> {} (fd={})".format(
-                    dst, upstream, up_fd, downstream, down_fd))
-            return True
-        return False
-
-    def _check_ownership(self, dst, when):
-        """No node may hold a label above the destination's own ceiling."""
-        ceiling = self._ceiling.get(dst)
-        if ceiling is None:
-            return
-        for node in self._order:
-            if node == dst:
-                continue
-            metric = self._metric.get(node, {}).get(dst)
-            if metric is None or metric[0] is None:
-                continue
-            label = _comparable(metric[0])
-            try:
-                forged = label > ceiling
-            except TypeError:
-                continue
-            if forged:
-                self._record(
-                    when, "seqnum_ownership",
-                    "node %r holds sn=%r for %r but the destination only "
-                    "ever issued up to %r" % (node, label, dst, ceiling))
+    def _audit(self, dst, when):
+        """At most one loop/ordering breach, then ownership, for ``dst``."""
+        breach = first_breach(self._tables, dst, self.check_ordering)
+        if breach is not None:
+            self._record(when, breach.kind, breach.detail)
+        for detail in ownership_breaches(self._tables, dst,
+                                         self._ceiling.get(dst)):
+            self._record(when, "seqnum_ownership", detail)
 
 
 def replay_events(header, events, destinations=None):

@@ -114,6 +114,35 @@ def test_delivery_to_crashed_node_is_a_violation():
     assert "dead_delivery" in kinds
 
 
+def test_table_change_on_crashed_node_is_a_violation():
+    net = Network(LdrProtocol, StaticPlacement.line(3, 200.0))
+    monitor, _ = _monitored(net, strict=False)
+    net.send(0, 2)
+    net.run(1.0)
+    net.nodes[1].crash()
+    monitor.on_crash(1)
+    # The crashed instance must not mutate routing state; forge the bug.
+    monitor.on_table_change(net.protocols[1], 2)
+    assert monitor.violations == [
+        (net.sim.now, "dead_table_change",
+         "crashed node 1 changed its table for 2")]
+
+
+def test_transmit_from_crashed_node_is_a_violation():
+    net = Network(LdrProtocol, StaticPlacement.line(3, 200.0))
+    monitor, _ = _monitored(net, strict=False)
+    # Tell only the monitor about the crash, so the radio still sends:
+    # the fault-layer bug the check exists for.
+    monitor.on_crash(0)
+    net.send(0, 2)
+    net.run(1.0)
+    kinds = [kind for _, kind, _ in monitor.violations]
+    assert "dead_transmit" in kinds
+    assert all(detail.startswith("crashed node 0 transmitted")
+               for _, kind, detail in monitor.violations
+               if kind == "dead_transmit")
+
+
 def test_reconvergence_violation_when_no_route_after_heal():
     # Nodes 0 and 2 are physically connected via 1, but we gag discovery
     # so no route can form after the heal: the monitor must flag it.

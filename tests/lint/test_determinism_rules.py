@@ -173,27 +173,3 @@ def test_rl003_sees_through_two_level_relative_import(lint_tree):
         ),
     }
     assert "RL003" in rule_ids(lint_tree(files))
-
-
-# ----------------------------------------------------------------------
-# RL007 — deprecated legacy modules
-# ----------------------------------------------------------------------
-
-def test_rl007_flags_legacy_trace_import(lint_tree):
-    source = "from repro.trace import TraceRecorder\n"
-    violations = lint_tree({PROTO: source})
-    assert "RL007" in rule_ids(violations)
-    assert any("repro.obs" in v.message for v in violations)
-
-
-def test_rl007_flags_plain_import_and_root_relative_spelling(lint_tree):
-    assert "RL007" in rule_ids(lint_tree({PROTO: "import repro.trace\n"}))
-    # Inside the lint root the shim's dotted name is just 'trace'.
-    assert "RL007" in rule_ids(
-        lint_tree({PROTO: "from trace import TraceRecorder\n"})
-    )
-
-
-def test_rl007_silent_on_the_replacement(lint_tree):
-    source = "from repro.obs import TraceRecorder\n"
-    assert "RL007" not in rule_ids(lint_tree({PROTO: source}))

@@ -20,7 +20,6 @@ FIXTURE_ROOT = pathlib.Path(__file__).resolve().parent / "fixtures" / "tree"
 #: tree: (rule, root-relative path, line).
 EXPECTED = {
     ("RL002", "sim/clock_bad.py", 7),
-    ("RL007", "protocols/legacy_bad.py", 3),
     ("RL201", "protocols/known_bad.py", 21),
     ("RL202", "mobility/streams_bad.py", 10),
     ("RL203", "mobility/streams_bad.py", 8),
@@ -53,8 +52,6 @@ def test_known_good_specimens_are_silent():
 def test_stage_split_partitions_the_findings():
     syntactic = _findings(stage="syntactic")
     program = _findings(stage="program")
-    assert syntactic == {
-        f for f in EXPECTED if f[0] in ("RL002", "RL007")
-    }
+    assert syntactic == {f for f in EXPECTED if f[0] == "RL002"}
     assert program == EXPECTED - syntactic
     assert syntactic | program == EXPECTED

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.routing.loopcheck import LoopChecker, LoopError
+from repro.routing.loopcheck import (
+    LoopChecker,
+    LoopError,
+    first_breach,
+    ownership_breaches,
+    raise_ceiling,
+    reaches,
+)
 
 
 class _FakeProtocol:
@@ -214,3 +221,57 @@ def test_check_all_covers_destinations():
     checker = LoopChecker(protos, check_ordering=False)
     checker.check_all([0, 2])
     assert checker.checks_run == 2
+
+
+# -- the module-level engine the monitor and the replay share -------------
+
+
+def _tables(*protos):
+    return {p.node_id: p for p in protos}
+
+
+def test_first_breach_reports_kind_detail_and_edge():
+    tables = _tables(_FakeProtocol(0), _FakeProtocol(1, {0: 2}),
+                     _FakeProtocol(2, {0: 1}))
+    breach = first_breach(tables, 0, check_ordering=False)
+    assert breach.kind == "loop"
+    assert breach.detail == "routing loop for destination 0: [1, 2, 1]"
+    assert breach.edge == (1, 1, 0)
+    assert first_breach(_tables(_FakeProtocol(0)), 0) is None
+
+
+def test_walk_follows_mapping_order():
+    # Two disjoint loops: the first start in iteration order names it.
+    one, two = _FakeProtocol(1, {0: 1}), _FakeProtocol(2, {0: 2})
+    assert "[2, 2]" in first_breach(_tables(two, one), 0).detail
+    assert "[1, 1]" in first_breach(_tables(one, two), 0).detail
+
+
+def test_ownership_breaches_skip_destination_and_incomparable_labels():
+    tables = _tables(
+        _FakeProtocol(0, {}, {0: (99, 0, 0)}),       # the destination itself
+        _FakeProtocol(1, {0: 0}, {0: (7, 1, 1)}),    # above the ceiling
+        _FakeProtocol(2, {0: 0}, {0: ("x", 1, 1)}),  # label type differs
+        _FakeProtocol(3, {0: 0}, {0: (None, 1, 1)}),
+        _FakeProtocol(4, {0: 0}, {0: (5, 1, 1)}),    # at the ceiling
+    )
+    assert ownership_breaches(tables, 0, 5) == [
+        "node 1 holds sn=7 for 0 but the destination only ever issued up to 5"]
+    assert ownership_breaches(tables, 0, None) == []
+
+
+def test_raise_ceiling_only_rises():
+    assert raise_ceiling(None, None) is None
+    assert raise_ceiling(None, 3) == 3
+    assert raise_ceiling(3, 2) == 3
+    assert raise_ceiling(3, None) == 3
+    assert raise_ceiling(3, 4) == 4
+
+
+def test_reaches_needs_an_intact_chain():
+    tables = _tables(_FakeProtocol(0), _FakeProtocol(1, {0: 2}),
+                     _FakeProtocol(2, {0: 0}), _FakeProtocol(3, {0: 4}),
+                     _FakeProtocol(4, {0: 3}), _FakeProtocol(5, {0: 9}))
+    assert reaches(tables, 1, 0)
+    assert not reaches(tables, 3, 0)  # cycle
+    assert not reaches(tables, 5, 0)  # chain leaves the mapping

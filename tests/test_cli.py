@@ -53,6 +53,35 @@ def test_audit_reports_loop_freedom(capsys):
     assert "YES" in out
 
 
+def test_audit_reports_breach_and_exits_nonzero(capsys, monkeypatch):
+    import repro.__main__ as cli
+
+    build = cli.build_scenario
+
+    def build_with_forged_cycle(config):
+        scenario = build(config)
+
+        def forge():
+            # A two-node cycle toward destination 2, poked through the
+            # hook the way a real table change would be.
+            a, b = scenario.protocols[0], scenario.protocols[1]
+            a.successor = lambda dst: 1
+            b.successor = lambda dst: 0
+            b.table_change_hook(b, 2)
+
+        scenario.sim.schedule_at(6.0, forge)
+        return scenario
+
+    monkeypatch.setattr(cli, "build_scenario", build_with_forged_cycle)
+    argv = ["audit", "--nodes", "10", "--flows", "2", "--duration", "8",
+            "--seed", "3"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "breach" in out
+    assert "violations       : 1" in out
+    assert "LDR loop-free    : NO" in out
+
+
 def test_connectivity_prints_bound(capsys):
     assert main(["connectivity", "--samples", "3"] + TINY) == 0
     out = capsys.readouterr().out

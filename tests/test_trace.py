@@ -1,9 +1,4 @@
-"""Tests for the trace recorder (and the deprecated ``repro.trace`` shim)."""
-
-import importlib
-import sys
-
-import pytest
+"""Tests for the trace recorder."""
 
 from repro.experiments import ScenarioConfig, build_scenario
 from repro.obs import TraceRecorder
@@ -73,11 +68,3 @@ def test_loop_checker_still_runs_when_traced():
     scenario.run()
     assert scenario.loop_checker.checks_run > 0
     assert trace.select(kind="route")
-
-
-def test_legacy_import_path_warns_and_still_works():
-    """``repro.trace`` stays importable but announces its retirement."""
-    sys.modules.pop("repro.trace", None)
-    with pytest.warns(DeprecationWarning, match="repro.obs"):
-        legacy = importlib.import_module("repro.trace")
-    assert legacy.TraceRecorder is TraceRecorder

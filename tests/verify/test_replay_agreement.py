@@ -10,7 +10,11 @@ test failure in its own right.
 import pytest
 
 from repro.experiments.campaigns import churn_plans
-from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.experiments.scenario import (
+    PROTOCOLS,
+    ScenarioConfig,
+    build_scenario,
+)
 from repro.obs import trace_header, write_trace
 from repro.verify import replay_trace
 from repro.verify.counterexamples import verdict_from_breakdown
@@ -35,9 +39,9 @@ def churned_trace(tmp_path, protocol, plan_name="reboot", seed=3,
     return path, scenario
 
 
-@pytest.mark.parametrize("protocol", ["ldr", "aodv", "dsr"])
-def test_replay_agrees_with_monitor_under_churn(tmp_path, protocol):
-    path, scenario = churned_trace(tmp_path, protocol)
+def assert_replay_agrees(tmp_path, protocol, plan_name="reboot", seed=3):
+    path, scenario = churned_trace(tmp_path, protocol, plan_name=plan_name,
+                                   seed=seed)
     result = replay_trace(path)
     assert result.truncated is False
     assert result.agreement is True, (
@@ -49,6 +53,24 @@ def test_replay_agrees_with_monitor_under_churn(tmp_path, protocol):
     online = {k: v for k, v in scenario.monitor.summary().items()
               if k != "reconvergence"}
     assert result.verdict == verdict_from_breakdown(online)
+
+
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_replay_agrees_with_monitor_under_churn(tmp_path, protocol):
+    assert_replay_agrees(tmp_path, protocol)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="TORA's successor changes without a route event")
+def test_tora_partition_replay_misses_silent_successor_change(tmp_path):
+    """Replay agreement needs every successor change to be notified.
+
+    TORA's ``successor()`` follows neighbour heights that change without
+    a table-change notification.  Under this plan the monitor records
+    2301 loop violations and the replay 2299: the two at t=5.9455 (cycle
+    ``[6, 8, 6]``) come from a successor change no ``route`` event shows.
+    """
+    assert_replay_agrees(tmp_path, "tora", plan_name="partition", seed=5)
 
 
 def test_agreement_survives_gzip(tmp_path):
