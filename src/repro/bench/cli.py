@@ -42,8 +42,6 @@ def build_parser(add_help=True):
                         help="CI smoke mode: smaller sweeps, fewer reps")
     parser.add_argument("--sizes", default=None, metavar="N,N,...",
                         help="node counts for the query benchmarks")
-    parser.add_argument("--trial-sizes", default=None, metavar="N,N,...",
-                        help="node counts for the full-trial benchmarks")
     parser.add_argument("--no-trials", action="store_true",
                         help="skip the full-trial benchmarks")
     parser.add_argument("--rounds", type=int, default=None,
@@ -95,31 +93,25 @@ def _format_row(row):
             row["bench"], row["n"], row["heap_ns_per_op"],
             row["calendar_ns_per_op"], row["speedup"],
         )
-    if "reference_s" in row:
-        return "%-14s n=%-4d ref  %8.3f s/trial   fast %8.3f s/trial   %6.2fx" % (
-            row["bench"], row["n"], row["reference_s"], row["fast_s"],
-            row["speedup"],
-        )
-    return "%-14s n=%-4d scan %8.3f s/trial   grid %8.3f s/trial   %6.2fx" % (
-        row["bench"], row["n"], row["scan_s"], row["grid_s"], row["speedup"],
+    return "%-14s n=%-4d ref  %8.3f s/trial   fast %8.3f s/trial   %6.2fx" % (
+        row["bench"], row["n"], row["reference_s"], row["fast_s"],
+        row["speedup"],
     )
 
 
 def run(args, stream):
     try:
         sizes = _parse_sizes(args.sizes)
-        trial_sizes = _parse_sizes(args.trial_sizes)
         full_trial_sizes = _parse_sizes(args.full_trial_sizes)
     except ValueError:
-        print("repro bench: --sizes/--trial-sizes/--full-trial-sizes must "
-              "be comma-separated integers", file=sys.stderr)
+        print("repro bench: --sizes/--full-trial-sizes must be "
+              "comma-separated integers", file=sys.stderr)
         return 2
     protocols = tuple(p for p in args.protocols.split(",") if p.strip())
 
     report = run_kernel_bench(
         quick=args.quick,
         sizes=sizes,
-        trial_sizes=trial_sizes,
         rounds=args.rounds,
         transmit_reps=args.transmit_reps,
         trial_duration=args.trial_duration,

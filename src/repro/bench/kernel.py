@@ -1,7 +1,7 @@
 """Timing kernels for the simulator fast paths.
 
-Five benchmark families.  The first three exercise the wireless-channel
-spatial seam under both index backends:
+Four benchmark families.  Two exercise the wireless-channel spatial seam
+under both index backends:
 
 * ``neighbors_of`` — the all-nodes neighborhood sweep (the access pattern
   of the oracle protocol, the invariant monitor's reachability audits and
@@ -11,19 +11,21 @@ spatial seam under both index backends:
 * ``transmit`` — one broadcast frame put on the air per op, the MAC's
   actual call pattern (coverage scan + CSMA NAV + gray-zone distances at
   one instant); the event queue is drained between ops, unmeasured.
-* ``trial:<proto>`` — wall-clock of one full ``run_scenario`` trial
-  (routing + MAC + traffic), reported as trials/second.
 
-The last two exercise the event-kernel seam (scheduler backends):
+One exercises the event-kernel seam (scheduler backends):
 
 * ``sched_ops`` — a synthetic schedule / cancel / timer-restart / drain
   mix on a bare :class:`Simulator`, heap vs calendar; per-op ns where an
   op is one loop iteration of the mix.
-* ``full_trial:<proto>`` — one full trial under the *reference* kernel
-  configuration (``scheduler="heap"``, ``channel_index="scan"``) vs the
-  *fast* one (``"calendar"`` + ``"grid"``): the end-to-end speedup of
-  everything the fast path stack buys, which is the number the PR-9
-  acceptance gate (≥3x at N ∈ {100, 400}) watches.
+
+And one times whole trials:
+
+* ``full_trial:<proto>`` — one full ``run_scenario`` trial (routing +
+  MAC + traffic) under the *reference* kernel configuration
+  (``scheduler="heap"``, ``channel_index="scan"``) vs the *fast* one
+  (``"calendar"`` + ``"grid"``): the end-to-end speedup of everything
+  the fast path stack buys (≥3x at N = 400).  The per-seam gaps are the
+  kernels above; a whole-trial ratio per seam would only repeat them.
 
 Node counts sweep N ∈ {25, 50, 100, 200, 400} at the paper's node density
 (a 50-node network lives on 1500 m × 300 m), so per-node degree stays
@@ -46,7 +48,10 @@ from repro.sim import Simulator, Timer
 #: Bump when the report layout changes shape.
 #: 2: added the event-kernel families (``sched_ops`` heap-vs-calendar and
 #:    ``full_trial:<proto>`` reference-vs-fast) and their settings keys.
-BENCH_SCHEMA = 2
+#: 3: dropped the ``trial:<proto>`` grid-vs-scan family (and the
+#:    ``trial_sizes`` setting); ``full_trial`` is the one whole-trial
+#:    kernel.
+BENCH_SCHEMA = 3
 
 #: Node counts for the query benchmarks (full mode).
 NODE_COUNTS = (25, 50, 100, 200, 400)
@@ -54,9 +59,6 @@ NODE_COUNTS = (25, 50, 100, 200, 400)
 #: 200-node point, which is the acceptance anchor for the grid speedup.
 QUICK_NODE_COUNTS = (25, 50, 100, 200)
 
-#: Full-trial benchmark node counts (trials are far costlier per point).
-TRIAL_NODE_COUNTS = (25, 50, 100)
-QUICK_TRIAL_NODE_COUNTS = (25,)
 TRIAL_PROTOCOLS = ("ldr", "aodv")
 
 #: Terrain area per node: the paper's 50-node scenario (1500 m × 300 m).
@@ -133,19 +135,6 @@ def _time_transmit(num_nodes, index, reps, seed):
         # fresh event epoch and fresh positions, like real MAC traffic.
         sim.run(until=sim.now + 0.01)
     return total / reps
-
-
-def _time_trial(protocol, num_nodes, index, duration, seed):
-    """Wall seconds for one full scenario trial."""
-    width, height = terrain(num_nodes)
-    config = ScenarioConfig(
-        protocol=protocol, num_nodes=num_nodes, width=width, height=height,
-        num_flows=max(2, min(10, num_nodes // 4)), duration=duration,
-        pause_time=0.0, warmup=1.0, seed=seed, channel_index=index,
-    )
-    start = time.perf_counter()
-    run_scenario(config)
-    return time.perf_counter() - start
 
 
 def _noop():
@@ -226,7 +215,6 @@ def _pair(fn, *args):
 def run_kernel_bench(
     quick=False,
     sizes=None,
-    trial_sizes=None,
     rounds=None,
     transmit_reps=None,
     trial_duration=None,
@@ -245,8 +233,6 @@ def run_kernel_bench(
     """
     if sizes is None:
         sizes = QUICK_NODE_COUNTS if quick else NODE_COUNTS
-    if trial_sizes is None:
-        trial_sizes = QUICK_TRIAL_NODE_COUNTS if quick else TRIAL_NODE_COUNTS
     if rounds is None:
         rounds = 8 if quick else 20
     if transmit_reps is None:
@@ -296,21 +282,6 @@ def run_kernel_bench(
         })
     if include_trials:
         for protocol in protocols:
-            for n in trial_sizes:
-                say("trial:%-6s  n=%d" % (protocol, n))
-                scan_s, grid_s, speedup = _pair(
-                    lambda index: _best_of(TRIAL_KERNEL_REPS,
-                                           lambda: _time_trial(
-                                               protocol, n, index,
-                                               trial_duration, seed)))
-                results.append({
-                    "bench": "trial:%s" % protocol, "n": n,
-                    "scan_s": scan_s, "grid_s": grid_s,
-                    "scan_trials_per_sec": 1.0 / scan_s if scan_s else 0.0,
-                    "grid_trials_per_sec": 1.0 / grid_s if grid_s else 0.0,
-                    "speedup": speedup,
-                })
-        for protocol in protocols:
             for n in full_trial_sizes:
                 say("full_trial:%-6s  n=%d" % (protocol, n))
                 ref_s = _best_of(TRIAL_KERNEL_REPS, lambda: _time_full_trial(
@@ -329,7 +300,6 @@ def run_kernel_bench(
         "seed": seed,
         "settings": {
             "sizes": list(sizes),
-            "trial_sizes": list(trial_sizes) if include_trials else [],
             "full_trial_sizes":
                 list(full_trial_sizes) if include_trials else [],
             "rounds": rounds,

@@ -25,10 +25,12 @@ class MobilityModel:
     #: Optional Lipschitz bound: when not ``None``, the model promises
     #: that no node moves faster than this many metres per simulated
     #: second (``|position(n, t1) - position(n, t0)| <= max_speed *
-    #: |t1 - t0|``).  The spatial index uses it to keep cell buckets
-    #: across events, widening its search ring by the worst-case drift
-    #: instead of rebuilding per event.  ``None`` (unknown) falls back to
-    #: per-event rebuilds — always safe, never wrong.
+    #: |t1 - t0|``).  The spatial index uses it to keep position
+    #: snapshots and candidate lists across events, widening its
+    #: certainty bands by the worst-case drift and its lists by a skin of
+    #: twice the allowance instead of rebuilding per event.  ``None``
+    #: (unknown) falls back to per-event rebuilds — always safe, never
+    #: wrong.
     max_speed = None
 
     def position(self, node_id, t):

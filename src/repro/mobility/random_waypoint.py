@@ -72,8 +72,9 @@ class RandomWaypoint(MobilityModel):
             rng = rng.stream("mobility")
         # Trajectories are continuous piecewise-linear legs at speeds drawn
         # from [min_speed, max_speed]: max_speed is a true Lipschitz bound,
-        # which lets the channel's spatial index reuse cell buckets across
-        # events (see repro.net.spatial).
+        # which lets the channel's spatial index reuse position snapshots
+        # and per-node candidate lists across events (see
+        # repro.net.spatial).
         self.max_speed = float(max_speed)
         self.num_nodes = num_nodes
         self.width = float(width)

@@ -54,11 +54,10 @@ class FuzzDecision:
 class Reception:
     """Book-keeping for one frame arriving at one receiver."""
 
-    __slots__ = ("frame", "start", "end", "corrupted")
+    __slots__ = ("frame", "end", "corrupted")
 
-    def __init__(self, frame, start, end, corrupted=False):
+    def __init__(self, frame, end, corrupted=False):
         self.frame = frame
-        self.start = start
         self.end = end
         self.corrupted = corrupted
 
@@ -235,7 +234,7 @@ class WirelessChannel:
                     corrupted = corrupted or fuzz.corrupt
                     extra_delay = max(0.0, fuzz.delay)
                     duplicate = fuzz.duplicate
-            rec = Reception(frame, now, end, corrupted)
+            rec = Reception(frame, end, corrupted)
             ongoing.append(rec)
             if extra_delay > 0.0:
                 schedule(
@@ -247,7 +246,7 @@ class WirelessChannel:
             if duplicate and not corrupted:
                 # A fuzzed duplicate: the same frame decodes twice, a bit
                 # later, as if a stale copy echoed through the medium.
-                dup = Reception(frame, now, end, False)
+                dup = Reception(frame, end, False)
                 ongoing.append(dup)
                 schedule(
                     duration + 2 * PROPAGATION_DELAY + extra_delay,

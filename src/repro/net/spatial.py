@@ -8,10 +8,10 @@ the channel a pluggable index seam:
 
 * :class:`ScanIndex` — the original brute-force scan, kept as the
   reference implementation (``index="scan"``);
-* :class:`GridIndex` — drift-tolerant position snapshots screened with
-  vectorized arithmetic, plus lazy exact-position memoization
-  (``index="grid"``, the default; the name is historical — the snapshot
-  array replaced the cell grid when the screen went vectorized).
+* :class:`GridIndex` — drift-tolerant position snapshots with per-node
+  candidate lists, plus lazy exact-position memoization (``index="grid"``,
+  the default; the name is historical — snapshots and candidate lists
+  replaced the original cell grid).
 
 Both backends are **observationally identical**: the same node ids, in the
 same order (channel attach order, i.e. the order nodes joined), decided by
@@ -44,24 +44,29 @@ mobility model declares a Lipschitz bound (:attr:`~repro.mobility.base.
 MobilityModel.max_speed`), a snapshot of every node's position built at
 time ``t0`` stays trusted while the worst-case drift ``max_speed *
 |t - t0|`` stays under a fraction of the transmission range
-(:data:`BUCKET_SLACK`).  A query then screens all
-snapshot positions at C speed against two certainty radii derived from
-the triangle inequality — candidates closer than ``range - drift`` are
-neighbors for sure, candidates beyond ``range + drift`` cannot be — and
-only the annulus of genuinely doubtful candidates is verified against
-*exact* positions at the query time.  A safety margin keeps both bands
-strictly clear of the range boundary, so every decision agrees
+(:data:`BUCKET_SLACK`).  Each build also gives every node a **candidate
+list** (a Verlet neighbor list): the nodes whose snapshot positions lie
+within the margined range plus a *skin* of twice the drift allowance,
+the farthest two nodes can close before the snapshot expires, so no node
+off the list can be in range meanwhile.  A query loops over its short
+list against two certainty radii from the triangle inequality — closer
+than ``range - drift`` to the exact query point is in for sure, beyond
+``range + drift`` is out for sure — and verifies only the doubtful
+annulus between against *exact* positions.  A safety margin keeps both
+bands strictly clear of the range boundary, so every decision agrees
 bit-for-bit with the reference scan's expression; staleness can only
-cost extra verification, never a wrong membership.  Models with
-``static = True`` never drift (one snapshot serves until a ``version``
-bump); models with ``max_speed = None`` (unknown motion law) rebuild per
-position-memo key — always safe, never wrong.
+cost extra verification, never a wrong membership.  ``static = True``
+models never drift (one snapshot and skin-free lists serve until a
+``version`` bump); models with ``max_speed = None`` (unknown motion law)
+rebuild per position-memo key.
 """
+
+from itertools import islice
 
 import numpy as np
 
-#: Relative slack subtracted from / added to the certainty radii (and,
-#: historically, the grid cell edge).  Drift bounds are mathematically
+#: Relative slack subtracted from / added to the certainty radii and
+#: added to the candidate-list radius.  Drift bounds are mathematically
 #: sound in the reals; this margin of one part in 10⁶ of the range keeps
 #: the certainty decisions away from the boundary by six orders of
 #: magnitude more than any double-rounding slop, so a band decision can
@@ -73,12 +78,17 @@ CELL_MARGIN = 1.000001
 #: ranges: a snapshot built at ``t0`` stays trusted while worst-case
 #: drift ``max_speed * |t - t0|`` is under ``(BUCKET_SLACK - 1)`` ranges.
 #: Correctness never depends on this number — the certainty bands widen
-#: with the actual drift — it only balances snapshot rebuild cost (one
-#: bulk position pass per expiry) against the width of the doubtful
-#: annulus (one exact position per doubtful candidate per query).  A
-#: tenth of a range keeps the annulus a few nodes wide at the paper's
-#: densities while rebuilds stay rarer than one per thousand events.
+#: with the actual drift, the list skin with the allowance — it only
+#: balances rebuild cost (one bulk position pass, one all-pairs list
+#: screen) against list length and the width of the doubtful annulus
+#: (one exact position per doubtful candidate per query).  A tenth of a
+#: range keeps the annulus a few nodes wide at the paper's densities
+#: while rebuilds stay rarer than one per thousand events.
 BUCKET_SLACK = 1.1
+
+#: Rows per block of the all-pairs candidate-list screen: caps its float
+#: temporaries at ``2 * LIST_BLOCK * N`` doubles instead of ``2 * N²``.
+LIST_BLOCK = 64
 
 
 class NeighborIndex:
@@ -146,15 +156,14 @@ class ScanIndex(NeighborIndex):
 
 
 class GridIndex(NeighborIndex):
-    """Snapshot index with drift-certainty screening and lazy positions.
+    """Snapshot index with per-node candidate lists and lazy positions.
 
-    A rebuild takes one bulk ``positions_at`` pass and stores the result
-    as attach-ordered coordinate arrays.  ``near`` computes every
-    snapshot distance in one vectorized expression — elementwise IEEE-754
-    double arithmetic, so each value is bit-identical to what the scalar
-    reference expression produces — then walks only the short list of
-    candidates the certainty bands cannot settle, verifying those against
-    exact positions memoized per event (see module docstring).
+    A rebuild takes one bulk ``positions_at`` pass into attach-ordered
+    ``(id, x, y)`` entries and screens all pairs once, with NumPy, into
+    every node's candidate list; ``near`` walks only the querying node's
+    list in plain Python, settling each candidate by the certainty bands
+    or, in the doubtful annulus, against exact positions memoized per
+    event (see module docstring).
     """
 
     name = "grid"
@@ -169,6 +178,7 @@ class GridIndex(NeighborIndex):
         self._scheduler = sim.scheduler
         base = self.range * CELL_MARGIN if self.range > 0 else 1.0
         max_speed = getattr(mobility, "max_speed", None)
+        reach = base
         if self._static or max_speed == 0:
             # No drift ever: the snapshot lives until a version bump or a
             # new attachment.
@@ -181,22 +191,23 @@ class GridIndex(NeighborIndex):
             self._max_speed = 0.0
             self._bucket_limit = None
         else:
-            # Speed-bounded motion: the snapshot buys half a range of
-            # drift allowance before a rebuild is needed (BUCKET_SLACK).
+            # Speed-bounded motion: the snapshot buys each node a tenth
+            # of a range of drift before a rebuild is needed
+            # (BUCKET_SLACK), so two nodes can close by twice that.
             self._max_speed = float(max_speed)
             self._bucket_limit = (BUCKET_SLACK - 1.0) * base / self._max_speed
+            reach += 2.0 * self._max_speed * self._bucket_limit
+        self._list_reach2 = reach * reach
         self._ids = []
-        self._rank = {}  # node id -> attach order, for membership checks
         # Exact positions at the current (epoch, t, version) key, filled
         # lazily one node at a time.
         self._pos_key = None
         self._pos = {}
-        # Stale-tolerant snapshot: attach-ordered coordinate arrays (and
-        # the same entries as (id, x, y) tuples for covered scans),
-        # positions as of the build time ``_bucket_t``.
-        self._snap_x = None
-        self._snap_y = None
+        # Stale-tolerant snapshot as of ``_bucket_t``: attach-ordered
+        # (id, x, y) entries and every attached node's candidate list of
+        # them (node id -> entries; None until the first build).
         self._all = []
+        self._lists = None
         self._bucket_t = 0.0
         self._bucket_version = None
         self._bucket_key = None  # position-memo key at build time
@@ -204,10 +215,9 @@ class GridIndex(NeighborIndex):
         self.builds = 0
 
     def attach(self, node_id):
-        if node_id not in self._rank:
-            self._rank[node_id] = len(self._ids)
+        if node_id not in self._ids:
             self._ids.append(node_id)
-            self._snap_x = None  # rebuild so the new node is findable
+            self._lists = None  # rebuild so the new node is findable
 
     def _pos_at(self, t):
         """The lazy exact-position memo for the current key."""
@@ -230,7 +240,7 @@ class GridIndex(NeighborIndex):
         return xy
 
     def _ensure_snapshot(self, t, version):
-        if self._snap_x is not None and version == self._bucket_version:
+        if self._lists is not None and version == self._bucket_version:
             limit = self._bucket_limit
             if limit is None:
                 if self._bucket_key == self._pos_key:
@@ -238,20 +248,26 @@ class GridIndex(NeighborIndex):
             elif abs(t - self._bucket_t) <= limit:
                 return
         positions = self.mobility.positions_at(self._ids, t)
-        entries = []
-        xs = []
-        ys = []
-        for node_id in self._ids:
-            x, y = positions[node_id]
-            entries.append((node_id, x, y))
-            xs.append(x)
-            ys.append(y)
-        self._snap_x = np.array(xs, dtype=np.float64)
-        self._snap_y = np.array(ys, dtype=np.float64)
-        # Scratch buffers reused by every near() between rebuilds, so the
-        # screen allocates no per-query temporaries.
-        self._dx = np.empty_like(self._snap_x)
-        self._dy = np.empty_like(self._snap_y)
+        entries = [(node_id, *positions[node_id]) for node_id in self._ids]
+        # Every candidate list from one screen of all pairs of snapshot
+        # positions, LIST_BLOCK rows at a time, with each node kept off
+        # its own list; row-major nonzero order is attach order per row.
+        xs = np.array([entry[1] for entry in entries], dtype=np.float64)
+        ys = np.array([entry[2] for entry in entries], dtype=np.float64)
+        close = np.empty((len(xs), len(xs)), dtype=bool)
+        for lo in range(0, len(xs), LIST_BLOCK):
+            d2 = np.subtract.outer(xs[lo:lo + LIST_BLOCK], xs)
+            d2 *= d2
+            dy = np.subtract.outer(ys[lo:lo + LIST_BLOCK], ys)
+            dy *= dy
+            d2 += dy
+            np.less_equal(d2, self._list_reach2, out=close[lo:lo + LIST_BLOCK])
+        np.fill_diagonal(close, False)
+        cols = iter(np.nonzero(close)[1].tolist())
+        self._lists = {
+            node_id: [entries[j] for j in islice(cols, count)]
+            for node_id, count in zip(self._ids, close.sum(axis=1).tolist())
+        }
         self._all = entries
         self._bucket_t = t
         self._bucket_version = version
@@ -270,29 +286,18 @@ class GridIndex(NeighborIndex):
             xy = self.mobility.position(node_id, t)
             pos[node_id] = xy
         x, y = xy
+        # A node never attached has no list: the bands decide every entry.
+        candidates = self._lists.get(node_id, self._all)
         limit = self.range * self.range
-        # One vectorized pass over the snapshot: every node's squared
-        # distance to the (exact) query point, each an elementwise IEEE
-        # double op — bit-identical to the scalar dx*dx + dy*dy.
-        d2 = np.subtract(self._snap_x, x, out=self._dx)
-        d2 *= d2
-        dy = np.subtract(self._snap_y, y, out=self._dy)
-        dy *= dy
-        d2 += dy
-        # Snapshots built in this very memo key hold the exact positions:
-        # the screen itself decides membership.  Otherwise a candidate's
-        # true position lies within ``drift`` of its snapshot position,
-        # so with snapshot distance d0 to the exact query point:
-        #
-        # * d0 <= range - drift - margin  →  certainly in range,
-        # * d0 >  range + drift + margin  →  certainly out of range,
-        #
-        # and only the annulus between needs an exact position.  The
-        # margin keeps both certainty bands strictly clear of the
-        # boundary, where float evaluation of the canonical membership
-        # expression could otherwise disagree by an ulp — decisions stay
-        # bit-identical to the reference scan while mobility lookups
-        # drop to the doubtful band only.
+        # Snapshots built in this very memo key hold the exact positions,
+        # so the canonical expression on the entry decides.  Otherwise a
+        # candidate's true position lies within ``drift`` of its snapshot
+        # position: with snapshot distance d0 to the exact query point,
+        # d0 <= range - drift - margin is certainly in range, d0 > range
+        # + drift + margin certainly out, and only the annulus between
+        # needs an exact position.  The margin keeps both bands strictly
+        # clear of the boundary, where float evaluation of the canonical
+        # expression could otherwise disagree by an ulp.
         if self._bucket_key == self._pos_key:
             sure_in2 = limit
             sure_out2 = limit
@@ -303,28 +308,23 @@ class GridIndex(NeighborIndex):
             sure_in2 = sure_in * sure_in if sure_in > 0.0 else -1.0
             sure_out = self.range + drift + margin
             sure_out2 = sure_out * sure_out
-        ids = self._ids
-        cand = np.flatnonzero(d2 <= sure_out2)
-        if sure_in2 == sure_out2:
-            # Fresh snapshot: the screen IS the membership decision.
-            return [ids[i] for i in cand.tolist() if ids[i] != node_id]
-        mobility_position = self.mobility.position
         found = []
-        for i, certain in zip(cand.tolist(), (d2[cand] <= sure_in2).tolist()):
-            other_id = ids[i]
-            if other_id == node_id:
+        for other_id, sx, sy in candidates:
+            dx = sx - x
+            dy = sy - y
+            d2 = dx * dx + dy * dy
+            if d2 > sure_out2:
                 continue
-            if certain:
-                found.append(other_id)
-                continue
-            oxy = pos.get(other_id)
-            if oxy is None:
-                oxy = mobility_position(other_id, t)
-                pos[other_id] = oxy
-            ox, oy = oxy
-            ddx, ddy = ox - x, oy - y
-            if ddx * ddx + ddy * ddy <= limit:
-                found.append(other_id)
+            if d2 > sure_in2:
+                oxy = pos.get(other_id)
+                if oxy is None:
+                    oxy = self.mobility.position(other_id, t)
+                    pos[other_id] = oxy
+                dx = oxy[0] - x
+                dy = oxy[1] - y
+                if dx * dx + dy * dy > limit:
+                    continue
+            found.append(other_id)
         return found
 
 

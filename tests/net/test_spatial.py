@@ -142,8 +142,8 @@ def test_zero_range_degenerates_to_colocation(index_name):
 
 
 def test_cell_margin_covers_range_boundary_in_any_cell_phase():
-    # Slide an exactly-at-range pair across cell-boundary phases; the 3x3
-    # search ring must never lose the neighbor to // rounding.
+    # Slide an exactly-at-range pair across coordinate phases; the
+    # candidate-list screen must never lose the neighbor to rounding.
     sim = Simulator(seed=1)
     for offset in (0.0, 1e-9, 137.4999, 274.999999, 275.0 * CELL_MARGIN):
         placement = StaticPlacement({0: (offset, 0.0),
@@ -217,7 +217,92 @@ def test_attach_forces_rebucket():
     assert channel.neighbors_of(0) == [1]
     node2 = Node(sim, 2, channel)  # attaches mid-run
     assert channel.neighbors_of(0) == [1, 2]
+    assert _listed(channel.index, 0) == [1, 2]
     assert node0 and node1 and node2  # keep references alive
+
+
+def _listed(index, node_id):
+    """Ids on ``node_id``'s current grid candidate list."""
+    return [entry[0] for entry in index._lists[node_id]]
+
+
+def test_candidate_lists_rebuilt_after_static_move():
+    placement = StaticPlacement({0: (0.0, 0.0), 1: (5000.0, 0.0),
+                                 2: (100.0, 0.0)})
+    sim, channel, nodes = _world(placement, index="grid")
+    assert channel.neighbors_of(0) == [2]
+    assert _listed(channel.index, 0) == [2]
+    placement.move(1, 50.0, 0.0)  # version bump, same event, same time
+    assert channel.neighbors_of(0) == [1, 2]
+    assert _listed(channel.index, 0) == [1, 2]
+    assert channel.index.builds == 2
+
+
+class _Approach:
+    """Node 0 parked at the origin; node 1 drives straight at it along
+    the x axis at ``max_speed`` from ``x0`` (a speed-bounded model)."""
+
+    static = False
+    version = 0
+
+    def __init__(self, x0, max_speed):
+        self.x0 = x0
+        self.max_speed = max_speed
+
+    def position(self, node_id, t):
+        return (0.0, 0.0) if node_id == 0 else (
+            self.x0 - self.max_speed * t, 0.0)
+
+    def positions_at(self, node_ids, t):
+        return {nid: self.position(nid, t) for nid in node_ids}
+
+
+def test_candidate_lists_rebuilt_when_snapshot_expires():
+    # Node 1 starts just beyond the list radius (range plus a skin of
+    # twice the drift allowance), so node 0's first list omits it.  The
+    # list must be dropped with the snapshot, or node 1 stays invisible
+    # after it has driven into range.
+    sim = Simulator(seed=1)
+    reach = 275.0 * CELL_MARGIN * (1.0 + 2.0 * (BUCKET_SLACK - 1.0))
+    mobility = _Approach(x0=reach + 1.0, max_speed=20.0)
+    index = make_index("grid", sim, mobility, 275.0)
+    index.attach(0)
+    index.attach(1)
+    limit = index._bucket_limit
+    assert index.near(0, 0.0) == []
+    assert _listed(index, 0) == []
+    assert index.near(0, limit) == []  # same snapshot, still out of range
+    assert index.builds == 1
+    t = (reach + 1.0 - 270.0) / 20.0  # node 1 about 270 m away
+    assert t > limit
+    assert index.near(0, t) == [1]
+    assert index.builds == 2
+    assert _listed(index, 0) == [1]
+
+
+@pytest.mark.parametrize("mobile", [False, True])
+def test_near_for_unattached_node_matches_scan(mobile):
+    # A node the index never saw has no snapshot position (and no list);
+    # its query must still answer exactly what the reference scan does.
+    indexes = {}
+    for name in ("scan", "grid"):
+        sim = Simulator(seed=9)
+        if mobile:
+            mobility = RandomWaypoint(12, 900.0, 300.0, pause_time=0.0,
+                                      duration=20.0,
+                                      rng=sim.stream("mobility"))
+        else:
+            mobility = StaticPlacement(
+                {nid: (90.0 * nid, 40.0 * (nid % 2)) for nid in range(12)})
+        index = make_index(name, sim, mobility, 275.0)
+        for nid in range(11):  # node 11 is never attached
+            index.attach(nid)
+        indexes[name] = index
+    for t in (2.0, 2.4, 3.1, 9.0):
+        indexes["grid"].near(0, t)  # build (or reuse) the snapshot first
+        scan = indexes["scan"].near(11, t)
+        assert indexes["grid"].near(11, t) == scan
+        assert scan, "node 11 should have attached neighbors at t=%g" % t
 
 
 def test_speed_bounded_buckets_survive_across_events():

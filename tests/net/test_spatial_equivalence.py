@@ -10,6 +10,7 @@ reproduces from the printed trial number.
 The quick sweep runs in tier-1; a larger one is marked ``slow``.
 """
 
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.mobility import RandomWaypoint, StaticPlacement
 from repro.net import Node, WirelessChannel
 from repro.net.packet import Frame, Packet
+from repro.net.spatial import LIST_BLOCK
 from repro.sim import Simulator
 
 RANGE = 275.0
@@ -120,6 +122,75 @@ def test_equivalence_sweep_quick():
 @pytest.mark.slow
 def test_equivalence_sweep_large():
     _sweep(master_seed=19991231, cases=120, slow_times=8)
+
+
+def test_equivalence_across_candidate_list_blocks():
+    # Enough nodes that the all-pairs list screen runs in several row
+    # blocks, with a ragged last block.
+    num_nodes = 2 * LIST_BLOCK + 7
+
+    def mobility_factory(sim):
+        return RandomWaypoint(num_nodes, 4000.0, 900.0, pause_time=0.0,
+                              duration=20.0, rng=sim.stream("mobility"))
+
+    _compare_worlds(4242, mobility_factory, [0.5, 1.0, 7.25],
+                    "n=%d" % num_nodes)
+
+
+def _snapshot_edge_times(t0, limit):
+    """The times exactly ``limit`` after and before ``t0`` that still
+    pass the snapshot's ``|t - t0| <= limit`` test (float-rounded
+    inward when ``t0 ± limit`` overshoots)."""
+    edges = []
+    for t in (t0 + limit, t0 - limit):
+        while abs(t - t0) > limit:
+            t = math.nextafter(t, t0)
+        edges.append(t)
+    return edges
+
+
+def _skin_edge_sweep(master_seed, cases):
+    """Grid vs scan at the instants where the candidate-list skin is
+    tightest: one snapshot built at ``t0``, then every node queried at
+    ``t0 ± bucket_limit``, where worst-case drift has used up the whole
+    allowance.  Every leg runs at ``max_speed`` so real drift hits it."""
+    master = random.Random(master_seed)
+    for trial in range(cases):
+        case_seed = master.randrange(1, 2 ** 31)
+        case_rng = random.Random(case_seed)
+        num_nodes = case_rng.randrange(2, 36)
+        speed = case_rng.choice([5.0, 20.0, 40.0])
+        pause = case_rng.choice([0.0, 0.0, 5.0])
+
+        def mobility_factory(sim, n=num_nodes, v=speed, p=pause):
+            return RandomWaypoint(n, 1400.0, 500.0, min_speed=v,
+                                  max_speed=v, pause_time=p, duration=40.0,
+                                  rng=sim.stream("mobility"))
+
+        worlds = {index: _build_world(index, mobility_factory,
+                                      seed=case_seed & 0x7FFFFFFF)[1].index
+                  for index in ("scan", "grid")}
+        grid = worlds["grid"]
+        limit = grid._bucket_limit
+        t0 = case_rng.uniform(limit, 40.0 - limit)
+        grid.near(0, t0)  # the one snapshot every query below reuses
+        label = "trial %d (seed %d, n=%d, v=%g)" % (
+            trial, case_seed, num_nodes, speed)
+        for t in _snapshot_edge_times(t0, limit) + [t0]:
+            for nid in range(num_nodes):
+                scan = worlds["scan"].near(nid, t)
+                assert grid.near(nid, t) == scan, (
+                    "%s: near(%d, t0%+g) diverged" % (label, nid, t - t0))
+        assert grid.builds == 1, label
+
+
+def test_equivalence_at_snapshot_edges_quick():
+    _skin_edge_sweep(master_seed=20030714, cases=12)
+
+
+@pytest.mark.slow
+def test_equivalence_at_snapshot_edges_large():
+    _skin_edge_sweep(master_seed=19991230, cases=150)
 
 
 def test_transmit_streams_identical_under_gray_zone_and_faults():
