@@ -13,12 +13,15 @@ The reproduction rests on two machine-checkable guarantees:
   :class:`~repro.routing.loopcheck.LoopChecker` can audit loop freedom
   instant by instant and can never be silently bypassed.
 
-The engine has two tiers.  *Syntactic* rules (``RL0xx``/``RL1xx``) see
-one file at a time; *whole-program* passes (``RL2xx`` stream taint,
-``RL3xx`` hook-bypass reachability, ``RL4xx`` guarded-update
-conformance) run over a project-wide symbol table, class hierarchy, and
-approximate call graph (:mod:`repro.lint.program`), because the bugs
-worth finding live in the composition of locally-plausible functions.
+Every rule reads one project-wide model (:mod:`repro.lint.program`):
+import bindings, re-export chains, and the class hierarchy keyed by
+module-qualified name.  The two tiers differ only in whether a rule
+needs the model's approximate call graph: *syntactic* rules
+(``RL0xx``/``RL1xx``) report one file at a time without it;
+*whole-program* passes (``RL2xx`` stream taint, ``RL3xx`` hook-bypass
+reachability, ``RL4xx`` guarded-update conformance) walk it, because the
+bugs worth finding live in the composition of locally-plausible
+functions.
 Waivers are explicit and auditable: inline
 ``# repro-lint: disable=RLxxx -- reason`` suppressions, or the
 committed ``lint_baseline.json`` (:mod:`repro.lint.baseline`) for

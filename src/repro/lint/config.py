@@ -110,38 +110,29 @@ DEFAULT_ALLOWLIST: Mapping[str, Tuple[str, ...]] = {
 }
 
 
+def stream_owners(name: str) -> Optional[Tuple[str, ...]]:
+    """Layers that own stream ``name`` (longest registry match), or None
+    when the name matches no ``STREAM_LAYERS`` entry."""
+    best: Optional[str] = None
+    for key in STREAM_LAYERS:
+        if key.endswith("."):
+            if not (name == key[:-1] or name.startswith(key)):
+                continue
+        elif name != key:
+            continue
+        if best is None or len(key) > len(best):
+            best = key
+    return None if best is None else STREAM_LAYERS[best]
+
+
 @dataclass
 class LintConfig:
-    """Resolved configuration for one lint run."""
+    """Resolved configuration for one lint run: the per-rule path
+    allowlist, the one setting ``[tool.repro-lint]`` extends."""
 
-    deterministic_layers: FrozenSet[str] = DETERMINISTIC_LAYERS
-    conformance_layers: FrozenSet[str] = CONFORMANCE_LAYERS
-    table_exempt_methods: FrozenSet[str] = TABLE_EXEMPT_METHODS
-    stream_layers: Mapping[str, Tuple[str, ...]] = field(
-        default_factory=lambda: dict(STREAM_LAYERS)
-    )
-    guarded_fields: FrozenSet[str] = GUARDED_FIELDS
-    feasibility_predicates: FrozenSet[str] = FEASIBILITY_PREDICATES
-    infinity_names: FrozenSet[str] = INFINITY_NAMES
     allowlist: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_ALLOWLIST)
     )
-
-    def stream_owners(self, name: str) -> Optional[Tuple[str, ...]]:
-        """Layers that own stream ``name`` (longest registry match), or
-        None when the name matches no registry entry."""
-        best: Optional[Tuple[str, str]] = None
-        for key in self.stream_layers:
-            if key.endswith("."):
-                if not (name == key[:-1] or name.startswith(key)):
-                    continue
-            elif name != key:
-                continue
-            if best is None or len(key) > len(best[0]):
-                best = (key, key)
-        if best is None:
-            return None
-        return tuple(self.stream_layers[best[0]])
 
     def is_allowed(self, rule_id: str, relpath: str) -> bool:
         """True when ``relpath`` is allowlisted for ``rule_id``."""

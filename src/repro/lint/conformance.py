@@ -16,9 +16,11 @@ an explicit, justified suppression.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.lint.core import FileContext, ProjectIndex, Rule, Violation
+from repro.lint.config import CONFORMANCE_LAYERS, TABLE_EXEMPT_METHODS
+from repro.lint.core import FileContext, Rule, Violation
+from repro.lint.program import ClassDecl, ProgramModel
 
 #: Container methods that mutate a dict-shaped routing table in place.
 _MUTATING_METHODS = frozenset({"pop", "clear", "update", "setdefault", "popitem"})
@@ -28,18 +30,14 @@ class ConformanceRule(Rule):
     """Base for rules that patrol protocol-implementation layers."""
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.layer in ctx.config.conformance_layers
+        return ctx.layer in CONFORMANCE_LAYERS
 
     @staticmethod
-    def protocol_classes(ctx: FileContext) -> Iterator[ast.ClassDef]:
-        index = ctx.project
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.ClassDef)
-                and node.name != ProjectIndex.PROTOCOL_BASE
-                and index.is_routing_protocol(node.name)
-            ):
-                yield node
+    def protocol_classes(ctx: FileContext) -> Iterator[ClassDecl]:
+        """The program's protocol classes defined in this file."""
+        for decl in ctx.program.protocol_classes():
+            if decl.module == ctx.module.name:
+                yield decl
 
 
 class RequireSuccessor(ConformanceRule):
@@ -56,14 +54,14 @@ class RequireSuccessor(ConformanceRule):
     title = "protocol must implement successor()"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in self.protocol_classes(ctx):
-            if ctx.project.resolve_method(node.name, "successor") is None:
+        for decl in self.protocol_classes(ctx):
+            if ctx.program.resolve_method(decl.key, "successor") is None:
                 yield ctx.violation(
-                    node,
+                    decl.node,
                     self.id,
                     "%s derives from RoutingProtocol but never implements "
                     "successor(); the loop audit would see an empty graph"
-                    % node.name,
+                    % decl.name,
                 )
 
 
@@ -85,21 +83,21 @@ class RequireRouteMetric(ConformanceRule):
     title = "protocol must implement route_metric() with (sn, fd, d) shape"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in self.protocol_classes(ctx):
-            resolved = ctx.project.resolve_method(node.name, "route_metric")
+        for decl in self.protocol_classes(ctx):
+            resolved = ctx.program.resolve_method(decl.key, "route_metric")
             if resolved is None:
                 yield ctx.violation(
-                    node,
+                    decl.node,
                     self.id,
                     "%s derives from RoutingProtocol but never implements "
                     "route_metric(); return (sn, fd, d) or an explicit None "
                     "with a docstring explaining why the ordering audit "
-                    "does not apply" % node.name,
+                    "does not apply" % decl.name,
                 )
                 continue
-            info, function = resolved
+            owner, function = resolved
             # Check the tuple shape only at the defining class, once.
-            if info.name != node.name:
+            if owner.key != decl.key:
                 continue
             for sub in ast.walk(function):
                 if (
@@ -138,62 +136,78 @@ def _successor_reads(function: ast.FunctionDef) -> Set[str]:
     return reads
 
 
-def _table_mutations(
-    method: ast.FunctionDef, tracked: Set[str]
-) -> List[Tuple[ast.AST, str]]:
-    """Container-level mutations of tracked self attributes.
+def _self_tables(tracked: Set[str]) -> Dict[str, str]:
+    """Spellings of the tracked tables inside their own class."""
+    return {"self." + attr: attr for attr in tracked}
 
-    Field-level writes on individual entries (``entry.next_hop = ...``)
-    are outside static reach; the runtime LoopChecker still covers those.
+
+def _spelling(node: ast.expr) -> str:
+    """``x`` or ``x.y`` as source text; ``""`` for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.value.id + "." + node.attr
+    return ""
+
+
+def _mutated(node: ast.AST) -> List[ast.expr]:
+    """The containers ``node`` changes in place: the receiver of a
+    subscript store/delete or of a mutating method call, and an attribute
+    rebound or deleted wholesale (rebinding a local name changes none)."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
+            return [func.value]
+        return []
+    targets: List[ast.expr] = []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    return [
+        target.value if isinstance(target, ast.Subscript) else target
+        for target in targets
+        if isinstance(target, (ast.Subscript, ast.Attribute))
+    ]
+
+
+def _table_mutations(
+    scope: ast.AST, tables: Mapping[str, str]
+) -> List[Tuple[ast.AST, str]]:
+    """Container-level mutations of routing tables inside ``scope``.
+
+    ``tables`` maps how a table is spelled in ``scope`` — ``self.routes``,
+    a local alias, a helper's parameter ``p`` or ``p.routes`` — to the
+    tracked attribute it holds.  Field-level writes on individual entries
+    (``entry.next_hop = ...``) are outside static reach; the runtime
+    LoopChecker still covers those.
     """
     mutations: List[Tuple[ast.AST, str]] = []
-
-    def tracked_subscript(target: ast.expr) -> Optional[str]:
-        if isinstance(target, ast.Subscript):
-            attr = _self_attr(target.value)
-            if attr in tracked:
-                return attr
-        return None
-
-    for node in ast.walk(method):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                attr = tracked_subscript(target)
-                if attr is None:
-                    direct = _self_attr(target)
-                    attr = direct if direct in tracked else None
-                if attr is not None:
-                    mutations.append((node, attr))
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            attr = tracked_subscript(node.target)
-            if attr is None:
-                direct = _self_attr(node.target)
-                attr = direct if direct in tracked else None
+    for node in ast.walk(scope):
+        for container in _mutated(node):
+            attr = tables.get(_spelling(container))
             if attr is not None:
                 mutations.append((node, attr))
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                attr = tracked_subscript(target)
-                if attr is not None:
-                    mutations.append((node, attr))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATING_METHODS:
-                attr = _self_attr(node.func.value)
-                if attr in tracked and attr is not None:
-                    mutations.append((node, attr))
     return mutations
 
 
-def _notify_calls(method: ast.FunctionDef) -> List[ast.Call]:
-    calls: List[ast.Call] = []
-    for node in ast.walk(method):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("_notify_table_change", "table_change_hook")
-        ):
-            calls.append(node)
-    return calls
+def _is_notified(
+    ctx: FileContext, mutation: ast.AST, notifies: Sequence[ast.AST]
+) -> bool:
+    """True when a notification sits lexically at or after ``mutation``,
+    or inside a loop that also encloses it (it then post-dominates the
+    mutation on the next iteration's path)."""
+    mutation_line = getattr(mutation, "lineno", 0)
+    if any(getattr(node, "lineno", 0) >= mutation_line for node in notifies):
+        return True
+    loops = {
+        ancestor
+        for ancestor in ctx.ancestors(mutation)
+        if isinstance(ancestor, (ast.For, ast.While))
+    }
+    return bool(loops) and any(
+        ancestor in loops for node in notifies for ancestor in ctx.ancestors(node)
+    )
 
 
 class RequireTableChangeNotify(ConformanceRule):
@@ -220,24 +234,20 @@ class RequireTableChangeNotify(ConformanceRule):
     title = "table mutation without table_change_hook notification"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in self.protocol_classes(ctx):
-            resolved = ctx.project.resolve_method(node.name, "successor")
+        for decl in self.protocol_classes(ctx):
+            resolved = ctx.program.resolve_method(decl.key, "successor")
             if resolved is None:
                 continue  # RL101 already fires
-            tracked = _successor_reads(resolved[1])
-            if not tracked:
-                continue
-            for method in node.body:
-                if not isinstance(method, ast.FunctionDef):
+            tables = _self_tables(_successor_reads(resolved[1]))
+            for method in decl.node.body:
+                if (
+                    not isinstance(method, ast.FunctionDef)
+                    or method.name in TABLE_EXEMPT_METHODS
+                ):
                     continue
-                if method.name in ctx.config.table_exempt_methods:
-                    continue
-                mutations = _table_mutations(method, tracked)
-                if not mutations:
-                    continue
-                notifies = _notify_calls(method)
-                for mutation, attr in mutations:
-                    if self._is_notified(ctx, mutation, notifies):
+                notifies = ProgramModel.hook_calls(method)
+                for mutation, attr in _table_mutations(method, tables):
+                    if _is_notified(ctx, mutation, notifies):
                         continue
                     yield ctx.violation(
                         mutation,
@@ -245,30 +255,8 @@ class RequireTableChangeNotify(ConformanceRule):
                         "%s.%s mutates routing table 'self.%s' without a "
                         "subsequent self._notify_table_change(...); the "
                         "LoopChecker cannot audit this change"
-                        % (node.name, method.name, attr),
+                        % (decl.name, method.name, attr),
                     )
-
-    @staticmethod
-    def _is_notified(
-        ctx: FileContext, mutation: ast.AST, notifies: List[ast.Call]
-    ) -> bool:
-        mutation_line = getattr(mutation, "lineno", 0)
-        for notify in notifies:
-            if getattr(notify, "lineno", 0) >= mutation_line:
-                return True
-        # A notify earlier in the same loop body still post-dominates the
-        # mutation on the next iteration's path.
-        mutation_loops = {
-            ancestor
-            for ancestor in ctx.ancestors(mutation)
-            if isinstance(ancestor, (ast.For, ast.While))
-        }
-        if mutation_loops:
-            for notify in notifies:
-                for ancestor in ctx.ancestors(notify):
-                    if ancestor in mutation_loops:
-                        return True
-        return False
 
 
 CONFORMANCE_RULES: Tuple[type, ...] = (

@@ -1,15 +1,17 @@
-"""AST-walking lint engine: files, suppressions, project index, rules.
+"""AST-walking lint engine: files, suppressions, rules.
 
 The engine is deliberately dependency-free (stdlib ``ast`` only) so the
 gate can run anywhere the test-suite runs.  A run has three phases:
 
-1. **Index** — every file is parsed once and class definitions are
-   collected into a :class:`ProjectIndex`, so conformance rules can reason
-   about inheritance across files (``NsrProtocol(DsrProtocol)`` conforms
-   through its base).
+1. **Model** — every file is parsed once into the shared
+   :class:`~repro.lint.program.ProgramModel`: each module's import
+   bindings and exports, and the class hierarchy keyed by
+   module-qualified name, so conformance rules reason about inheritance
+   across files (``NsrProtocol(DsrProtocol)`` conforms through its base).
+   The call graph inside it is built only if a program rule asks.
 2. **Check** — each rule visits each file through a :class:`FileContext`
    that carries the file's layer (top-level directory under the lint
-   root), source lines, and the shared index.
+   root), source, its module in the model, and the model itself.
 3. **Suppress** — ``# repro-lint: disable=RLxxx -- reason`` comments are
    honoured; a suppression *without* a justification is itself reported
    (RL000) and suppresses nothing, so every waiver is auditable.
@@ -68,101 +70,6 @@ class Suppression:
     standalone: bool  # comment-only line (covers the next statement line)
 
 
-@dataclass
-class ClassInfo:
-    """What the project index knows about one class definition."""
-
-    name: str
-    bases: Tuple[str, ...]
-    methods: Dict[str, ast.FunctionDef]
-    relpath: str
-    line: int
-
-
-class ProjectIndex:
-    """Cross-file class registry for inheritance-aware rules."""
-
-    #: The abstract interface; deriving from it (transitively) marks a
-    #: class as a routing protocol, but its own stub methods never satisfy
-    #: the conformance rules.
-    PROTOCOL_BASE = "RoutingProtocol"
-
-    def __init__(self) -> None:
-        self.classes: Dict[str, ClassInfo] = {}
-
-    def add_module(self, tree: ast.Module, relpath: str) -> None:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = tuple(
-                base
-                for base in (_base_name(b) for b in node.bases)
-                if base is not None
-            )
-            methods = {
-                item.name: item
-                for item in node.body
-                if isinstance(item, ast.FunctionDef)
-            }
-            self.classes[node.name] = ClassInfo(
-                name=node.name,
-                bases=bases,
-                methods=methods,
-                relpath=relpath,
-                line=node.lineno,
-            )
-
-    def is_routing_protocol(self, name: str) -> bool:
-        """True when ``name`` transitively derives from RoutingProtocol."""
-        seen: Set[str] = set()
-        stack = [name]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            info = self.classes.get(current)
-            if info is None:
-                continue
-            for base in info.bases:
-                if base == self.PROTOCOL_BASE:
-                    return True
-                stack.append(base)
-        return False
-
-    def resolve_method(
-        self, class_name: str, method: str
-    ) -> Optional[Tuple[ClassInfo, ast.FunctionDef]]:
-        """Find ``method`` on ``class_name`` or an indexed ancestor.
-
-        The RoutingProtocol base itself is excluded: inheriting its stub
-        ``successor``/``route_metric`` is exactly the silent default the
-        conformance rules exist to forbid.
-        """
-        seen: Set[str] = set()
-        stack = [class_name]
-        while stack:
-            current = stack.pop(0)
-            if current in seen or current == self.PROTOCOL_BASE:
-                continue
-            seen.add(current)
-            info = self.classes.get(current)
-            if info is None:
-                continue
-            if method in info.methods:
-                return info, info.methods[method]
-            stack.extend(info.bases)
-        return None
-
-
-def _base_name(node: ast.expr) -> Optional[str]:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 class FileContext:
     """Everything a rule may want to know about one file."""
 
@@ -173,32 +80,17 @@ class FileContext:
         tree: ast.Module,
         source: str,
         config: LintConfig,
-        project: ProjectIndex,
-        program: Optional[ProgramModel] = None,
+        program: ProgramModel,
     ) -> None:
         self.path = path
         self.relpath = relpath
         self.tree = tree
         self.source = source
         self.config = config
-        self.project = project
         self.program = program
-        self.layer = relpath.split("/", 1)[0] if "/" in relpath else ""
+        self.module = program.by_relpath[relpath]
+        self.layer = self.module.layer
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
-
-    @property
-    def package(self) -> str:
-        """The package relative imports in this file resolve against."""
-        from repro.lint.program import module_name_for, package_for
-
-        return package_for(module_name_for(self.relpath), self.relpath)
-
-    def canonical(self, dotted: str) -> str:
-        """Resolve ``dotted`` through the program's export chains, when a
-        whole-program model is attached; identity otherwise."""
-        if self.program is not None:
-            return self.program.canonical(dotted)
-        return dotted
 
     def parent_map(self) -> Dict[ast.AST, ast.AST]:
         """Child -> parent for every node (built lazily, cached)."""
@@ -472,7 +364,6 @@ class Linter:
         baseline: Optional[Baseline] = None,
     ) -> List[Violation]:
         files = self.collect_files(paths)
-        project = ProjectIndex()
         parsed: List[Tuple[Path, str, ast.Module, str]] = []
         violations: List[Violation] = []
         relpath_of: Dict[str, str] = {}
@@ -493,13 +384,12 @@ class Linter:
                 continue
             relpath = self._relpath(path)
             relpath_of[str(path)] = relpath
-            project.add_module(tree, relpath)
             parsed.append((path, relpath, tree, source))
 
-        # The whole-program model is built unconditionally: even the
-        # syntactic stage resolves imports through its export table (a
-        # re-exported wall clock is still a wall clock).  The call graph
-        # inside it is lazy, so the syntactic stage stays fast.
+        # The whole-program model is built unconditionally: the syntactic
+        # stage reads import bindings, export chains (a re-exported wall
+        # clock is still a wall clock) and the class hierarchy from it too.
+        # The call graph inside it is lazy, so that stage stays fast.
         program = ProgramModel.build(
             [(path, relpath, tree) for path, relpath, tree, _ in parsed],
             root_package=self.root.name,
@@ -512,9 +402,7 @@ class Linter:
         contexts: Dict[str, FileContext] = {}
         spans_of: Dict[str, _SuppressionSpans] = {}
         for path, relpath, tree, source in parsed:
-            ctx = FileContext(
-                path, relpath, tree, source, self.config, project, program
-            )
+            ctx = FileContext(path, relpath, tree, source, self.config, program)
             contexts[relpath] = ctx
             spans, problems = resolve_suppressions(
                 ctx, parse_suppressions(source), known

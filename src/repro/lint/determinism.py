@@ -17,10 +17,10 @@ creeps into simulation code:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Set, Tuple
 
+from repro.lint.config import DETERMINISTIC_LAYERS
 from repro.lint.core import FileContext, Rule, Violation
-from repro.lint.program import resolve_relative
 
 #: Wall-clock reads banned in simulated-world code (RL002).
 _WALL_CLOCKS = frozenset(
@@ -46,67 +46,11 @@ _UUID_CALLS = frozenset({"uuid.uuid1", "uuid.uuid4", "os.urandom"})
 _SET_CALLS = frozenset({"set", "frozenset"})
 
 
-def _module_bindings(tree: ast.Module, package: str = "") -> Dict[str, str]:
-    """Local name -> dotted prefix it stands for (``import``/``from``).
-
-    Relative imports resolve against ``package`` (the importing file's
-    own package): ``from .compat import clock`` in ``sim/use.py`` binds
-    ``clock`` to ``sim.compat.clock``, which the caller can then chase
-    through the program's export table.  The old implementation dropped
-    every ``node.level != 0`` import, so a banned call laundered through
-    a relative re-export was invisible to RL001-RL006.
-    """
-    bindings: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".", 1)[0]
-                bindings[local] = alias.name if alias.asname else local
-        elif isinstance(node, ast.ImportFrom):
-            base = resolve_relative(package, node.level, node.module)
-            if base is None:
-                continue
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                bindings[alias.asname or alias.name] = (
-                    base + "." + alias.name
-                )
-    return bindings
-
-
-def _dotted_name(
-    node: ast.expr, bindings: Dict[str, str]
-) -> Optional[str]:
-    """Resolve ``a.b.c`` through the module's import bindings."""
-    parts = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    resolved = bindings.get(current.id, current.id)
-    parts.append(resolved)
-    return ".".join(reversed(parts))
-
-
-def _resolved_call_name(
-    ctx: FileContext, node: ast.expr, bindings: Dict[str, str]
-) -> Optional[str]:
-    """Dotted call target, chased through export chains when a program
-    model is attached (a re-exported wall clock is still a wall clock)."""
-    dotted = _dotted_name(node, bindings)
-    if dotted is None:
-        return None
-    return ctx.canonical(dotted)
-
-
 class DeterministicLayerRule(Rule):
     """Base for rules that only patrol simulated-world layers."""
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return ctx.layer in ctx.config.deterministic_layers
+        return ctx.layer in DETERMINISTIC_LAYERS
 
 
 class BanAmbientRandom(Rule):
@@ -177,11 +121,10 @@ class BanWallClock(Rule):
     title = "wall-clock read in simulation code"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        bindings = _module_bindings(ctx.tree, ctx.package)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _resolved_call_name(ctx, node.func, bindings)
+            dotted = ctx.program.canonical_name(node.func, ctx.module)
             if dotted in _WALL_CLOCKS:
                 yield ctx.violation(
                     node,
@@ -204,7 +147,6 @@ class BanUniqueIds(Rule):
     title = "UUID / OS-entropy identifier"
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        bindings = _module_bindings(ctx.tree, ctx.package)
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = (
@@ -219,7 +161,7 @@ class BanUniqueIds(Rule):
                         "the 'secrets' module is OS entropy by definition",
                     )
             elif isinstance(node, ast.Call):
-                dotted = _resolved_call_name(ctx, node.func, bindings)
+                dotted = ctx.program.canonical_name(node.func, ctx.module)
                 if dotted in _UUID_CALLS:
                     yield ctx.violation(
                         node,

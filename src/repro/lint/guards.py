@@ -47,7 +47,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import (
+    FEASIBILITY_PREDICATES,
+    GUARDED_FIELDS,
+    INFINITY_NAMES,
+    TABLE_EXEMPT_METHODS,
+)
 from repro.lint.core import FileContext, ProgramRule, Violation
 from repro.lint.program import FunctionDecl, ProgramModel
 
@@ -110,7 +115,7 @@ class GuardedUpdateRule(ProgramRule):
                 function = program.functions[key]
                 if function.module != module_name:
                     continue
-                if function.name in ctx.config.table_exempt_methods:
+                if function.name in TABLE_EXEMPT_METHODS:
                     continue
                 yield from self._check_function(program, contexts, ctx, function)
 
@@ -141,8 +146,7 @@ class GuardedUpdateRule(ProgramRule):
         ctx: FileContext,
         function: FunctionDecl,
     ) -> Iterator[Violation]:
-        config = ctx.config
-        for stmt, field in self._guarded_writes(function.node, config):
+        for stmt, field in self._guarded_writes(function.node):
             if self._write_evidenced(program, ctx, function, stmt):
                 continue
             if self._callers_all_guarded(program, contexts, function):
@@ -161,26 +165,26 @@ class GuardedUpdateRule(ProgramRule):
     # write collection
     # ------------------------------------------------------------------
     def _guarded_writes(
-        self, function: ast.FunctionDef, config: LintConfig
+        self, function: ast.FunctionDef
     ) -> List[Tuple[ast.stmt, str]]:
         writes: List[Tuple[ast.stmt, str]] = []
         for node in ast.walk(function):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    for field in self._field_targets(target, config):
-                        if not self._is_teardown(node.value, target, config):
+                    for field in self._field_targets(target):
+                        if not self._is_teardown(node.value, target):
                             writes.append((node, field))
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                for field in self._field_targets(node.target, config):
+                for field in self._field_targets(node.target):
                     value = getattr(node, "value", None)
                     if value is None or not self._is_teardown(
-                        value, node.target, config
+                        value, node.target
                     ):
                         writes.append((node, field))
         return writes
 
     @staticmethod
-    def _field_targets(target: ast.expr, config: LintConfig) -> List[str]:
+    def _field_targets(target: ast.expr) -> List[str]:
         fields: List[str] = []
         elements = (
             list(target.elts)
@@ -190,32 +194,27 @@ class GuardedUpdateRule(ProgramRule):
         for element in elements:
             if (
                 isinstance(element, ast.Attribute)
-                and element.attr in config.guarded_fields
+                and element.attr in GUARDED_FIELDS
             ):
                 fields.append(element.attr)
         return fields
 
     @staticmethod
-    def _is_teardown(
-        value: ast.expr, target: ast.expr, config: LintConfig
-    ) -> bool:
+    def _is_teardown(value: ast.expr, target: ast.expr) -> bool:
         """Withdrawals need no guard: None / INFINITY assignments."""
         if isinstance(target, (ast.Tuple, ast.List)):
             # A tuple unpack from a non-literal value is a real adoption.
             if not isinstance(value, (ast.Tuple, ast.List)):
                 return False
             return all(
-                GuardedUpdateRule._is_teardown(elt, ast.Name(id="_"), config)
+                GuardedUpdateRule._is_teardown(elt, ast.Name(id="_"))
                 for elt in value.elts
             )
         if isinstance(value, ast.Constant) and value.value is None:
             return True
-        if isinstance(value, ast.Name) and value.id in config.infinity_names:
+        if isinstance(value, ast.Name) and value.id in INFINITY_NAMES:
             return True
-        if (
-            isinstance(value, ast.Attribute)
-            and value.attr in config.infinity_names
-        ):
+        if isinstance(value, ast.Attribute) and value.attr in INFINITY_NAMES:
             return True
         return False
 
@@ -233,7 +232,7 @@ class GuardedUpdateRule(ProgramRule):
         value = getattr(stmt, "value", None)
         if value is not None:
             region.append(value)  # guard baked into the assigned expression
-        return self._region_evidenced(program, ctx, function, region)
+        return self._region_evidenced(program, function, region)
 
     @staticmethod
     def _dominating_nodes(ctx: FileContext, stmt: ast.stmt) -> List[ast.AST]:
@@ -259,44 +258,34 @@ class GuardedUpdateRule(ProgramRule):
     def _region_evidenced(
         self,
         program: ProgramModel,
-        ctx: FileContext,
         function: FunctionDecl,
         region: List[ast.AST],
     ) -> bool:
-        predicates = ctx.config.feasibility_predicates
         helper_calls: List[ast.Call] = []
         for node in region:
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Call):
                     name = _call_name(sub)
-                    if name in predicates:
+                    if name in FEASIBILITY_PREDICATES:
                         return True
                     helper_calls.append(sub)
                 elif isinstance(sub, ast.Compare) and _mentions_metric(sub):
                     return True
         # One level through helpers: `best = self._best_feasible(state)`.
         for call in helper_calls:
-            callee = self._resolve_callee(program, function, call)
+            key = program.resolve_call(call, function)
+            callee = program.functions.get(key) if key is not None else None
             if callee is None:
                 continue
             for sub in ast.walk(callee.node):
-                if isinstance(sub, ast.Call) and _call_name(sub) in predicates:
+                if (
+                    isinstance(sub, ast.Call)
+                    and _call_name(sub) in FEASIBILITY_PREDICATES
+                ):
                     return True
                 if isinstance(sub, ast.Compare) and _mentions_metric(sub):
                     return True
         return False
-
-    @staticmethod
-    def _resolve_callee(
-        program: ProgramModel, function: FunctionDecl, call: ast.Call
-    ) -> Optional[FunctionDecl]:
-        module = program.modules.get(function.module)
-        if module is None:
-            return None
-        key = program._resolve_call(call, function, module)
-        if key is None:
-            return None
-        return program.functions.get(key)
 
     # ------------------------------------------------------------------
     # caller-side fallback
@@ -325,9 +314,7 @@ class GuardedUpdateRule(ProgramRule):
             region = self._dominating_nodes(
                 caller_ctx, self._enclosing_stmt(caller_ctx, site.node)
             )
-            if not self._region_evidenced(
-                program, caller_ctx, caller, region
-            ):
+            if not self._region_evidenced(program, caller, region):
                 return False
         return True
 

@@ -1,14 +1,16 @@
-"""Whole-program model for the inter-procedural lint passes.
+"""Whole-program model: the one picture of the linted tree every rule reads.
 
-The per-file rules (RL0xx/RL1xx) see one ``ast.Module`` at a time; the
-van Glabbeek/Höfner analyses of AODV show that the bugs worth finding are
-exactly the ones that only appear when locally-plausible functions are
-*composed*.  This module builds the global picture those passes need:
+The per-file rules (RL0xx/RL1xx) report one ``ast.Module`` at a time but
+resolve names and base classes here; the van Glabbeek/Höfner analyses of
+AODV show that the bugs worth finding are exactly the ones that only
+appear when locally-plausible functions are *composed*, so the
+inter-procedural passes (RL2xx-RL4xx) also walk the call graph.  The
+model holds:
 
 * a **module table** — every file under the lint root, keyed by its
   root-relative dotted name (``protocols.aodv.protocol``), with import
   bindings in which *relative* imports are resolved against the module's
-  package (the blind spot the old ``_module_bindings`` had);
+  package;
 * an **export table** — ``from .a import b as c`` chains are followed to
   a canonical dotted name, so a wall clock laundered through a re-export
   still resolves to ``time.time``;
@@ -19,7 +21,8 @@ exactly the ones that only appear when locally-plausible functions are
   resolved through the hierarchy, bare names through module scope and
   import bindings; enough to answer "can this mutation be reached
   without passing a notification?" and "does this callee eventually fire
-  ``table_change_hook``?".
+  ``table_change_hook``?".  It is built on first use, so a syntactic-only
+  run never pays for it.
 
 Everything is stdlib ``ast``; the model is deliberately approximate (no
 dataflow through containers, no dynamic dispatch beyond the class
@@ -35,7 +38,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-#: The abstract protocol interface (same contract as ProjectIndex).
+#: The abstract protocol interface: deriving from it (transitively) marks
+#: a class as a routing protocol, but its own stub methods never satisfy
+#: the conformance rules.
 PROTOCOL_BASE = "RoutingProtocol"
 
 
@@ -78,11 +83,10 @@ def resolve_relative(package: str, level: int, module: Optional[str]) -> Optiona
 
 
 def bindings_for(tree: ast.Module, package: str) -> Dict[str, str]:
-    """Local name -> dotted prefix, with relative imports resolved.
-
-    This is the whole-program replacement for the old per-file helper
-    that dropped every ``node.level != 0`` import on the floor.
-    """
+    """Local name -> dotted prefix, with relative imports resolved
+    against ``package`` (the importing module's own package):
+    ``from .compat import clock`` in ``sim/use.py`` binds ``clock`` to
+    ``sim.compat.clock``."""
     bindings: Dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -165,6 +169,7 @@ class ProgramModel:
         #: package name of the lint root ("repro" for src/repro), used to
         #: fold absolute ``repro.x.y`` imports onto root-relative names.
         self.root_package: str = ""
+        self._protocols: Optional[Tuple[ClassDecl, ...]] = None
         self._notifiers: Optional[Set[str]] = None
         self._calls_built: bool = False
 
@@ -318,14 +323,14 @@ class ProgramModel:
             decl = self.classes.get(key)
             if decl is None:
                 continue
-            bases: List[str] = []
-            for base in node.bases:
-                dotted = self._expr_dotted(base, module)
-                if dotted is not None:
-                    bases.append(self.canonical(dotted))
-            decl.bases = tuple(bases)
+            names = (self.canonical_name(base, module) for base in node.bases)
+            decl.bases = tuple(name for name in names if name is not None)
 
-    def _expr_dotted(self, node: ast.expr, module: ModuleDecl) -> Optional[str]:
+    def canonical_name(self, node: ast.expr, module: ModuleDecl) -> Optional[str]:
+        """The canonical dotted name ``a.b.c`` spells in ``module``: its
+        head resolved through the module's import bindings, the whole
+        chased through export chains.  None unless ``node`` is a name or
+        an attribute chain rooted at one."""
         parts: List[str] = []
         current: ast.expr = node
         while isinstance(current, ast.Attribute):
@@ -333,9 +338,8 @@ class ProgramModel:
             current = current.value
         if not isinstance(current, ast.Name):
             return None
-        resolved = module.bindings.get(current.id, current.id)
-        parts.append(resolved)
-        return ".".join(reversed(parts))
+        parts.append(module.bindings.get(current.id, current.id))
+        return self.canonical(".".join(reversed(parts)))
 
     # ------------------------------------------------------------------
     # hierarchy queries
@@ -358,9 +362,6 @@ class ProgramModel:
                 resolved = self.resolve_class(base, decl.module)
                 if resolved is not None:
                     queue.append(resolved)
-                elif base.rsplit(".", 1)[-1] != PROTOCOL_BASE:
-                    # External base: nothing to walk into.
-                    pass
         return order
 
     def is_routing_protocol(self, class_key: str) -> bool:
@@ -383,12 +384,17 @@ class ProgramModel:
                     queue.append(resolved)
         return False
 
-    def protocol_classes(self) -> Iterator[ClassDecl]:
-        """Every concrete protocol class (excluding the abstract base)."""
-        for key in sorted(self.classes):
-            decl = self.classes[key]
-            if decl.name != PROTOCOL_BASE and self.is_routing_protocol(key):
-                yield decl
+    def protocol_classes(self) -> Tuple[ClassDecl, ...]:
+        """Every concrete protocol class (excluding the abstract base), in
+        key order; computed once per model."""
+        if self._protocols is None:
+            self._protocols = tuple(
+                self.classes[key]
+                for key in sorted(self.classes)
+                if self.classes[key].name != PROTOCOL_BASE
+                and self.is_routing_protocol(key)
+            )
+        return self._protocols
 
     def resolve_method(
         self, class_key: str, method: str, include_base: bool = False
@@ -429,13 +435,10 @@ class ProgramModel:
     # call graph
     # ------------------------------------------------------------------
     def _extract_calls(self, function: FunctionDecl) -> None:
-        module = self.modules.get(function.module)
-        if module is None:
-            return
         for node in ast.walk(function.node):
             if not isinstance(node, ast.Call):
                 continue
-            callee = self._resolve_call(node, function, module)
+            callee = self.resolve_call(node, function)
             if callee is None:
                 continue
             site = CallSite(caller=function.key, callee=callee, node=node)
@@ -443,43 +446,34 @@ class ProgramModel:
             self.calls_by_caller.setdefault(function.key, []).append(site)
             self.calls_by_callee.setdefault(callee, []).append(site)
 
-    def _resolve_call(
-        self, node: ast.Call, function: FunctionDecl, module: ModuleDecl
-    ) -> Optional[str]:
+    def resolve_call(self, node: ast.Call, function: FunctionDecl) -> Optional[str]:
+        """Key of the function a call inside ``function`` reaches, if it
+        resolves statically: ``self.m()`` through the class hierarchy, a
+        bare name to a same-module function, anything else through the
+        module's import bindings and export chains."""
+        module = self.modules[function.module]
         func = node.func
         if isinstance(func, ast.Name):
-            # Bare name: same-module function, or an imported one.
             local = "%s:%s" % (module.name, func.id)
             if local in self.functions:
                 return local
-            dotted = module.bindings.get(func.id)
-            if dotted is not None:
-                return self._function_for_dotted(dotted)
-            return None
-        if isinstance(func, ast.Attribute):
-            base = func.value
-            if (
-                isinstance(base, ast.Name)
-                and base.id == "self"
-                and function.class_key is not None
-            ):
-                resolved = self.resolve_method(
-                    function.class_key, func.attr, include_base=True
-                )
-                if resolved is not None:
-                    decl, fn = resolved
-                    return self.function_key(decl, fn, decl.module)
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "self"
+            and function.class_key is not None
+        ):
+            resolved = self.resolve_method(
+                function.class_key, func.attr, include_base=True
+            )
+            if resolved is None:
                 return None
-            dotted = self._expr_dotted(func, module)
-            if dotted is not None:
-                return self._function_for_dotted(dotted)
-        return None
-
-    def _function_for_dotted(self, dotted: str) -> Optional[str]:
-        canonical = self.canonical(dotted)
-        if "." not in canonical:
+            decl, fn = resolved
+            return self.function_key(decl, fn, decl.module)
+        dotted = self.canonical_name(func, module)
+        if dotted is None or "." not in dotted:
             return None
-        mod, name = canonical.rsplit(".", 1)
+        mod, name = dotted.rsplit(".", 1)
         key = "%s:%s" % (mod, name)
         if key in self.functions:
             return key
@@ -500,18 +494,22 @@ class ProgramModel:
         return self.calls_by_caller.get(function_key, [])
 
     # ------------------------------------------------------------------
-    # notification closure (used by the RL3xx reachability pass)
+    # table-change notifications (RL103, RL301)
     # ------------------------------------------------------------------
     #: Attribute names whose invocation constitutes a table-change
     #: notification, directly.
     NOTIFY_ATTRS = frozenset({"_notify_table_change", "table_change_hook"})
 
-    @staticmethod
-    def is_direct_notify(node: ast.Call) -> bool:
-        return (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in ProgramModel.NOTIFY_ATTRS
-        )
+    @classmethod
+    def hook_calls(cls, node: ast.AST) -> List[ast.Call]:
+        """Direct notifications (``x.<NOTIFY_ATTRS>(...)``) inside ``node``."""
+        return [
+            sub
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in cls.NOTIFY_ATTRS
+        ]
 
     def notifiers(self) -> Set[str]:
         """Function keys that (transitively) fire a table-change hook.
@@ -523,13 +521,11 @@ class ProgramModel:
         if self._notifiers is not None:
             return self._notifiers
         self._ensure_calls()
-        direct: Set[str] = set()
-        for key, function in self.functions.items():
-            for node in ast.walk(function.node):
-                if isinstance(node, ast.Call) and self.is_direct_notify(node):
-                    direct.add(key)
-                    break
-        closure = set(direct)
+        closure = {
+            key
+            for key, function in self.functions.items()
+            if self.hook_calls(function.node)
+        }
         changed = True
         while changed:
             changed = False

@@ -11,24 +11,28 @@ witness for the paper's Theorem 4 — is never told to look.  Van
 Glabbeek/Höfner's AODV analyses found exactly this shape: per-function
 reasoning holds, the composition loops.
 
-This rule walks the whole-program call graph.  A mutation is cleared
-when a notification *or a call into the notify closure* (a function that
-transitively fires ``table_change_hook``) appears at-or-after it — the
-same post-domination approximation RL103 uses, so the two rules agree on
-what "notified" means and never double-report: RL103 keeps direct
-own-method mutations; RL301 takes aliases, helper arguments, and
-cross-file inheritance.
+This rule walks the whole-program call graph.  It finds mutations with
+RL103's container-mutation walker (``_table_mutations``) and clears
+them with RL103's post-domination test (``_is_notified``: a
+notification at-or-after the mutation, or in the same loop body), so
+the two rules agree on what "mutated" and "notified" mean and never
+double-report: RL103 keeps direct own-method mutations; RL301 takes
+aliases, helper arguments, and cross-file inheritance.  The one
+difference is what counts as a notification: RL301 also accepts a call
+into the notify closure (a function that transitively fires
+``table_change_hook``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
+from repro.lint.config import CONFORMANCE_LAYERS, TABLE_EXEMPT_METHODS
 from repro.lint.conformance import (
-    _MUTATING_METHODS,
-    _notify_calls,
+    _is_notified,
     _self_attr,
+    _self_tables,
     _successor_reads,
     _table_mutations,
 )
@@ -51,129 +55,35 @@ def _aliases_of(method: ast.FunctionDef, tracked: Set[str]) -> Dict[str, str]:
     return aliases
 
 
-def _name_mutations(
-    scope: ast.FunctionDef, names: Dict[str, str]
-) -> List[Tuple[ast.AST, str]]:
-    """Container mutations applied through one of ``names`` directly."""
-    mutations: List[Tuple[ast.AST, str]] = []
-
-    def named_subscript(target: ast.expr) -> Optional[str]:
-        if isinstance(target, ast.Subscript) and isinstance(
-            target.value, ast.Name
-        ):
-            return names.get(target.value.id)
-        return None
-
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                attr = named_subscript(target)
-                if attr is not None:
-                    mutations.append((node, attr))
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            attr = named_subscript(node.target)
-            if attr is not None:
-                mutations.append((node, attr))
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                attr = named_subscript(target)
-                if attr is not None:
-                    mutations.append((node, attr))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATING_METHODS and isinstance(
-                node.func.value, ast.Name
-            ):
-                attr = names.get(node.func.value.id)
-                if attr is not None:
-                    mutations.append((node, attr))
-    return mutations
-
-
-def _param_mutations(
-    callee: ast.FunctionDef, param: str, tracked: Set[str], passed_self: bool
-) -> List[str]:
-    """Tracked attrs the callee mutates through parameter ``param``.
-
-    ``passed_self=True`` means the whole protocol object was handed over,
-    so mutations look like ``param.<tracked>[k] = v``; otherwise the
-    table itself was passed and mutations hit ``param`` directly.
-    """
-    if not passed_self:
-        return [param for _ in _name_mutations(callee, {param: param})]
-
-    def param_attr(node: ast.expr) -> Optional[str]:
-        """``param.<tracked>`` -> the tracked attr name."""
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == param
-            and node.attr in tracked
-        ):
-            return node.attr
-        return None
-
-    hits: List[str] = []
-    for node in ast.walk(callee):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATING_METHODS
-        ):
-            attr = param_attr(node.func.value)
-            if attr is not None:
-                hits.append(attr)
-            continue
-        for target in targets:
-            # Subscript store/delete on param.<tracked>, or rebinding the
-            # attribute wholesale.
-            if isinstance(target, ast.Subscript):
-                attr = param_attr(target.value)
-            else:
-                attr = param_attr(target)
-            if attr is not None:
-                hits.append(attr)
-    return hits
-
-
-def _arg_binding(
+def _handed_tables(
     call: ast.Call, callee: ast.FunctionDef, tracked: Set[str]
-) -> List[Tuple[str, bool, Optional[str]]]:
-    """(param, passed_self, tracked_attr) for interesting arguments.
+) -> List[Dict[str, str]]:
+    """How ``callee`` spells each routing table ``call`` hands it.
 
-    ``passed_self`` — the caller handed over ``self``; otherwise it handed
-    over ``self.<tracked_attr>`` itself.
+    Handing over ``self`` as parameter ``p`` exposes every tracked table
+    as ``p.<attr>``; handing over ``self.<attr>`` exposes that one table
+    as ``p`` itself.
     """
     params = [a.arg for a in callee.args.args]
-    bindings: List[Tuple[str, bool, Optional[str]]] = []
     # Positional args align after the callee's own `self`, when present.
     offset = 1 if params and params[0] == "self" else 0
-    for index, arg in enumerate(call.args):
-        slot = index + offset
-        if slot >= len(params):
-            break
+    handed = [
+        (params[index + offset], arg)
+        for index, arg in enumerate(call.args)
+        if index + offset < len(params)
+    ]
+    for keyword in call.keywords:
+        if keyword.arg is not None and keyword.arg in params:
+            handed.append((keyword.arg, keyword.value))
+    tables: List[Dict[str, str]] = []
+    for param, arg in handed:
         if isinstance(arg, ast.Name) and arg.id == "self":
-            bindings.append((params[slot], True, None))
+            tables.append({param + "." + attr: attr for attr in tracked})
         else:
             attr = _self_attr(arg)
             if attr is not None and attr in tracked:
-                bindings.append((params[slot], False, attr))
-    for keyword in call.keywords:
-        if keyword.arg is None or keyword.arg not in params:
-            continue
-        if isinstance(keyword.value, ast.Name) and keyword.value.id == "self":
-            bindings.append((keyword.arg, True, None))
-        else:
-            attr = _self_attr(keyword.value)
-            if attr is not None and attr in tracked:
-                bindings.append((keyword.arg, False, attr))
-    return bindings
+                tables.append({param: attr})
+    return tables
 
 
 class RequireReachableNotify(ProgramRule):
@@ -208,7 +118,7 @@ class RequireReachableNotify(ProgramRule):
             if module is None:
                 continue
             ctx = contexts.get(module.relpath)
-            if ctx is None or ctx.layer not in ctx.config.conformance_layers:
+            if ctx is None or ctx.layer not in CONFORMANCE_LAYERS:
                 continue
             resolved = program.resolve_method(decl.key, "successor")
             if resolved is None:
@@ -235,11 +145,16 @@ class RequireReachableNotify(ProgramRule):
             ctx = contexts.get(owner_module.relpath)
             if ctx is None:
                 continue
-            if method.name in ctx.config.table_exempt_methods:
+            if method.name in TABLE_EXEMPT_METHODS:
                 continue
             key = program.function_key(owner, method, owner.module)
-            cleared = self._notify_equivalents(
-                program, method, key, notifiers
+            # Notification-equivalent calls: direct hook invocations plus
+            # calls into the notify closure.
+            cleared: List[ast.AST] = list(ProgramModel.hook_calls(method))
+            cleared.extend(
+                site.node
+                for site in program.calls_in(key)
+                if site.callee in notifiers
             )
 
             # Inherited coverage: direct self.<tracked> mutations in a
@@ -249,8 +164,10 @@ class RequireReachableNotify(ProgramRule):
             if owner.key != decl.key and not program.is_routing_protocol(
                 owner.key
             ):
-                for mutation, attr in _table_mutations(method, tracked):
-                    if self._is_cleared(ctx, mutation, cleared):
+                for mutation, attr in _table_mutations(
+                    method, _self_tables(tracked)
+                ):
+                    if _is_notified(ctx, mutation, cleared):
                         continue
                     yield ctx.violation(
                         mutation,
@@ -263,18 +180,17 @@ class RequireReachableNotify(ProgramRule):
 
             # Alias mutations, in every visible method.
             aliases = _aliases_of(method, tracked)
-            if aliases:
-                for mutation, attr in _name_mutations(method, aliases):
-                    if self._is_cleared(ctx, mutation, cleared):
-                        continue
-                    yield ctx.violation(
-                        mutation,
-                        self.id,
-                        "%s.%s mutates routing table 'self.%s' through a "
-                        "local alias without reaching table_change_hook; "
-                        "the LoopChecker cannot audit this change"
-                        % (owner.name, method.name, attr),
-                    )
+            for mutation, attr in _table_mutations(method, aliases):
+                if _is_notified(ctx, mutation, cleared):
+                    continue
+                yield ctx.violation(
+                    mutation,
+                    self.id,
+                    "%s.%s mutates routing table 'self.%s' through a "
+                    "local alias without reaching table_change_hook; "
+                    "the LoopChecker cannot audit this change"
+                    % (owner.name, method.name, attr),
+                )
 
             # Helper-argument mutations: self (or a tracked table) handed
             # to a callee that mutates it and never notifies.
@@ -299,60 +215,18 @@ class RequireReachableNotify(ProgramRule):
             callee_decl = program.functions.get(site.callee)
             if callee_decl is None:
                 continue
-            for param, passed_self, attr in _arg_binding(
-                site.node, callee_decl.node, tracked
-            ):
-                mutated = _param_mutations(
-                    callee_decl.node, param, tracked, passed_self
-                )
-                if not mutated:
+            for tables in _handed_tables(site.node, callee_decl.node, tracked):
+                mutated = _table_mutations(callee_decl.node, tables)
+                if not mutated or _is_notified(ctx, site.node, cleared):
                     continue
-                if self._is_cleared(ctx, site.node, cleared):
-                    continue
-                what = mutated[0] if passed_self else (attr or param)
                 yield ctx.violation(
                     site.node,
                     self.id,
                     "%s.%s passes routing state to %s, which mutates "
                     "'%s' without reaching table_change_hook; the "
                     "LoopChecker cannot audit this change"
-                    % (owner.name, method.name, callee_decl.name, what),
+                    % (owner.name, method.name, callee_decl.name, mutated[0][1]),
                 )
-
-    @staticmethod
-    def _notify_equivalents(
-        program: ProgramModel,
-        method: ast.FunctionDef,
-        key: str,
-        notifiers: Set[str],
-    ) -> List[ast.AST]:
-        """Calls in ``method`` that count as notification: direct hook
-        invocations plus calls into the notify closure."""
-        cleared: List[ast.AST] = list(_notify_calls(method))
-        for site in program.calls_in(key):
-            if site.callee in notifiers:
-                cleared.append(site.node)
-        return cleared
-
-    @staticmethod
-    def _is_cleared(
-        ctx: FileContext, mutation: ast.AST, cleared: List[ast.AST]
-    ) -> bool:
-        mutation_line = getattr(mutation, "lineno", 0)
-        for node in cleared:
-            if getattr(node, "lineno", 0) >= mutation_line:
-                return True
-        mutation_loops = {
-            ancestor
-            for ancestor in ctx.ancestors(mutation)
-            if isinstance(ancestor, (ast.For, ast.While))
-        }
-        if mutation_loops:
-            for node in cleared:
-                for ancestor in ctx.ancestors(node):
-                    if ancestor in mutation_loops:
-                        return True
-        return False
 
 
 REACHABILITY_RULES: Tuple[type, ...] = (RequireReachableNotify,)

@@ -23,8 +23,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.lint.config import DETERMINISTIC_LAYERS, stream_owners
+from repro.lint.conformance import _self_attr
 from repro.lint.core import FileContext, ProgramRule, Violation
-from repro.lint.program import ProgramModel
+from repro.lint.program import ModuleDecl, ProgramModel
 
 
 def stream_name(call: ast.Call) -> Optional[str]:
@@ -61,16 +63,6 @@ def is_stream_call(node: ast.AST) -> bool:
     )
 
 
-def _self_attr(node: ast.expr) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 class StreamTaintRule(ProgramRule):
     """Shared machinery: find acquisition sites in patrolled files."""
 
@@ -79,7 +71,7 @@ class StreamTaintRule(ProgramRule):
     ) -> Iterator[FileContext]:
         for relpath in sorted(contexts):
             ctx = contexts[relpath]
-            if ctx.layer in ctx.config.deterministic_layers:
+            if ctx.layer in DETERMINISTIC_LAYERS:
                 yield ctx
 
     @staticmethod
@@ -114,7 +106,7 @@ class CrossLayerStreamAcquisition(StreamTaintRule):
             for call, name in self._acquisitions(ctx):
                 if name is None:
                     continue  # RL203's jurisdiction
-                owners = ctx.config.stream_owners(name)
+                owners = stream_owners(name)
                 if owners is None or ctx.layer in owners:
                     continue
                 yield ctx.violation(
@@ -191,7 +183,6 @@ class StreamObjectEscape(StreamTaintRule):
         ctx: FileContext,
         tainted: Dict[str, str],
     ) -> Iterator[Violation]:
-        module = program.by_relpath.get(ctx.relpath)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Assign):
                 value_stream = self._tainted_stream(node.value, tainted)
@@ -210,17 +201,17 @@ class StreamObjectEscape(StreamTaintRule):
                             "consumer outside layer '%s' seed accounting"
                             % (value_stream, ctx.layer),
                         )
-            elif isinstance(node, ast.Call) and module is not None:
+            elif isinstance(node, ast.Call):
                 if is_stream_call(node):
                     continue
                 for arg in node.args:
                     value_stream = self._tainted_stream(arg, tainted)
                     if value_stream is None:
                         continue
-                    layer = self._callee_layer(program, node, module)
+                    layer = self._callee_layer(program, node, ctx.module)
                     if layer is None or layer == ctx.layer:
                         continue
-                    owners = ctx.config.stream_owners(value_stream) or ()
+                    owners = stream_owners(value_stream) or ()
                     if layer in owners:
                         continue
                     yield ctx.violation(
@@ -233,16 +224,12 @@ class StreamObjectEscape(StreamTaintRule):
 
     @staticmethod
     def _callee_layer(
-        program: ProgramModel, call: ast.Call, module: object
+        program: ProgramModel, call: ast.Call, module: ModuleDecl
     ) -> Optional[str]:
         """Layer of the module defining the (statically resolved) callee."""
-        from repro.lint.program import ModuleDecl
-
-        assert isinstance(module, ModuleDecl)
-        dotted = program._expr_dotted(call.func, module)
-        if dotted is None:
+        canonical = program.canonical_name(call.func, module)
+        if canonical is None:
             return None
-        canonical = program.canonical(dotted)
         # A function, or a class constructor: either way the longest
         # known-module prefix names the receiving side.
         parts = canonical.split(".")
@@ -281,7 +268,7 @@ class UnregisteredStreamName(StreamTaintRule):
                         "(or literal prefix) so it can be checked against "
                         "the STREAM_LAYERS registry",
                     )
-                elif ctx.config.stream_owners(name) is None:
+                elif stream_owners(name) is None:
                     yield ctx.violation(
                         call,
                         self.id,

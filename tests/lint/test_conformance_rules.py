@@ -1,5 +1,7 @@
 """Conformance rules (RL101-RL103) against synthetic protocol trees."""
 
+import pathlib
+
 from tests.lint.conftest import rule_ids
 
 PROTO = "protocols/fake.py"
@@ -86,6 +88,50 @@ def test_inheriting_only_the_base_stub_does_not_count(lint_tree):
     assert "RL101" in ids and "RL102" in ids
 
 
+EMPTY_TABLE_PROTOCOL = (
+    "from repro.routing.base import RoutingProtocol\n\n\n"
+    "class Table(RoutingProtocol):\n"
+    "    pass\n"
+)
+UNRELATED_TABLE = "class Table:\n    pass\n"
+
+
+def _located(violations):
+    return sorted(
+        (v.rule_id, pathlib.Path(v.path).name, v.line) for v in violations
+    )
+
+
+def test_same_named_class_elsewhere_does_not_hide_a_protocol(lint_tree):
+    # Classes are keyed by module: an unrelated `Table` in a file that
+    # sorts later must not shadow the protocol of the same bare name.
+    violations = lint_tree(
+        {
+            "protocols/a_proto.py": EMPTY_TABLE_PROTOCOL,
+            "protocols/z_other.py": UNRELATED_TABLE,
+        }
+    )
+    assert _located(violations) == [
+        ("RL101", "a_proto.py", 4),
+        ("RL102", "a_proto.py", 4),
+    ]
+
+
+def test_same_named_protocol_elsewhere_does_not_flag_a_helper(lint_tree):
+    # ...nor may a protocol's bare name draw the rules onto an unrelated
+    # helper class in another file.
+    violations = lint_tree(
+        {
+            "protocols/a_helper.py": UNRELATED_TABLE,
+            "protocols/b_proto.py": EMPTY_TABLE_PROTOCOL,
+        }
+    )
+    assert _located(violations) == [
+        ("RL101", "b_proto.py", 4),
+        ("RL102", "b_proto.py", 4),
+    ]
+
+
 def test_rl103_mutation_without_notify(lint_tree):
     source = (
         "from repro.routing.base import RoutingProtocol\n\n\n"
@@ -110,6 +156,22 @@ def test_rl103_delete_without_notify(lint_tree):
         "        return None\n\n"
         "    def expire(self, dst):\n"
         "        del self.table[dst]\n"
+    )
+    assert "RL103" in rule_ids(lint_tree({PROTO: source}))
+
+
+def test_rl103_deleting_the_table_attribute_without_notify(lint_tree):
+    # Deleting the attribute changes what successor() reads, exactly as
+    # rebinding it does.
+    source = (
+        "from repro.routing.base import RoutingProtocol\n\n\n"
+        "class Sneaky(RoutingProtocol):\n"
+        "    def successor(self, dst):\n"
+        "        return self.table.get(dst)\n\n"
+        "    def route_metric(self, dst):\n"
+        "        return None\n\n"
+        "    def reset(self):\n"
+        "        del self.table\n"
     )
     assert "RL103" in rule_ids(lint_tree({PROTO: source}))
 

@@ -137,12 +137,10 @@ def test_clean_protocol_file_is_clean(lint_tree):
 
 
 # ----------------------------------------------------------------------
-# Relative imports (the _module_bindings blind spot, fixed in this PR)
+# Relative imports
 # ----------------------------------------------------------------------
 
 def test_rl002_sees_through_relative_import(lint_tree):
-    # The old _module_bindings dropped every `node.level != 0` import, so
-    # a wall clock re-imported relatively was invisible.
     files = {
         "sim/compat.py": "from time import time as now\n",
         "sim/clock.py": (

@@ -1,13 +1,14 @@
 """The CI gate, as a test: every rule holds on the shipped src/ tree.
 
-Parametrized per rule so a regression names the exact invariant it broke
-(``test_src_tree_clean[RL003]`` failing reads as "someone minted UUIDs in
-simulation code"), and the full-engine run additionally exercises rule
-interaction, suppression accounting, and the committed findings baseline
-end to end: a new whole-program finding fails here unless it is either
-fixed or pinned (with a justification) in ``lint_baseline.json``, and a
-baseline entry that stops matching fails here too, so the pin file and
-the tree can only drift together, in one PR.
+One full-engine run is shared by a case per rule, so a regression names
+the exact invariant it broke (``test_src_tree_clean[RL003]`` failing
+reads as "someone minted UUIDs in simulation code"), and the strict
+full-engine run additionally exercises rule interaction, suppression
+accounting, and the committed findings baseline end to end: a new
+whole-program finding fails here unless it is either fixed or pinned
+(with a justification) in ``lint_baseline.json``, and a baseline entry
+that stops matching fails here too, so the pin file and the tree can
+only drift together, in one PR.
 """
 
 import pathlib
@@ -28,17 +29,19 @@ def _baseline():
     return load_baseline(BASELINE_PATH)
 
 
+@pytest.fixture(scope="module")
+def src_tree_findings():
+    """Every rule over the shipped tree, once for all the per-rule cases."""
+    return Linter(root=SRC_ROOT).run(baseline=_baseline())
+
+
 @pytest.mark.parametrize("rule", RULES, ids=[rule.id for rule in RULES])
-def test_src_tree_clean(rule):
-    violations = Linter(root=SRC_ROOT, rules=[rule]).run(
-        baseline=_baseline()
-    )
-    # A single-rule run leaves other rules' baseline entries unmatched by
-    # construction; only this rule's findings (and stale entries for this
-    # rule) are the test's concern.
+def test_src_tree_clean(rule, src_tree_findings):
+    # Only this rule's findings (and RL000 problems naming it, such as a
+    # stale baseline entry) are the case's concern.
     violations = [
         v
-        for v in violations
+        for v in src_tree_findings
         if v.rule_id == rule.id
         or (v.rule_id == "RL000" and rule.id in v.message)
     ]
