@@ -294,7 +294,10 @@ class ProgramModel:
             target = module.exports.get(head)
             if target is None:
                 return dotted
-            resolved = self.canonical(target, _depth + 1)
+            if target == ".".join(parts[:cut + 1]):
+                resolved = target  # an own definition exports as itself
+            else:
+                resolved = self.canonical(target, _depth + 1)
             return ".".join([resolved] + rest) if rest else resolved
         return dotted
 

@@ -1,9 +1,9 @@
 """OLSR protocol engine.
 
 Proactive: periodic HELLOs (link sensing + MPR signalling) and MPR-flooded
-TC messages build a partial topology graph; shortest-path routes are
-recomputed whenever the graph changes.  Control transmissions pass through
-the paper's order-preserving jitter queue.
+TC messages build a partial topology graph; each change snapshots it, and a
+unit-cost BFS solves the routes when they are next read.  Control
+transmissions pass through the paper's order-preserving jitter queue.
 """
 
 from collections import deque
@@ -80,7 +80,7 @@ class OlsrProtocol(RoutingProtocol):
         self.config = config or OlsrConfig()
         self.neighbors = NeighborState(self.node_id)
         self.topology = {}  # (origin, selector) -> TopologyEntry
-        self.routes = {}  # dst -> (next_hop, hops)
+        self._origin_keys = {}  # origin -> {its topology keys: None}
         self._ansn = 0
         self._dups = {}  # (origin, ansn) -> expiry
         self._rng = sim.stream("olsr.%d" % self.node_id)
@@ -94,6 +94,8 @@ class OlsrProtocol(RoutingProtocol):
                 sim, self._transmit_control, self._rng,
                 self.config.max_jitter,
             )
+        self._routes = {}  # dst -> (next_hop, hops), as last solved
+        self._snapshot = None  # (now, sym neighbors, entries) to solve
         self._recompute_pending = False
         self._started = False
 
@@ -151,6 +153,13 @@ class OlsrProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     # node-facing API
     # ------------------------------------------------------------------
+    @property
+    def routes(self):
+        """The current route table: dst -> (next_hop, hops)."""
+        if self._snapshot is not None:
+            self._solve()
+        return self._routes
+
     def send_data(self, packet):
         if packet.dst == self.node_id:
             self.deliver_local(packet)
@@ -170,7 +179,11 @@ class OlsrProtocol(RoutingProtocol):
             self._on_tc(packet, from_id)
 
     def successor(self, dst):
-        route = self.routes.get(dst)
+        # Reads the backing state itself, not through ``routes``, so that
+        # RL103 audits every write to it.
+        if self._snapshot is not None:
+            self._solve()
+        route = self._routes.get(dst)
         return route[0] if route is not None else None
 
     def route_metric(self, dst):
@@ -231,16 +244,17 @@ class OlsrProtocol(RoutingProtocol):
 
         # Purge older advertisements from this originator, install the new.
         changed = False
-        for entry_key in list(self.topology):
-            entry = self.topology[entry_key]
-            if entry.origin == tc.origin and entry.ansn < tc.ansn:
-                del self.topology[entry_key]
-                changed = True
+        keys = self._origin_keys.setdefault(tc.origin, {})
+        for entry_key in [k for k in keys if self.topology[k].ansn < tc.ansn]:
+            del self.topology[entry_key]
+            del keys[entry_key]
+            changed = True
         expiry = now + self.config.topology_hold_time
         for selector in tc.selectors:
             entry_key = (tc.origin, selector)
             if entry_key not in self.topology:
                 changed = True
+                keys[entry_key] = None
             self.topology[entry_key] = TopologyEntry(
                 tc.origin, selector, tc.ansn, expiry
             )
@@ -265,16 +279,43 @@ class OlsrProtocol(RoutingProtocol):
 
     def _recompute(self):
         self._recompute_pending = False
+        hooked = self.table_change_hook is not None
+        # Reading routes solves a snapshot left pending before the hook
+        # was installed, so the diff starts from the table as it stood.
+        old = self.routes if hooked else None
         now = self.sim.now
+        # Entries are replaced, never mutated, so copying the value list
+        # freezes the graph exactly as it stands now.
+        self._snapshot = (
+            now,
+            self.neighbors.symmetric_neighbors(now),
+            list(self.topology.values()),
+        )
+        if not hooked:
+            return
+        routes = self.routes
+        for dst in set(old) | set(routes):
+            if old.get(dst) != routes.get(dst):
+                self._notify_table_change(dst)
+
+    # repro-lint: disable=RL103 -- installs the table _recompute already
+    # replaced: every reader solves before it reads, and the change was
+    # announced in _recompute if a hook was listening.
+    def _solve(self):
+        """Solve the pending snapshot's table by BFS from this node."""
+        now, neighbors, entries = self._snapshot
+        self._snapshot = None
         graph = {}
 
         def add_edge(a, b):
             graph.setdefault(a, set()).add(b)
             graph.setdefault(b, set()).add(a)
 
-        for neighbor in self.neighbors.symmetric_neighbors(now):
+        # Edge order fixes each set's iteration order, and with it which
+        # first hop wins a BFS tie.
+        for neighbor in neighbors:
             add_edge(self.node_id, neighbor)
-        for entry in self.topology.values():
+        for entry in entries:
             if entry.expiry > now:
                 add_edge(entry.origin, entry.selector)
 
@@ -291,8 +332,4 @@ class OlsrProtocol(RoutingProtocol):
                 hop_via = nxt if first_hop is None else first_hop
                 routes[nxt] = (hop_via, hops + 1)
                 frontier.append((nxt, hop_via, hops + 1))
-        old = self.routes
-        self.routes = routes
-        for dst in set(old) | set(routes):
-            if old.get(dst) != routes.get(dst):
-                self._notify_table_change(dst)
+        self._routes = routes

@@ -2,6 +2,7 @@
 
 import pathlib
 
+import repro
 from tests.lint.conftest import rule_ids
 
 PROTO = "protocols/fake.py"
@@ -235,3 +236,26 @@ def test_conformance_rules_skip_non_protocol_layers(lint_tree):
         "    pass\n"
     )
     assert rule_ids(lint_tree({"tools/scratch.py": source})) == []
+
+
+OLSR_SOURCE = (
+    pathlib.Path(repro.__file__).resolve().parent
+    / "protocols" / "olsr" / "protocol.py"
+)
+OLSR_NOTIFY = "self._notify_table_change(dst)"
+
+
+def _rl103_messages(lint_tree, olsr_source):
+    violations = lint_tree({"protocols/olsr/protocol.py": olsr_source})
+    return [v.message for v in violations if v.rule_id == "RL103"]
+
+
+def test_rl103_still_audits_the_shipped_olsr_table(lint_tree):
+    # OLSR solves its route table lazily.  Its successor() must read the
+    # backing state itself, or RL103 stops tracking OLSR and a lost
+    # notification would pass unseen.
+    source = OLSR_SOURCE.read_text(encoding="utf-8")
+    assert source.count(OLSR_NOTIFY) == 1
+    assert _rl103_messages(lint_tree, source) == []
+    messages = _rl103_messages(lint_tree, source.replace(OLSR_NOTIFY, "pass"))
+    assert any("OlsrProtocol._recompute" in m for m in messages), messages

@@ -68,6 +68,33 @@ def test_canonical_survives_import_cycles():
     assert isinstance(model.canonical("a.thing"), str)
 
 
+def test_canonical_stops_at_an_own_definition():
+    model = _model({
+        "routing/base.py": "class RoutingProtocol:\n    pass\n",
+        "routing/__init__.py": "from routing.base import RoutingProtocol\n",
+    })
+    canonical = model.canonical
+    calls = []
+
+    def counting(dotted, _depth=0):
+        calls.append(dotted)
+        return canonical(dotted, _depth)
+
+    model.canonical = counting  # the recursion goes through the instance
+    # An own definition exports as itself: one lookup, not a recursion
+    # down to the depth guard.
+    assert model.canonical("routing.base.RoutingProtocol") == (
+        "routing.base.RoutingProtocol"
+    )
+    assert len(calls) == 1
+    # A re-export is one more hop.
+    del calls[:]
+    assert model.canonical("routing.RoutingProtocol") == (
+        "routing.base.RoutingProtocol"
+    )
+    assert calls == ["routing.RoutingProtocol", "routing.base.RoutingProtocol"]
+
+
 def test_protocol_hierarchy_across_files():
     model = _model({
         "routing/base.py": (
