@@ -7,7 +7,36 @@ that computation.
 
 import math
 
-from scipy import stats as _scipy_stats
+
+def t_critical(confidence, df):
+    """Two-sided Student-t critical value: P(|T| <= t) == ``confidence``.
+
+    Inverts the finite series for P(|T| <= t) in theta = atan(t / sqrt(df))
+    (Abramowitz & Stegun 26.7.3 for odd ``df``, 26.7.4 for even) by
+    bisection on theta over (0, pi/2).  ``df`` is a positive integer.
+    """
+    ratios = [k / (k + 1) for k in range(1 + df % 2, df - 2, 2)]
+
+    def coverage(theta):
+        cos2 = math.cos(theta) ** 2
+        term = total = 1.0
+        for ratio in ratios:
+            term *= ratio * cos2
+            total += term
+        if df % 2 == 0:
+            return math.sin(theta) * total
+        tail = math.sin(theta) * math.cos(theta) * total if df > 1 else 0.0
+        return 2.0 / math.pi * (theta + tail)
+
+    lo, hi = 0.0, math.pi / 2.0
+    mid = hi / 2.0
+    while lo < mid < hi:
+        if coverage(mid) < confidence:
+            lo = mid
+        else:
+            hi = mid
+        mid = (lo + hi) / 2.0
+    return math.sqrt(df) * math.tan(mid)
 
 
 def mean_confidence_interval(values, confidence=0.95):
@@ -24,8 +53,7 @@ def mean_confidence_interval(values, confidence=0.95):
         return mean, 0.0
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = math.sqrt(variance / n)
-    t_crit = _scipy_stats.t.ppf((1 + confidence) / 2.0, n - 1)
-    return mean, t_crit * sem
+    return mean, t_critical(confidence, n - 1) * sem
 
 
 class Aggregate:

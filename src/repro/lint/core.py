@@ -351,10 +351,13 @@ class Linter:
         return sorted(self.root.rglob("*.py"))
 
     def _relpath(self, path: Path) -> str:
+        resolved = path.resolve()
         try:
-            return path.resolve().relative_to(self.root.resolve()).as_posix()
+            return resolved.relative_to(self.root.resolve()).as_posix()
         except ValueError:
-            return path.name
+            # Outside the root: the full path keeps same-named files in
+            # separate modules, and its leading "/" keeps the layer "".
+            return resolved.as_posix()
 
     def run(
         self,

@@ -6,6 +6,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.analysis import Aggregate, mean_confidence_interval
+from repro.analysis.stats import t_critical
 
 
 def test_empty_values():
@@ -26,6 +27,24 @@ def test_matches_scipy_reference():
     ref_ci = ref_sem * scipy_stats.t.ppf(0.975, len(values) - 1)
     assert math.isclose(mean, ref_mean, rel_tol=1e-12)
     assert math.isclose(ci, ref_ci, rel_tol=1e-9)
+
+
+def test_t_critical_matches_scipy_sweep():
+    dfs = list(range(1, 1001)) + [2000, 5000, 10000]
+    for confidence in (0.8, 0.9, 0.95, 0.99, 0.999):
+        refs = scipy_stats.t.ppf((1 + confidence) / 2, dfs)
+        for df, ref in zip(dfs, refs):
+            assert math.isclose(t_critical(confidence, df), ref,
+                                rel_tol=1e-10), (confidence, df)
+
+
+def test_t_critical_closed_forms():
+    # df = 1 is the Cauchy distribution; df = 2 inverts t / sqrt(2 + t^2).
+    for c in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+        assert math.isclose(t_critical(c, 1), math.tan(math.pi * c / 2),
+                            rel_tol=1e-12)
+        assert math.isclose(t_critical(c, 2), c * math.sqrt(2 / (1 - c * c)),
+                            rel_tol=1e-12)
 
 
 def test_constant_values_zero_ci():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -141,3 +143,23 @@ def test_lint_update_baseline_roundtrip(tmp_path, capsys):
 def test_lint_no_baseline_conflicts_with_baseline(tmp_path):
     assert main(["lint", "--no-baseline", "--baseline",
                  str(tmp_path / "b.json"), str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+def test_same_named_files_outside_root_stay_separate(tmp_path, capsys, order):
+    # Both files sit outside the lint root and share the name util.py;
+    # each must be analysed as its own module, whatever the argument order.
+    clock = tmp_path / "a" / "util.py"
+    clock.parent.mkdir()
+    clock.write_text(
+        "from time import time as now\n\n\ndef stamp():\n    return now()\n",
+        encoding="utf-8",
+    )
+    plain = tmp_path / "b" / "util.py"
+    plain.parent.mkdir()
+    plain.write_text("def helper():\n    return 1\n", encoding="utf-8")
+    files = {"a": clock, "b": plain}
+    assert main(["lint", "--no-baseline", "--format", "json"]
+                + [str(files[name]) for name in order]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert [(f["rule"], f["path"]) for f in payload] == [("RL002", str(clock))]
