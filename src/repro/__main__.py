@@ -35,7 +35,8 @@ chaos         crash-tolerance self-test: SIGKILL workers and the driver
               quarantined, not campaign-fatal)
 cache         inspect or clear the on-disk trial-result cache
 connectivity  physical connectivity bound of a scenario's mobility
-audit         loop-freedom audit of LDR under the given scenario
+audit         loop-freedom audit of ``--protocol`` (default LDR) under
+              the given scenario
 lint          determinism & protocol-conformance static analysis
 bench         kernel microbenchmarks (spatial index + event-scheduler
               fast paths) with a speedup-regression gate against the
@@ -92,13 +93,6 @@ def _add_scenario_args(parser):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--width", type=float, default=None)
     parser.add_argument("--height", type=float, default=None)
-    parser.add_argument("--index", default="grid", choices=["grid", "scan"],
-                        help="channel spatial-index backend (observationally "
-                             "identical; 'scan' is the brute-force reference)")
-    parser.add_argument("--scheduler", default="calendar",
-                        choices=["calendar", "heap"],
-                        help="event-scheduler backend (observationally "
-                             "identical; 'heap' is the reference)")
 
 
 def _add_exec_args(parser):
@@ -129,7 +123,6 @@ def _campaign_from(args):
         retries=getattr(args, "retries", 1),
         timeout=getattr(args, "timeout", None),
         quarantine_after=getattr(args, "quarantine_after", None),
-        stall_timeout=getattr(args, "stall_timeout", None),
     )
 
 
@@ -140,8 +133,6 @@ def _scenario_from(args, protocol=None):
         protocol=protocol or args.protocol, num_nodes=args.nodes,
         width=width, height=height, num_flows=args.flows,
         duration=args.duration, pause_time=args.pause, seed=args.seed,
-        channel_index=getattr(args, "index", "grid"),
-        scheduler=getattr(args, "scheduler", "calendar"),
     )
 
 
@@ -382,7 +373,7 @@ def _cmd_campaign_churn_sharded(args, campaign):
         return 2
     _, plan, sessions = run_churn_shard(
         campaign, args.shards, shard_index=args.shard_index,
-        mode=args.shard_mode, claim=args.claim)
+        claim=args.claim)
     return _report_shard_sessions(plan, sessions, args.journal)
 
 
@@ -511,7 +502,7 @@ def cmd_connectivity(args):
 
 
 def cmd_audit(args):
-    config = _scenario_from(args).replaced(protocol="ldr", loop_check=True)
+    config = _scenario_from(args).replaced(loop_check=True)
     scenario = build_scenario(config)
     try:
         scenario.run()
@@ -522,7 +513,8 @@ def cmd_audit(args):
     checker = scenario.loop_checker
     print("table audits run : %d" % checker.checks_run)
     print("violations       : %d" % len(checker.violations))
-    print("LDR loop-free    : %s" % ("YES" if not checker.violations else "NO"))
+    print("%-16s : %s" % (config.protocol.upper() + " loop-free",
+                          "YES" if not checker.violations else "NO"))
     return 0 if not checker.violations else 1
 
 
@@ -625,12 +617,6 @@ def main(argv=None):
     p.add_argument("--shard-index", type=int, default=None, metavar="I",
                    help="which shard of --shards K this process runs "
                         "(0-based)")
-    p.add_argument("--shard-mode", choices=["hash", "range"],
-                   default="hash",
-                   help="partition function: 'hash' interleaves keys "
-                        "round-robin by key prefix, 'range' gives each "
-                        "shard a contiguous 64-bit hash interval "
-                        "(default hash)")
     p.add_argument("--claim", action="store_true",
                    help="instead of --shard-index, atomically claim "
                         "unowned shards from the shared claim board under "
@@ -672,16 +658,14 @@ def main(argv=None):
                         "(default 1)")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-trial wall-clock deadline in seconds, "
-                        "enforced inside the worker")
+                        "enforced inside the worker; it also sets the "
+                        "stall budget after which a silent pool worker is "
+                        "presumed wedged and the pool is recycled")
     p.add_argument("--quarantine-after", type=int, default=None,
                    metavar="N",
                    help="quarantine a trial after N failed attempts "
                         "(reported in the table, not campaign-fatal) "
                         "instead of failing the campaign")
-    p.add_argument("--stall-timeout", type=float, default=None,
-                   help="seconds before an unresponsive worker is "
-                        "presumed wedged and the pool is recycled "
-                        "(default: derived from --timeout)")
     _add_exec_args(p)
     p.set_defaults(func=cmd_campaign)
 
@@ -721,7 +705,8 @@ def main(argv=None):
     p.add_argument("--samples", type=int, default=25)
     p.set_defaults(func=cmd_connectivity)
 
-    p = sub.add_parser("audit", help="LDR loop-freedom audit")
+    p = sub.add_parser("audit",
+                       help="loop-freedom audit of --protocol (default ldr)")
     _add_scenario_args(p)
     p.set_defaults(func=cmd_audit)
 

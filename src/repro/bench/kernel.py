@@ -1,7 +1,8 @@
 """Timing kernels for the simulator fast paths.
 
-Four benchmark families.  Two exercise the wireless-channel spatial seam
-under both index backends:
+Four benchmark families.  Two time the wireless channel on the fast
+:class:`~repro.net.spatial.GridIndex` against the reference
+:class:`~repro.net.spatial.ScanIndex`:
 
 * ``neighbors_of`` — the all-nodes neighborhood sweep (the access pattern
   of the oracle protocol, the invariant monitor's reachability audits and
@@ -12,7 +13,9 @@ under both index backends:
   actual call pattern (coverage scan + CSMA NAV + gray-zone distances at
   one instant); the event queue is drained between ops, unmeasured.
 
-One exercises the event-kernel seam (scheduler backends):
+One times the event kernel, the fast
+:class:`~repro.sim.events.CalendarScheduler` against the reference
+:class:`~repro.sim.events.EventScheduler`:
 
 * ``sched_ops`` — a synthetic schedule / cancel / timer-restart / drain
   mix on a bare :class:`Simulator`, heap vs calendar; per-op ns where an
@@ -20,12 +23,12 @@ One exercises the event-kernel seam (scheduler backends):
 
 And one times whole trials:
 
-* ``full_trial:<proto>`` — one full ``run_scenario`` trial (routing +
-  MAC + traffic) under the *reference* kernel configuration
-  (``scheduler="heap"``, ``channel_index="scan"``) vs the *fast* one
-  (``"calendar"`` + ``"grid"``): the end-to-end speedup of everything
-  the fast path stack buys (≥3x at N = 400).  The per-seam gaps are the
-  kernels above; a whole-trial ratio per seam would only repeat them.
+* ``full_trial:<proto>`` — one full trial (routing + MAC + traffic) on
+  the *reference* kernel (``Scenario(config, scheduler=EventScheduler,
+  index=ScanIndex)``) vs the *fast* default one: the end-to-end speedup
+  of everything the fast path stack buys (≥3x at N = 400).  The per-seam
+  gaps are the kernels above; a whole-trial ratio per seam would only
+  repeat them.
 
 Node counts sweep N ∈ {25, 50, 100, 200, 400} at the paper's node density
 (a 50-node network lives on 1500 m × 300 m), so per-node degree stays
@@ -39,11 +42,11 @@ use (lint rule RL002).
 
 import time
 
-from repro.experiments.scenario import ScenarioConfig, run_scenario
+from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.mobility import RandomWaypoint
-from repro.net import Node, WirelessChannel
+from repro.net import GridIndex, Node, ScanIndex, WirelessChannel
 from repro.net.packet import Frame, Packet
-from repro.sim import Simulator, Timer
+from repro.sim import CalendarScheduler, EventScheduler, Simulator, Timer
 
 #: Bump when the report layout changes shape.
 #: 2: added the event-kernel families (``sched_ops`` heap-vs-calendar and
@@ -65,8 +68,6 @@ TRIAL_PROTOCOLS = ("ldr", "aodv")
 AREA_PER_NODE = 1500.0 * 300.0 / 50.0
 #: Terrain aspect ratio (width : height), as in the paper's rectangles.
 ASPECT = 5.0
-
-INDEXES = ("scan", "grid")
 
 #: Scheduler-ops benchmark: events per run.  Same in ``--quick`` mode —
 #: the kernel is sub-second, and keeping the count (= the baseline key)
@@ -141,7 +142,7 @@ def _noop():
     """Do-nothing event callback for the scheduler-ops kernel."""
 
 
-def _time_scheduler_ops(backend, events, seed):
+def _time_scheduler_ops(scheduler, events, seed):
     """Per-op ns for a synthetic schedule/cancel/restart/drain mix.
 
     The mix mirrors what a trial actually does to the queue: mostly
@@ -150,7 +151,7 @@ def _time_scheduler_ops(backend, events, seed):
     interleaved partial drains.  The op sequence is generated by a fixed
     LCG so both backends time *identical* programs.
     """
-    sim = Simulator(seed=0, scheduler=backend)
+    sim = Simulator(seed=0, scheduler=scheduler)
     timers = [Timer(sim, _noop) for _ in range(32)]
     x = (seed * 2654435761 + 1) & 0x7FFFFFFF
     start = time.perf_counter_ns()
@@ -179,11 +180,12 @@ def _time_full_trial(protocol, num_nodes, fast, duration, seed):
         protocol=protocol, num_nodes=num_nodes, width=width, height=height,
         num_flows=max(2, min(10, num_nodes // 4)), duration=duration,
         pause_time=0.0, warmup=1.0, seed=seed,
-        channel_index="grid" if fast else "scan",
-        scheduler="calendar" if fast else "heap",
     )
     start = time.perf_counter()
-    run_scenario(config)
+    if fast:
+        Scenario(config).run()
+    else:
+        Scenario(config, scheduler=EventScheduler, index=ScanIndex).run()
     return time.perf_counter() - start
 
 
@@ -205,9 +207,9 @@ def _best_of(reps, fn):
 
 
 def _pair(fn, *args):
-    """Run a timing kernel under both backends -> (scan, grid, speedup)."""
-    scan = fn("scan", *args)
-    grid = fn("grid", *args)
+    """Run a timing kernel on both indexes -> (scan, grid, speedup)."""
+    scan = fn(ScanIndex, *args)
+    grid = fn(GridIndex, *args)
     speedup = scan / grid if grid > 0 else float("inf")
     return scan, grid, speedup
 
@@ -272,9 +274,9 @@ def run_kernel_bench(
     if sched_ops_events:
         say("sched_ops     events=%d" % sched_ops_events)
         heap_ns = _best_of(NS_KERNEL_REPS, lambda: _time_scheduler_ops(
-            "heap", sched_ops_events, seed))
+            EventScheduler, sched_ops_events, seed))
         cal_ns = _best_of(NS_KERNEL_REPS, lambda: _time_scheduler_ops(
-            "calendar", sched_ops_events, seed))
+            CalendarScheduler, sched_ops_events, seed))
         results.append({
             "bench": "sched_ops", "n": sched_ops_events,
             "heap_ns_per_op": heap_ns, "calendar_ns_per_op": cal_ns,

@@ -332,11 +332,11 @@ def merge_campaign(root, partial=False):
                 "campaign names differ across shards: %r vs %r"
                 % (first.name, view.name))
         if view.shard is not None:
-            plans.add((int(view.shard["shards"]), view.shard["mode"]))
+            plans.add(int(view.shard["shards"]))
     if len(plans) > 1:
         raise AggregateError(
             "shards follow different plans: %s"
-            % ", ".join("%d/%s" % plan for plan in sorted(plans)))
+            % ", ".join("%d shard(s)" % plan for plan in sorted(plans)))
 
     trials = {}
     unfinished = []

@@ -41,7 +41,11 @@ import repro
 #:    calendar rows are byte-identical (differential suite), but the
 #:    serialized config payload changed shape, so pre-seam entries must
 #:    miss rather than alias.
-CACHE_SCHEMA = 6
+#: 7: configs lost channel_index and scheduler again; the kernel classes
+#:    are Scenario keywords that only tests and the kernel bench set, so
+#:    they are no longer trial identity.  Rows are unchanged, but every
+#:    serialized config (and so every key) changed.
+CACHE_SCHEMA = 7
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -13,10 +13,10 @@ The verdict is the fabric's core promise: after arbitrary crash/corrupt
 interleavings, ``resume`` yields result rows and trace artifacts
 **byte-identical** to the uninterrupted run, with the designated poison
 trial quarantined (not campaign-fatal) in both.  A final shard leg
-re-runs the grid as two range-mode shards and asserts the merged result
-matches the clean run too — identity under partitioning, not just under
-crashes.  The harness is wired into CI as a smoke gate; on failure the
-journal is the artifact to read.
+re-runs the grid as two shards and asserts the merged result matches the
+clean run too — identity under partitioning, not just under crashes.
+The harness is wired into CI as a smoke gate; on failure the journal is
+the artifact to read.
 
 Fault choices draw from the dedicated ``'exec'`` RNG stream, so a chaos
 failure reproduces from its seed.
@@ -329,7 +329,7 @@ def run_chaos(root, jobs=2, seed=7, trials=2, duration=6.0, timeout=20.0,
 
 def _shard_leg(root, configs, clean_rows, clean_quarantined, jobs, timeout,
                say):
-    """Run the grid as two range-mode shards, merge, compare to clean.
+    """Run the grid as two shards, merge, compare to clean.
 
     Exercises the other half of the fabric's identity promise: results
     must be invariant not only under crash/resume but under *partitioning*
@@ -339,9 +339,8 @@ def _shard_leg(root, configs, clean_rows, clean_quarantined, jobs, timeout,
     from repro.exec.shard import ShardPlan, start_shard
 
     shard_root = root / "sharded"
-    plan = ShardPlan(2, "range")
-    say("shard leg: re-running the grid as %d range-mode shard(s)"
-        % plan.shards)
+    plan = ShardPlan(2)
+    say("shard leg: re-running the grid as %d shard(s)" % plan.shards)
     for index in range(plan.shards):
         manifest, engine, subset = start_shard(
             shard_root, configs, plan, index, name="chaos-clean",

@@ -53,6 +53,10 @@ from repro.obs.reader import trace_ok
 #: Seconds between pool polls; bounds interrupt/stall reaction latency.
 _POLL = 0.2
 
+#: Times a broken pool is rebuilt before the engine degrades to
+#: in-process execution.
+POOL_RESPAWNS = 1
+
 
 def _last_line(text):
     lines = (text or "").strip().splitlines()
@@ -183,7 +187,11 @@ class CampaignEngine:
         Extra attempts granted after a trial's first failure.
     timeout:
         Per-trial wall-clock budget in seconds (enforced portably inside
-        the worker, see :mod:`repro.exec.deadline`), or None.
+        the worker, see :mod:`repro.exec.deadline`), or None.  It also
+        sets the stall budget (:func:`~repro.exec.supervise.stall_budget`):
+        an in-flight pool future older than that is presumed wedged and
+        the pool is force-recycled.  Without a timeout stall detection is
+        off.
     progress:
         Callable receiving a :class:`~repro.exec.progress.Progress`
         snapshot after every settled trial.
@@ -207,34 +215,25 @@ class CampaignEngine:
     manifest:
         A :class:`~repro.exec.manifest.CampaignManifest` journaling this
         run (see :func:`~repro.exec.manifest.start_campaign` /
-        :func:`~repro.exec.manifest.resume_campaign`), or None.
+        :func:`~repro.exec.manifest.resume_campaign`), or None.  A
+        journaled run on the main thread installs SIGINT/SIGTERM handlers
+        that checkpoint-and-exit instead of losing the run.
     quarantine_after:
         Attempt ceiling after which a persistently failing trial is
         *quarantined* (reported, coverage-reducing, non-fatal) instead of
         failing the campaign.  When set it replaces ``retries`` as the
         attempt budget; None (default) keeps classic fail-after-retries.
-    backoff_base / backoff_cap:
-        Exponential retry backoff (seconds); jitter comes from the
+    backoff_base:
+        Base of the exponential retry backoff (seconds, capped at
+        :data:`~repro.exec.supervise.BACKOFF_CAP`); jitter comes from the
         ``'exec'`` RNG stream keyed per trial, so retrying never perturbs
         result bytes.  ``backoff_base=0`` disables backoff.
-    stall_timeout:
-        Seconds after which an in-flight pool future is presumed wedged
-        and the pool is force-recycled.  Default: derived from
-        ``timeout`` (see :func:`~repro.exec.supervise.stall_budget`);
-        detection is off when neither is set.
-    pool_respawns:
-        Times a broken pool is rebuilt before degrading to in-process
-        execution.
-    checkpoint_signals:
-        For journaled runs on the main thread, install SIGINT/SIGTERM
-        handlers that checkpoint-and-exit instead of losing the run.
     """
 
     def __init__(self, jobs=1, cache=None, retries=1, timeout=None,
                  progress=None, mp_context=None, trace_dir=None,
                  trace_gzip=False, manifest=None, quarantine_after=None,
-                 backoff_base=0.05, backoff_cap=30.0, stall_timeout=None,
-                 pool_respawns=1, checkpoint_signals=True):
+                 backoff_base=0.05):
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.retries = max(0, int(retries))
@@ -248,11 +247,9 @@ class CampaignEngine:
         self.manifest = manifest
         self.policy = RetryPolicy(
             retries=retries, quarantine_after=quarantine_after,
-            backoff_base=backoff_base, backoff_cap=backoff_cap,
+            backoff_base=backoff_base,
         )
-        self.stall_timeout = stall_budget(timeout, stall_timeout)
-        self.pool_respawns = max(0, int(pool_respawns))
-        self.checkpoint_signals = bool(checkpoint_signals)
+        self.stall_timeout = stall_budget(timeout)
         self._start = None
         self._interrupted = None
         self._work_done = 0
@@ -434,7 +431,7 @@ class CampaignEngine:
         if isinstance(ctx, str):
             ctx = multiprocessing.get_context(ctx)
         pending = list(poolable)
-        respawns = self.pool_respawns
+        respawns = POOL_RESPAWNS
         while pending and not self._interrupted:
             survivors, breakdown = self._pool_round(pending, trials, ctx)
             if breakdown is None:
@@ -593,7 +590,7 @@ class CampaignEngine:
 
     def _install_signals(self):
         """Checkpoint-and-exit handlers for journaled main-thread runs."""
-        if self.manifest is None or not self.checkpoint_signals:
+        if self.manifest is None:
             return None
         if threading.current_thread() is not threading.main_thread():
             return None

@@ -34,7 +34,10 @@ import time
 from repro.exec.cache import trial_key
 
 #: Journal format version; bump when record shapes change.
-MANIFEST_SCHEMA = 1
+#: 2: trial configs lost ``channel_index`` and ``scheduler``, and the
+#:    header's engine options lost the backoff cap and the stall-budget
+#:    override.  A schema-1 journal is refused, not migrated.
+MANIFEST_SCHEMA = 2
 
 #: File name of the journal inside a campaign directory.
 MANIFEST_NAME = "manifest.jsonl"
@@ -345,8 +348,6 @@ def _engine_from(root, manifest, progress=None, jobs=None):
         timeout=opts.get("timeout"),
         quarantine_after=opts.get("quarantine_after"),
         backoff_base=opts.get("backoff_base", 0.05),
-        backoff_cap=opts.get("backoff_cap", 30.0),
-        stall_timeout=opts.get("stall_timeout"),
         trace_dir=trace_dir if opts.get("trace") else None,
         trace_gzip=opts.get("trace_gzip", False),
         progress=progress,
@@ -356,8 +357,8 @@ def _engine_from(root, manifest, progress=None, jobs=None):
 
 def start_campaign(root, configs, name="campaign", meta=None, jobs=1,
                    retries=1, timeout=None, quarantine_after=None,
-                   backoff_base=0.05, backoff_cap=30.0, stall_timeout=None,
-                   trace=False, trace_gzip=False, progress=None):
+                   backoff_base=0.05, trace=False, trace_gzip=False,
+                   progress=None):
     """Create a journaled campaign directory; returns ``(manifest, engine)``.
 
     The engine is wired to the directory's cache, trace dir, and journal;
@@ -368,7 +369,6 @@ def start_campaign(root, configs, name="campaign", meta=None, jobs=1,
     engine_opts = {
         "jobs": jobs, "retries": retries, "timeout": timeout,
         "quarantine_after": quarantine_after, "backoff_base": backoff_base,
-        "backoff_cap": backoff_cap, "stall_timeout": stall_timeout,
         "trace": bool(trace), "trace_gzip": bool(trace_gzip),
     }
     configs = list(configs)

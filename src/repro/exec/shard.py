@@ -2,7 +2,7 @@
 
 A campaign is a list of trials whose identity is already content-hashed
 (:func:`~repro.exec.cache.trial_key`), so partitioning it needs no
-coordinator: every process that knows the grid and the plan ``(K, mode)``
+coordinator: every process that knows the grid and the shard count ``K``
 computes the *same* assignment of trials to shards.  A shard is then just
 an ordinary journaled campaign (:mod:`repro.exec.manifest`) over its
 subset, living under ``<root>/shards/shard-<i>/`` with its own journal,
@@ -13,24 +13,16 @@ result cache, and trace artifacts::
     <root>/shards/shard-000/traces/          shard 0's trace artifacts
     <root>/shards/claims/                    work-steal claim tokens
 
-Two partition modes, both pure functions of the trial key's hash prefix:
+The partition is a pure function of the trial key's 64-bit hash prefix
+``h``: trial ``h`` belongs to shard ``h mod K``.  Trials interleave across
+shards, so every shard sees a representative slice of the grid and
+finishes at roughly the same time.
 
-``hash``
-    ``h mod K`` — trials interleave across shards, so every shard sees a
-    representative slice of the grid and finishes at roughly the same
-    time.  The default.
-``range``
-    the 64-bit hash space is split into K contiguous ranges and a trial
-    lands in the range holding its key — shard i's work is the
-    self-describing interval ``[i*2^64/K, (i+1)*2^64/K)``, which is what
-    lets uncoordinated workers *steal* whole ranges from a shared
-    directory (below) and lets an aggregator reason about coverage
-    directly from key values.
-
-Work stealing needs exactly one primitive: the atomic rename.  The shared
-``claims/`` directory holds one ``shard-<i>.todo`` token per shard;
-claiming is ``rename(shard-i.todo, shard-i.claimed)`` — exactly one
-process wins, no locks, works on any POSIX filesystem (and NFS).  A
+Uncoordinated workers can also *steal* whole shards from a shared
+directory, which needs exactly one primitive: the atomic rename.  The
+shared ``claims/`` directory holds one ``shard-<i>.todo`` token per
+shard; claiming is ``rename(shard-i.todo, shard-i.claimed)`` — exactly
+one process wins, no locks, works on any POSIX filesystem (and NFS).  A
 finished shard renames its token to ``.done``; a claimant that fails
 renames it back to ``.todo`` so another worker can pick the shard up.  A
 SIGKILLed claimant leaves a ``.claimed`` token behind — the shard's
@@ -54,16 +46,12 @@ from repro.exec.cache import trial_key
 #: Shard-plan format version, stored in every shard's manifest meta; bump
 #: when the partition function or the meta shape changes — shards from
 #: different plan schemas must refuse to merge rather than silently mix.
-SHARD_SCHEMA = 1
-
-#: Recognised partition modes.
-SHARD_MODES = ("hash", "range")
+#: 2: the ``range`` partition and the plan's ``mode`` field were removed.
+SHARD_SCHEMA = 2
 
 #: Hex digits of the trial key consumed by the partition function
 #: (64 bits — the full key is 256; 64 are plenty to spread any grid).
 _PREFIX_DIGITS = 16
-_HASH_BITS = 4 * _PREFIX_DIGITS
-_HASH_SPACE = 1 << _HASH_BITS
 
 
 class ShardPlanError(ValueError):
@@ -73,40 +61,18 @@ class ShardPlanError(ValueError):
 class ShardPlan:
     """A deterministic partition of trial keys into ``shards`` shards."""
 
-    __slots__ = ("shards", "mode")
+    __slots__ = ("shards",)
 
-    def __init__(self, shards, mode="hash"):
+    def __init__(self, shards):
         shards = int(shards)
         if shards < 1:
             raise ShardPlanError("a plan needs at least 1 shard, got %d"
                                  % shards)
-        if mode not in SHARD_MODES:
-            raise ShardPlanError("unknown shard mode %r (expected one of %s)"
-                                 % (mode, ", ".join(SHARD_MODES)))
         self.shards = shards
-        self.mode = mode
 
     def shard_of(self, key):
         """The shard index owning the trial with content hash ``key``."""
-        prefix = int(key[:_PREFIX_DIGITS], 16)
-        if self.mode == "range":
-            return min(self.shards - 1,
-                       (prefix * self.shards) >> _HASH_BITS)
-        return prefix % self.shards
-
-    def hash_range(self, index):
-        """``[lo, hi)`` of the 64-bit hash interval shard ``index`` owns.
-
-        Only meaningful for ``range`` mode (``hash`` mode interleaves);
-        exposed so aggregators and operators can reason about a range
-        shard's coverage from key values alone.
-        """
-        if self.mode != "range":
-            raise ShardPlanError("hash_range applies to range mode only")
-        lo = -(-index * _HASH_SPACE // self.shards) if index else 0
-        hi = _HASH_SPACE if index == self.shards - 1 else \
-            -(-(index + 1) * _HASH_SPACE // self.shards)
-        return lo, hi
+        return int(key[:_PREFIX_DIGITS], 16) % self.shards
 
     def assign(self, configs):
         """Partition ``configs`` into per-shard work lists.
@@ -124,29 +90,26 @@ class ShardPlan:
         return buckets
 
     def to_dict(self):
-        return {"schema": SHARD_SCHEMA, "shards": self.shards,
-                "mode": self.mode}
+        return {"schema": SHARD_SCHEMA, "shards": self.shards}
 
     @classmethod
     def from_dict(cls, data):
         try:
             schema = data["schema"]
             shards = data["shards"]
-            mode = data["mode"]
         except (KeyError, TypeError) as err:
             raise ShardPlanError("malformed shard plan: %s" % err)
         if schema != SHARD_SCHEMA:
             raise ShardPlanError(
                 "shard plan schema %r, this reader understands %r"
                 % (schema, SHARD_SCHEMA))
-        return cls(shards, mode)
+        return cls(shards)
 
     def __eq__(self, other):
-        return (isinstance(other, ShardPlan)
-                and self.shards == other.shards and self.mode == other.mode)
+        return isinstance(other, ShardPlan) and self.shards == other.shards
 
     def __repr__(self):
-        return "ShardPlan(shards=%d, mode=%r)" % (self.shards, self.mode)
+        return "ShardPlan(shards=%d)" % self.shards
 
 
 def campaign_fingerprint(keys):
@@ -188,7 +151,6 @@ def shard_meta(plan, index, configs, labels=None, extra=None):
         "shard": {
             "schema": SHARD_SCHEMA,
             "shards": plan.shards,
-            "mode": plan.mode,
             "index": index,
             "total": len(keys),
             "indices": indices,

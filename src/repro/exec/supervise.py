@@ -31,12 +31,15 @@ EXEC_STREAM = "exec"
 JITTER_LOW = 0.75
 JITTER_SPAN = 0.5
 
+#: Ceiling on any single retry delay, in seconds.
+BACKOFF_CAP = 30.0
+
 #: Extra slack granted on top of twice the per-trial deadline before an
 #: in-flight pool future is declared stalled.
 STALL_SLACK = 30.0
 
 
-def backoff_delay(key, attempt, base, cap):
+def backoff_delay(key, attempt, base):
     """Seconds to wait before retry ``attempt`` (attempt 2 = first retry).
 
     Deterministic per ``(key, attempt)``: the jitter sequence comes from a
@@ -51,21 +54,18 @@ def backoff_delay(key, attempt, base, cap):
     delay = 0.0
     for retry in range(2, attempt + 1):
         jitter = JITTER_LOW + JITTER_SPAN * rng.random()
-        delay = min(cap, base * (2.0 ** (retry - 2)) * jitter)
+        delay = min(BACKOFF_CAP, base * (2.0 ** (retry - 2)) * jitter)
     return delay
 
 
-def stall_budget(timeout, stall_timeout=None):
+def stall_budget(timeout):
     """Age at which an in-flight pool future counts as stalled.
 
-    An explicit ``stall_timeout`` wins.  Otherwise the budget derives from
-    the per-trial deadline (twice the deadline plus slack: the in-worker
-    deadline must have fired well before that).  Without any deadline
-    there is no way to tell slow from wedged, so stall detection is off
-    (returns None).
+    The budget derives from the per-trial deadline (twice the deadline
+    plus slack: the in-worker deadline must have fired well before that).
+    Without a deadline there is no way to tell slow from wedged, so stall
+    detection is off (returns None).
     """
-    if stall_timeout is not None:
-        return float(stall_timeout)
     if timeout:
         return 2.0 * float(timeout) + STALL_SLACK
     return None
@@ -80,14 +80,12 @@ class RetryPolicy:
     *quarantined* (coverage-reducing).
     """
 
-    def __init__(self, retries=1, quarantine_after=None, backoff_base=0.05,
-                 backoff_cap=30.0):
+    def __init__(self, retries=1, quarantine_after=None, backoff_base=0.05):
         self.retries = max(0, int(retries))
         self.quarantine_after = (
             None if quarantine_after is None else max(1, int(quarantine_after))
         )
         self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
 
     @property
     def max_attempts(self):
@@ -105,5 +103,4 @@ class RetryPolicy:
 
     def delay_before(self, key, attempt):
         """Backoff before executing ``attempt`` of the trial ``key``."""
-        return backoff_delay(key, attempt, self.backoff_base,
-                             self.backoff_cap)
+        return backoff_delay(key, attempt, self.backoff_base)

@@ -83,8 +83,7 @@ class Campaign:
                  num_nodes_small=None, num_nodes_large=None,
                  jobs=1, use_cache=False, cache_dir=None,
                  retries=1, timeout=None, progress=None, trace_dir=None,
-                 trace_gzip=False, journal=None, quarantine_after=None,
-                 backoff_base=0.05, backoff_cap=30.0, stall_timeout=None):
+                 trace_gzip=False, journal=None, quarantine_after=None):
         self.paper_scale = paper_scale
         if paper_scale:
             self.duration = duration or 900.0
@@ -110,11 +109,8 @@ class Campaign:
         # directory holding manifest.jsonl + cache/ + traces/, or None
         # for a classic unjournaled run.  See repro.exec.manifest.
         self.journal = journal
-        # Supervision knobs, forwarded to the engine's RetryPolicy.
+        # Supervision knob, forwarded to the engine's RetryPolicy.
         self.quarantine_after = quarantine_after
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.stall_timeout = stall_timeout
 
     def pauses(self):
         return pause_sweep(self.duration, self.paper_scale)
@@ -132,8 +128,6 @@ class Campaign:
             timeout=self.timeout, progress=progress or self.progress,
             trace_dir=self.trace_dir, trace_gzip=self.trace_gzip,
             quarantine_after=self.quarantine_after,
-            backoff_base=self.backoff_base, backoff_cap=self.backoff_cap,
-            stall_timeout=self.stall_timeout,
         )
 
 
@@ -257,9 +251,6 @@ def run_churn(campaign, protocols=CHURN_PROTOCOLS, num_flows=10):
         jobs=campaign.jobs, retries=campaign.retries,
         timeout=campaign.timeout,
         quarantine_after=campaign.quarantine_after,
-        backoff_base=campaign.backoff_base,
-        backoff_cap=campaign.backoff_cap,
-        stall_timeout=campaign.stall_timeout,
         trace=campaign.trace_dir is not None,
         trace_gzip=campaign.trace_gzip,
         progress=campaign.progress)
@@ -272,9 +263,6 @@ def _shard_engine_opts(campaign):
         "jobs": campaign.jobs, "retries": campaign.retries,
         "timeout": campaign.timeout,
         "quarantine_after": campaign.quarantine_after,
-        "backoff_base": campaign.backoff_base,
-        "backoff_cap": campaign.backoff_cap,
-        "stall_timeout": campaign.stall_timeout,
         "trace": campaign.trace_dir is not None,
         "trace_gzip": campaign.trace_gzip,
     }
@@ -298,8 +286,8 @@ def _run_one_shard(campaign, root, plan, index, labels, configs,
     return manifest, engine.run([config for _, config in subset])
 
 
-def run_churn_shard(campaign, shards, shard_index=None, mode="hash",
-                    claim=False, protocols=CHURN_PROTOCOLS, num_flows=10):
+def run_churn_shard(campaign, shards, shard_index=None, claim=False,
+                    protocols=CHURN_PROTOCOLS, num_flows=10):
     """Run shard(s) of the churn grid; returns ``(labels, plan, sessions)``.
 
     The grid is partitioned deterministically by content-hash trial key
@@ -328,7 +316,7 @@ def run_churn_shard(campaign, shards, shard_index=None, mode="hash",
         raise ValueError("sharded churn requires a journal directory "
                          "(--journal DIR)")
     labels, configs = churn_grid(campaign, protocols, num_flows)
-    plan = ShardPlan(shards, mode)
+    plan = ShardPlan(shards)
     root = pathlib.Path(campaign.journal)
     sessions = []
     if not claim:

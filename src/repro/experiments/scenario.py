@@ -10,7 +10,7 @@ from repro.core import LdrConfig, LdrProtocol
 from repro.faults import FaultInjector, FaultPlan, InvariantMonitor
 from repro.metrics import MetricsCollector, RunReport
 from repro.mobility import RandomWaypoint, StaticPlacement
-from repro.net import INDEX_BACKENDS, MacConfig, Node, WirelessChannel
+from repro.net import GridIndex, MacConfig, Node, WirelessChannel
 from repro.net.packet import reset_packet_uids
 from repro.obs import TraceRecorder
 from repro.protocols import (
@@ -32,7 +32,7 @@ from repro.protocols import (
     ToraProtocol,
 )
 from repro.routing import LoopChecker
-from repro.sim import SCHEDULER_BACKENDS, Simulator
+from repro.sim import CalendarScheduler, Simulator
 from repro.traffic import TrafficGenerator
 from repro.traffic.cbr import reset_flow_ids
 
@@ -143,8 +143,6 @@ class ScenarioConfig:
         max_speed=20.0,
         transmission_range=275.0,
         gray_zone=0.0,
-        channel_index="grid",
-        scheduler="calendar",
         seed=1,
         protocol_config=None,
         mac_config=None,
@@ -176,18 +174,6 @@ class ScenarioConfig:
         self.max_speed = max_speed
         self.transmission_range = transmission_range
         self.gray_zone = gray_zone
-        if channel_index not in INDEX_BACKENDS:
-            raise ValueError(
-                "unknown channel_index %r (choose from %s)"
-                % (channel_index, sorted(INDEX_BACKENDS))
-            )
-        self.channel_index = channel_index
-        if scheduler not in SCHEDULER_BACKENDS:
-            raise ValueError(
-                "unknown scheduler %r (choose from %s)"
-                % (scheduler, sorted(SCHEDULER_BACKENDS))
-            )
-        self.scheduler = scheduler
         self.seed = seed
         self.protocol_config = protocol_config
         self.mac_config = mac_config
@@ -277,25 +263,13 @@ class ScenarioConfig:
         "max_speed",
         "transmission_range",
         "gray_zone",
-        # The spatial-index backend is observationally inert (grid and
-        # scan produce byte-identical rows), but it stays part of the
-        # serialized identity so cached rows record exactly how they were
-        # produced; two configs differing only here hash to different
-        # trial keys.
-        "channel_index",
-        # The event-scheduler backend is the same kind of seam: heap and
-        # calendar produce byte-identical rows (the differential suite in
-        # tests/sim and tests/experiments holds them to it), but the
-        # backend is still recorded in the trial's identity so cached
-        # rows say exactly how they were produced.
-        "scheduler",
         "seed",
         "loop_check",
         "warmup",
         "invariant_check",
-        # Tracing never changes rows (the recorder is passive), but like
-        # channel_index it stays part of the serialized identity so a
-        # cached row records exactly how it was produced.
+        # Tracing never changes rows (the recorder is passive), but it
+        # stays part of the serialized identity so a cached row records
+        # exactly how it was produced.
         "trace",
     )
 
@@ -371,16 +345,24 @@ class ScenarioConfig:
 
 
 class Scenario:
-    """A built (but not yet run) simulation."""
+    """A built (but not yet run) simulation.
 
-    def __init__(self, config):
+    ``scheduler`` and ``index`` are the kernel classes the trial runs on.
+    Only differential tests and the kernel bench pass the references
+    (:class:`~repro.sim.events.EventScheduler`,
+    :class:`~repro.net.spatial.ScanIndex`); rows and traces are
+    byte-identical either way, so neither is part of the config.
+    """
+
+    def __init__(self, config, *, scheduler=CalendarScheduler,
+                 index=GridIndex):
         self.config = config
         # Packet uids and flow ids restart per scenario so identifiers
         # (and with them trace files) are a pure function of the trial,
         # not of how many trials this process ran before.
         reset_packet_uids()
         reset_flow_ids()
-        self.sim = Simulator(seed=config.seed, scheduler=config.scheduler)
+        self.sim = Simulator(seed=config.seed, scheduler=scheduler)
         self.metrics = MetricsCollector(self.sim)
 
         if config.placements is not None:
@@ -411,7 +393,7 @@ class Scenario:
             self.sim, self.mobility,
             transmission_range=config.transmission_range,
             gray_zone=config.gray_zone,
-            index=config.channel_index,
+            index=index,
         )
         protocol_cls, default_config = PROTOCOLS[config.protocol]
         proto_config = config.protocol_config

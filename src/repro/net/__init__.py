@@ -17,7 +17,7 @@ from repro.net.channel import WirelessChannel
 from repro.net.mac import CsmaMac, MacConfig
 from repro.net.node import BROADCAST, Node
 from repro.net.packet import DataPacket, Frame, Packet
-from repro.net.spatial import INDEX_BACKENDS, GridIndex, ScanIndex
+from repro.net.spatial import GridIndex, ScanIndex
 
 __all__ = [
     "BROADCAST",
@@ -25,7 +25,6 @@ __all__ = [
     "DataPacket",
     "Frame",
     "GridIndex",
-    "INDEX_BACKENDS",
     "MacConfig",
     "Node",
     "Packet",

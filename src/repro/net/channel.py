@@ -14,14 +14,16 @@ Positions come from the mobility model; a transmission uses the positions
 at its start time.  This matches the granularity of packet-level simulators
 such as GloMoSim: links do not flip mid-frame.
 
-Geometry queries go through a pluggable spatial index
-(:mod:`repro.net.spatial`; ``index="grid"`` by default, ``"scan"`` is the
-brute-force reference).  The two backends are observationally identical —
-same neighbor sets in the same order, same RNG draw order, byte-identical
-metrics for any (seed, plan) — the grid is purely a fast path.  One
-position snapshot per event-time serves the sender-coverage, virtual-CTS
-and gray-zone distance queries of a ``transmit``, so the mobility model is
-consulted exactly once per node per transmission instead of 2–3 times.
+Geometry queries go through a spatial index (:mod:`repro.net.spatial`):
+:class:`~repro.net.spatial.GridIndex` by default, while tests and the
+kernel bench pass the brute-force reference
+:class:`~repro.net.spatial.ScanIndex`.  The two are observationally
+identical — same neighbor sets in the same order, same RNG draw order,
+byte-identical metrics for any (seed, plan) — the grid is purely a fast
+path.  One position snapshot per event-time serves the sender-coverage,
+virtual-CTS and gray-zone distance queries of a ``transmit``, so the
+mobility model is consulted exactly once per node per transmission
+instead of 2–3 times.
 
 The channel is also where the fault layer (:mod:`repro.faults`) plugs in:
 
@@ -35,7 +37,7 @@ The channel is also where the fault layer (:mod:`repro.faults`) plugs in:
   its own seeded RNG stream.
 """
 
-from repro.net.spatial import make_index
+from repro.net.spatial import GridIndex
 
 PROPAGATION_DELAY = 1e-6  # seconds; ~300 m at light speed, kept constant
 
@@ -66,7 +68,7 @@ class WirelessChannel:
     """Connects node MACs through the shared medium."""
 
     def __init__(self, sim, mobility, transmission_range=275.0,
-                 gray_zone=0.0, index="grid"):
+                 gray_zone=0.0, index=GridIndex):
         self.sim = sim
         self.mobility = mobility
         self.range = float(transmission_range)
@@ -74,11 +76,11 @@ class WirelessChannel:
         # this hot path.  getattr: hand-built stub sims in tests may not
         # carry one.
         self._prof = getattr(sim, "profiler", None)
-        # Spatial fast path for neighbor/position queries ("grid"), with
-        # the brute-force reference scan selectable for A/B checks
-        # ("scan").  Observationally identical by construction and by the
-        # equivalence suite (tests/net/test_spatial_equivalence.py).
-        self.index = make_index(index, sim, mobility, self.range)
+        # Spatial fast path for neighbor/position queries; tests pass the
+        # brute-force ScanIndex as the reference.  Observationally
+        # identical by construction and by the equivalence suite
+        # (tests/net/test_spatial_equivalence.py).
+        self.index = index(sim, mobility, self.range)
         # Fraction of the range that is a lossy "gray zone": a reception
         # whose distance falls in the outer ``gray_zone`` band fails with
         # probability growing linearly to 50% at the edge.  0 = the

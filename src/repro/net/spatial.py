@@ -3,17 +3,18 @@
 ``WirelessChannel.neighbors_of`` / ``in_range`` dominate every trial: each
 ``transmit`` needs the sender's coverage set, the receiver's neighborhood
 (virtual CTS) and per-receiver distances (gray zone), which with the naive
-scan is O(N) per query and O(N²) per broadcast flood.  This module gives
-the channel a pluggable index seam:
+scan is O(N) per query and O(N²) per broadcast flood.  Two index classes
+share the :class:`NeighborIndex` interface:
 
-* :class:`ScanIndex` — the original brute-force scan, kept as the
-  reference implementation (``index="scan"``);
 * :class:`GridIndex` — drift-tolerant position snapshots with per-node
-  candidate lists, plus lazy exact-position memoization (``index="grid"``,
-  the default; the name is historical — snapshots and candidate lists
-  replaced the original cell grid).
+  candidate lists, plus lazy exact-position memoization; the index every
+  channel uses unless told otherwise (the name is historical — snapshots
+  and candidate lists replaced the original cell grid);
+* :class:`ScanIndex` — the original brute-force scan, kept as the
+  reference that tests and the kernel bench pass to
+  ``WirelessChannel(index=ScanIndex)``.
 
-Both backends are **observationally identical**: the same node ids, in the
+Both are **observationally identical**: the same node ids, in the
 same order (channel attach order, i.e. the order nodes joined), decided by
 the *same* floating-point expression ``dx*dx + dy*dy <= range*range`` on
 the same position values.  Liveness and link-deny filtering stay in the
@@ -99,9 +100,6 @@ class NeighborIndex:
     nothing about liveness or administrative link state.
     """
 
-    #: Seam name (the ``index=`` value that selects this backend).
-    name = "?"
-
     def attach(self, node_id):
         """Register a node; queries return ids in attach order."""
         raise NotImplementedError
@@ -126,8 +124,6 @@ class ScanIndex(NeighborIndex):
     grid's equivalence is checkable against live code, and as the
     fallback for workloads where building snapshots cannot pay off.
     """
-
-    name = "scan"
 
     def __init__(self, sim, mobility, transmission_range):
         self.mobility = mobility
@@ -165,8 +161,6 @@ class GridIndex(NeighborIndex):
     or, in the doubtful annulus, against exact positions memoized per
     event (see module docstring).
     """
-
-    name = "grid"
 
     def __init__(self, sim, mobility, transmission_range):
         self.sim = sim
@@ -327,21 +321,3 @@ class GridIndex(NeighborIndex):
             found.append(other_id)
         return found
 
-
-#: Registered index backends, keyed by their ``index=`` seam name.
-INDEX_BACKENDS = {
-    ScanIndex.name: ScanIndex,
-    GridIndex.name: GridIndex,
-}
-
-
-def make_index(name, sim, mobility, transmission_range):
-    """Build the neighbor-index backend ``name`` (``"grid"``/``"scan"``)."""
-    try:
-        backend = INDEX_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            "unknown channel index %r (choose from %s)"
-            % (name, sorted(INDEX_BACKENDS))
-        ) from None
-    return backend(sim, mobility, transmission_range)

@@ -9,8 +9,8 @@ routes    replay the route-change timeline toward one destination,
           (NDC/FDC/SDC) gate on
 diff      compare two traces event by event; exits 1 naming the first
           diverging event — e.g. LDR vs AODV on the same churn plan to
-          pinpoint where AODV's table departs from LDR's, or grid vs
-          scan traces to bisect a suspected spatial-index divergence
+          pinpoint where AODV's table departs from LDR's, or the same
+          trial before and after a change to find its first effect
 """
 
 from repro.obs.reader import TraceError, read_trace

@@ -1,37 +1,34 @@
 """Discrete-event simulation kernel.
 
 This package replaces the GloMoSim/QualNet event engine used in the paper
-with a small, deterministic scheduler behind a pluggable backend seam:
+with a small, deterministic scheduler:
 
-* :class:`~repro.sim.events.EventScheduler` — the reference binary-heap
-  priority queue of timestamped callbacks with stable FIFO ordering for
-  simultaneous events.
-* :class:`~repro.sim.events.CalendarScheduler` — the bucketed
-  calendar-queue backend with identical observable semantics (the
-  differential suite in ``tests/sim/test_scheduler_equiv.py`` holds the
-  two to event-for-event agreement).
+* :class:`~repro.sim.events.CalendarScheduler` — the bucketed calendar
+  queue of timestamped callbacks, with stable FIFO ordering for
+  simultaneous events; every simulation runs on it.
+* :class:`~repro.sim.events.EventScheduler` — the reference binary heap
+  with identical observable semantics (the differential suite in
+  ``tests/sim/test_scheduler_equiv.py`` holds the two to event-for-event
+  agreement).
 * :class:`~repro.sim.simulator.Simulator` — simulation clock, scheduler
-  and per-component random number streams in one object; selects the
-  backend via ``Simulator(scheduler="calendar"|"heap")``.
+  and per-component random number streams in one object; tests run it on
+  the reference with ``Simulator(scheduler=EventScheduler)``.
 * :class:`~repro.sim.timers.Timer` — restartable one-shot timer built on
   the scheduler, used pervasively by the routing protocols; ``restart``
   is O(1) via deferred re-arm.
 """
 
 from repro.sim.events import (
-    SCHEDULER_BACKENDS,
     CalendarScheduler,
     Event,
     EventScheduler,
     SchedulerBase,
-    make_scheduler,
 )
 from repro.sim.rng import RngStreams
 from repro.sim.simulator import Simulator
 from repro.sim.timers import Timer
 
 __all__ = [
-    "SCHEDULER_BACKENDS",
     "CalendarScheduler",
     "Event",
     "EventScheduler",
@@ -39,5 +36,4 @@ __all__ = [
     "SchedulerBase",
     "Simulator",
     "Timer",
-    "make_scheduler",
 ]

@@ -1,22 +1,25 @@
 """Event scheduling primitives.
 
-Two interchangeable scheduler backends sit behind one seam, mirroring the
-spatial-index seam in :mod:`repro.net.spatial`:
+Two scheduler classes share one base, :class:`SchedulerBase`:
 
+* :class:`CalendarScheduler` — the scheduler every simulation runs on: a
+  calendar/ladder queue where future events land in O(1) append-only
+  buckets and only the bucket currently being drained pays heap
+  discipline, over C-compared ``(time, seq, event)`` tuples instead of
+  Python-level ``Event.__lt__`` calls.  Large simulations spend
+  double-digit percentages of their wall clock inside a global heap; this
+  class exists to take that off the table.
 * :class:`EventScheduler` — the original binary heap keyed on
-  ``(time, sequence)``.  It is the **live reference**: small, obviously
-  correct, and the implementation every differential test replays against.
-* :class:`CalendarScheduler` — a calendar/ladder queue: future events land
-  in O(1) append-only buckets and only the bucket currently being drained
-  pays heap discipline, over C-compared ``(time, seq, event)`` tuples
-  instead of Python-level ``Event.__lt__`` calls.  Large simulations spend
-  double-digit percentages of their wall clock inside the global heap;
-  this backend exists to take that off the table.
+  ``(time, sequence)``.  It is the **reference**: small, obviously
+  correct, and the implementation every differential test replays
+  against.  Tests and the kernel bench pass the class to
+  :class:`~repro.sim.simulator.Simulator` (or to
+  :class:`~repro.experiments.scenario.Scenario`) to run on it.
 
 Both order events strictly by ``(time, seq)``: the sequence number breaks
 ties so that events scheduled for the same instant fire in the order they
 were scheduled (FIFO), which keeps simulations deterministic and makes
-protocol races reproducible across runs with the same seed.  The backends
+protocol races reproducible across runs with the same seed.  The two
 are **observationally identical** — same fire order, same ``now``, same
 ``epoch``, same ``pending_count`` — which the differential suite in
 ``tests/sim/test_scheduler_equiv.py`` enforces with seeded random
@@ -31,7 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Type
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 #: Calendar-queue shape: buckets per rung, the activation size beyond
 #: which a bucket is subdivided into a finer rung instead of heapified,
@@ -486,22 +489,3 @@ class CalendarScheduler(SchedulerBase):
         if until is not None and self._now < until:
             self._now = until
 
-
-#: The pluggable backend registry (the seam ``Simulator`` selects over).
-#: ``heap`` is the reference; ``calendar`` is the fast path.
-SCHEDULER_BACKENDS: Dict[str, Type[SchedulerBase]] = {
-    "heap": EventScheduler,
-    "calendar": CalendarScheduler,
-}
-
-
-def make_scheduler(name: str) -> SchedulerBase:
-    """Instantiate a scheduler backend by registry name."""
-    try:
-        cls = SCHEDULER_BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            "unknown scheduler backend %r (choose from %s)"
-            % (name, sorted(SCHEDULER_BACKENDS))
-        ) from None
-    return cls()

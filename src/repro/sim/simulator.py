@@ -8,10 +8,10 @@ kernel stays protocol-agnostic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Type
 
 from repro.obs.profile import Profiler
-from repro.sim.events import Event, make_scheduler
+from repro.sim.events import CalendarScheduler, Event, SchedulerBase
 from repro.sim.rng import RngStreams
 
 if TYPE_CHECKING:
@@ -21,18 +21,16 @@ if TYPE_CHECKING:
 class Simulator:
     """Owns the event loop and randomness for one simulation run.
 
-    ``scheduler`` selects the event-queue backend by registry name
-    (:data:`~repro.sim.events.SCHEDULER_BACKENDS`): ``"calendar"`` (the
-    default, a bucketed calendar queue) or ``"heap"`` (the reference
-    binary heap).  The backends are observationally identical — the
-    differential suite in ``tests/sim/test_scheduler_equiv.py`` holds
-    them to the same fire order, clock, and epoch — so the choice is a
-    pure speed knob.
+    ``scheduler`` is the event-queue class: the calendar queue by
+    default.  Differential tests and the kernel bench pass
+    :class:`~repro.sim.events.EventScheduler`, the reference binary
+    heap; ``tests/sim/test_scheduler_equiv.py`` holds the two to the same
+    fire order, clock, and epoch.
     """
 
-    def __init__(self, seed: int = 0, scheduler: str = "calendar") -> None:
-        self.scheduler = make_scheduler(scheduler)
-        self.scheduler_backend = scheduler
+    def __init__(self, seed: int = 0,
+                 scheduler: Type[SchedulerBase] = CalendarScheduler) -> None:
+        self.scheduler = scheduler()
         self.rng = RngStreams(seed)
         self.seed = seed
         # Always-on counter/timer registry (repro.obs).  Hot-path

@@ -1,6 +1,7 @@
 """Aggregator: merge certification, identity, and the ugly edge cases."""
 
 import io
+import json
 import shutil
 
 import pytest
@@ -55,7 +56,7 @@ def _run_plain(root, configs, labels, name="agg"):
 def test_sharded_merge_is_byte_identical_to_unsharded(tmp_path):
     labels, configs = _grid(6)
     _run_plain(tmp_path / "plain", configs, labels)
-    _run_shards(tmp_path / "sharded", configs, ShardPlan(2, "hash"),
+    _run_shards(tmp_path / "sharded", configs, ShardPlan(2),
                 labels=labels)
 
     plain = merge_campaign(tmp_path / "plain")
@@ -67,10 +68,9 @@ def test_sharded_merge_is_byte_identical_to_unsharded(tmp_path):
         [format_csv_row(r) for r in plain.csv_rows()]
 
 
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_both_partition_modes_merge_complete(tmp_path, mode):
+def test_three_shard_merge_is_complete(tmp_path):
     labels, configs = _grid(5)
-    _run_shards(tmp_path, configs, ShardPlan(3, mode), labels=labels)
+    _run_shards(tmp_path, configs, ShardPlan(3), labels=labels)
     merged = merge_campaign(tmp_path)
     assert merged.complete
     assert merged.completed == 5
@@ -174,7 +174,7 @@ def test_torn_shard_journal_merges_with_a_warning(tmp_path):
 def test_more_shards_than_trials_merges_clean(tmp_path):
     """K > N leaves some shards with zero trials; they still count."""
     labels, configs = _grid(3)
-    plan = ShardPlan(5, "range")
+    plan = ShardPlan(5)
     assert any(not bucket for bucket in plan.assign(configs))
     _run_shards(tmp_path, configs, plan, labels=labels)
     merged = merge_campaign(tmp_path)
@@ -287,6 +287,27 @@ def test_cli_merge_exit_codes(tmp_path, capsys):
     assert main(["campaign", "merge", str(tmp_path / "nowhere")]) == 2
     assert main(["campaign", "merge"]) == 2
     capsys.readouterr()
+
+
+def test_cli_merge_refuses_schema_1_shard(tmp_path, capsys):
+    from repro.__main__ import main
+
+    labels, configs = _grid(3)
+    _run_shards(tmp_path, configs, ShardPlan(2), labels=labels,
+                name="churn")
+    # Rewrite shard 0 as a schema-1 shard wrote it: journal schema 1, and
+    # shard meta schema 1 with the partition mode field.
+    journal = shard_dir(tmp_path, 0) / MANIFEST_NAME
+    docs = [json.loads(line) for line in journal.read_text().splitlines()]
+    docs[0]["schema"] = 1
+    docs[0]["meta"]["shard"].update(schema=1, mode="hash")
+    journal.write_text("".join(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        for doc in docs))
+    assert main(["campaign", "merge", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot merge %s: " % tmp_path)
+    assert "schema 1" in err
 
 
 def test_cli_watch_once(tmp_path, capsys):

@@ -251,3 +251,31 @@ def test_engine_rejects_mismatched_config_count(tmp_path):
     manifest, engine = start_campaign(root, configs)
     with pytest.raises(ValueError):
         engine.run(configs[:2])
+
+
+def test_schema_1_journal_is_refused_with_one_line(tmp_path, capsys):
+    from repro.__main__ import main
+
+    root = tmp_path / "camp"
+    manifest, _ = start_campaign(root, _configs(2))
+    manifest.close()
+    # Rewrite it as a schema-1 journal held it: header schema 1, and trial
+    # configs that still carry the two kernel-backend fields.
+    path, _, _ = campaign_paths(root)
+    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    docs[0]["schema"] = 1
+    for doc in docs[1:]:
+        doc["config"].update(channel_index="grid", scheduler="calendar")
+    path.write_text("".join(
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        for doc in docs))
+    with pytest.raises(ManifestError, match="schema 1"):
+        resume_campaign(root)
+
+    assert main(["campaign", "resume", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("cannot resume %s: " % root)
+    assert "schema 1" in lines[0]

@@ -33,10 +33,9 @@ def _configs(n=12):
 # -- partition function ------------------------------------------------
 
 
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_assignment_covers_every_config_exactly_once(mode):
+def test_assignment_covers_every_config_exactly_once():
     configs = _configs(12)
-    plan = ShardPlan(3, mode)
+    plan = ShardPlan(3)
     buckets = plan.assign(configs)
     assert len(buckets) == 3
     seen = sorted(i for bucket in buckets for i, _ in bucket)
@@ -47,39 +46,17 @@ def test_assignment_covers_every_config_exactly_once(mode):
         assert indices == sorted(indices)
 
 
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_partition_is_a_pure_function_of_the_key(mode):
+def test_partition_is_a_pure_function_of_the_key():
     """Two processes with the same plan must agree with no coordination."""
     configs = _configs(8)
-    plan_a, plan_b = ShardPlan(4, mode), ShardPlan(4, mode)
+    plan_a, plan_b = ShardPlan(4), ShardPlan(4)
     for config in configs:
         key = trial_key(config)
         assert plan_a.shard_of(key) == plan_b.shard_of(key)
 
 
-def test_range_mode_respects_hash_intervals():
-    plan = ShardPlan(4, "range")
-    ranges = [plan.hash_range(i) for i in range(4)]
-    # Contiguous, gap-free cover of the 64-bit space.
-    assert ranges[0][0] == 0
-    assert ranges[-1][1] == 1 << 64
-    for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
-        assert hi == lo
-    for config in _configs(10):
-        key = trial_key(config)
-        prefix = int(key[:16], 16)
-        lo, hi = ranges[plan.shard_of(key)]
-        assert lo <= prefix < hi
-
-
-def test_hash_range_rejected_in_hash_mode():
-    with pytest.raises(ShardPlanError):
-        ShardPlan(3, "hash").hash_range(0)
-
-
 def test_single_shard_plan_owns_everything():
-    plan = ShardPlan(1, "range")
-    assert plan.hash_range(0) == (0, 1 << 64)
+    plan = ShardPlan(1)
     for config in _configs(5):
         assert plan.shard_of(trial_key(config)) == 0
 
@@ -87,12 +64,10 @@ def test_single_shard_plan_owns_everything():
 def test_plan_validation():
     with pytest.raises(ShardPlanError):
         ShardPlan(0)
-    with pytest.raises(ShardPlanError):
-        ShardPlan(2, "modulo")
 
 
 def test_plan_round_trips_and_rejects_foreign_schema():
-    plan = ShardPlan(5, "range")
+    plan = ShardPlan(5)
     assert ShardPlan.from_dict(plan.to_dict()) == plan
     bad = dict(plan.to_dict(), schema=99)
     with pytest.raises(ShardPlanError):
@@ -113,7 +88,7 @@ def test_fingerprint_is_order_sensitive():
 
 def test_start_shard_registers_plan_and_fingerprint(tmp_path):
     configs = _configs(6)
-    plan = ShardPlan(2, "hash")
+    plan = ShardPlan(2)
     manifest, engine, subset = start_shard(tmp_path, configs, plan, 0,
                                            name="unit")
     manifest.close()
@@ -124,7 +99,7 @@ def test_start_shard_registers_plan_and_fingerprint(tmp_path):
     loaded = CampaignManifest.load(path)
     shard_info = loaded.header["meta"]["shard"]
     assert shard_info["shards"] == 2
-    assert shard_info["mode"] == "hash"
+    assert "mode" not in shard_info
     assert shard_info["index"] == 0
     assert shard_info["total"] == 6
     assert shard_info["indices"] == [i for i, _ in subset]
@@ -188,7 +163,7 @@ def test_reclaim_requeues_a_dead_claimants_shard(tmp_path):
 
 
 def test_claim_token_records_the_plan(tmp_path):
-    plan = ShardPlan(4, "range")
+    plan = ShardPlan(4)
     init_claims(tmp_path, plan)
     token = claims_dir(tmp_path) / "shard-000.todo"
     recorded = json.loads(token.read_text().strip())

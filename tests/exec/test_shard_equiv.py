@@ -62,7 +62,7 @@ def _crash_after_first_done(sdir):
 
 def test_crashed_and_resumed_shards_merge_byte_identical(tmp_path):
     labels, configs = _grid(6)
-    plan = ShardPlan(3, "hash")
+    plan = ShardPlan(3)
 
     # -- unsharded reference, traces on --------------------------------
     plain_root = tmp_path / "plain"

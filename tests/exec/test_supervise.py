@@ -1,10 +1,18 @@
 """Retry policy: deterministic backoff, quarantine, retry identity."""
 
 import json
+from concurrent.futures import Future
 
+import repro.exec.engine as engine_mod
+import repro.exec.supervise as supervise
 import repro.exec.worker as worker_mod
 from repro.exec.engine import CampaignEngine
-from repro.exec.supervise import RetryPolicy, backoff_delay, stall_budget
+from repro.exec.supervise import (
+    BACKOFF_CAP,
+    RetryPolicy,
+    backoff_delay,
+    stall_budget,
+)
 from repro.experiments.scenario import ScenarioConfig
 
 
@@ -18,32 +26,58 @@ def _config(seed=1):
 def test_backoff_is_deterministic_per_key_and_attempt():
     key = "ab" * 32
     for attempt in (2, 3, 4):
-        assert backoff_delay(key, attempt, 0.1, 30.0) == \
-            backoff_delay(key, attempt, 0.1, 30.0)
+        assert backoff_delay(key, attempt, 0.1) == \
+            backoff_delay(key, attempt, 0.1)
     # Different trials get different jitter (decorrelated retry storms).
-    assert backoff_delay("ab" * 32, 2, 0.1, 30.0) != \
-        backoff_delay("cd" * 32, 2, 0.1, 30.0)
+    assert backoff_delay("ab" * 32, 2, 0.1) != \
+        backoff_delay("cd" * 32, 2, 0.1)
 
 
 def test_backoff_grows_exponentially_and_caps():
     key = "ef" * 32
-    d2 = backoff_delay(key, 2, 0.1, 30.0)
-    d5 = backoff_delay(key, 5, 0.1, 30.0)
+    d2 = backoff_delay(key, 2, 0.1)
+    d5 = backoff_delay(key, 5, 0.1)
     assert 0.075 <= d2 <= 0.125  # base * U[0.75, 1.25)
     assert d5 > d2  # 2^3 growth dwarfs jitter wiggle
-    assert backoff_delay(key, 30, 0.1, 2.0) == 2.0  # cap wins eventually
+    assert backoff_delay(key, 30, 0.1) == BACKOFF_CAP  # cap wins eventually
 
 
 def test_backoff_disabled_cases():
-    assert backoff_delay("ab", 1, 0.1, 30.0) == 0.0  # first attempt
-    assert backoff_delay("ab", 5, 0.0, 30.0) == 0.0  # base 0 = off
-    assert backoff_delay(None, 5, 0.1, 30.0) >= 0.0  # keyless trials work
+    assert backoff_delay("ab", 1, 0.1) == 0.0  # first attempt
+    assert backoff_delay("ab", 5, 0.0) == 0.0  # base 0 = off
+    assert backoff_delay(None, 5, 0.1) >= 0.0  # keyless trials work
 
 
 def test_stall_budget_derivation():
-    assert stall_budget(None, None) is None  # can't tell slow from wedged
-    assert stall_budget(10.0, None) == 50.0  # 2*deadline + slack
-    assert stall_budget(10.0, 7.5) == 7.5  # explicit wins
+    assert stall_budget(None) is None  # can't tell slow from wedged
+    assert stall_budget(10.0) == 50.0  # 2*deadline + slack
+
+
+class _WedgedPool:
+    """A ProcessPoolExecutor stand-in whose futures never resolve, as if
+    every worker hung where the in-worker deadline cannot reach it."""
+
+    def __init__(self, max_workers=None, mp_context=None):
+        self.max_workers = max_workers
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+    def submit(self, fn, *args, **kwargs):
+        return Future()
+
+
+def test_wedged_worker_is_declared_stalled_then_fails(monkeypatch):
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", _WedgedPool)
+    monkeypatch.setattr(supervise, "STALL_SLACK", 0.0)
+    engine = CampaignEngine(jobs=2, timeout=0.05)  # stall budget 0.1 s
+    result = engine.run([_config()])
+    trial = result.trials[0]
+    assert result.failed == 1
+    assert trial.attempts == 2  # the stall was retried once
+    assert trial.error.startswith("stalled")
+    stalls = [w for w in engine.warnings if "stalled" in w]
+    assert len(stalls) == 2
 
 
 # -- policy ------------------------------------------------------------

@@ -3,25 +3,18 @@ protocol in the registry.
 
 A fixed-seed churn scenario (crash + reboot + blackout faults over
 RandomWaypoint motion, invariant monitor on) must produce byte-identical
-metric rows under ``channel_index="grid"`` and ``"scan"`` — same RNG draw
-order, same event interleaving, same counters.  The index choice *is*
-part of the serialized config identity (cache rows record how they were
-produced), which the key tests below pin from both directions.
+metric rows on the default :class:`~repro.net.spatial.GridIndex` and on
+the reference :class:`~repro.net.spatial.ScanIndex` — same RNG draw
+order, same event interleaving, same counters.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.exec import CampaignEngine, trial_key
-from repro.exec.worker import CHANNEL_INDEX_ENV
-from repro.experiments.scenario import (
-    PROTOCOLS,
-    ScenarioConfig,
-    run_scenario,
-)
+from repro.experiments.scenario import PROTOCOLS, Scenario, ScenarioConfig
 from repro.faults import FaultPlan, LinkBlackout, NodeCrash, NodeReboot
+from repro.net import GridIndex, ScanIndex
 
 
 def _churn_plan():
@@ -33,54 +26,20 @@ def _churn_plan():
     ])
 
 
-def _config(protocol, index, seed=7):
+def _config(protocol, seed=7):
     return ScenarioConfig(
         protocol=protocol, num_nodes=10, width=1000.0, height=400.0,
         num_flows=2, duration=10.0, pause_time=0.0, warmup=1.0, seed=seed,
         fault_plan=_churn_plan(), invariant_check=True,
-        channel_index=index,
     )
 
 
-def _row(config):
-    return json.dumps(run_scenario(config).as_dict(), sort_keys=True)
+def _row(config, index):
+    report = Scenario(config, index=index).run()
+    return json.dumps(report.as_dict(), sort_keys=True)
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_grid_and_scan_rows_byte_identical(protocol):
-    assert _row(_config(protocol, "grid")) == _row(_config(protocol, "scan"))
-
-
-def test_jobs_1_and_jobs_4_identical_for_both_backends():
-    configs = [_config("ldr", index, seed=s)
-               for index in ("grid", "scan") for s in (1, 2)]
-    serial = CampaignEngine(jobs=1).run_rows(configs)
-    parallel = CampaignEngine(jobs=4).run_rows(
-        [_config("ldr", index, seed=s)
-         for index in ("grid", "scan") for s in (1, 2)])
-    assert parallel == serial
-    # The rows themselves also agree across backends, pairwise by seed.
-    assert serial[0] == serial[2] and serial[1] == serial[3]
-
-
-def test_index_choice_is_cache_identity_but_nothing_else():
-    grid = _config("ldr", "grid")
-    scan = _config("ldr", "scan")
-    # Same trial, different provenance: distinct cache keys...
-    assert trial_key(grid) != trial_key(scan)
-    # ...and the serialized configs differ in exactly that one field.
-    grid_dict, scan_dict = grid.to_dict(), scan.to_dict()
-    assert grid_dict.pop("channel_index") == "grid"
-    assert scan_dict.pop("channel_index") == "scan"
-    assert grid_dict == scan_dict
-
-
-def test_env_override_forces_backend_without_changing_rows(monkeypatch):
-    # REPRO_CHANNEL_INDEX re-routes dispatched trials onto one backend
-    # (benchmarking/bisection seam).  Because the backends are
-    # observationally identical, the rows must not change.
-    baseline = CampaignEngine(jobs=1).run_rows([_config("ldr", "grid")])
-    monkeypatch.setenv(CHANNEL_INDEX_ENV, "scan")
-    forced = CampaignEngine(jobs=1).run_rows([_config("ldr", "grid")])
-    assert forced == baseline
-    assert os.environ[CHANNEL_INDEX_ENV] == "scan"  # seam was active
+    config = _config(protocol)
+    assert _row(config, GridIndex) == _row(config, ScanIndex)

@@ -1,29 +1,24 @@
-"""Acceptance: the scheduler backend is observationally inert, for every
-protocol in the registry.
+"""Acceptance: the scheduler is observationally inert, for every protocol
+in the registry.
 
-Sibling of ``test_index_determinism.py``, holding the event-kernel seam
-to the same bar the spatial-index seam met: a fixed-seed churn scenario
-(crash + reboot + blackout faults over RandomWaypoint motion, invariant
-monitor on) must produce byte-identical metric rows — and byte-identical
-trace artifacts — under ``scheduler="heap"`` and ``"calendar"``.  The
-backend choice *is* part of the serialized config identity (cache rows
-record how they were produced), pinned from both directions below.
+Sibling of ``test_index_determinism.py``, holding the event kernel to the
+same bar the spatial index met: a fixed-seed churn scenario (crash +
+reboot + blackout faults over RandomWaypoint motion, invariant monitor
+on) must produce byte-identical metric rows — and byte-identical trace
+artifacts — on the default :class:`~repro.sim.events.CalendarScheduler`
+and on the reference :class:`~repro.sim.events.EventScheduler`.
 """
 
 import json
-import os
 import pathlib
 
 import pytest
 
-from repro.exec import CampaignEngine, trial_key
-from repro.exec.worker import SCHEDULER_ENV, run_trial_payload
-from repro.experiments.scenario import (
-    PROTOCOLS,
-    ScenarioConfig,
-    run_scenario,
-)
+from repro.exec.worker import run_trial_payload
+from repro.experiments.scenario import PROTOCOLS, Scenario, ScenarioConfig
 from repro.faults import FaultPlan, LinkBlackout, NodeCrash, NodeReboot
+from repro.obs import trace_header, write_trace
+from repro.sim import CalendarScheduler, EventScheduler
 
 
 def _churn_plan():
@@ -35,87 +30,42 @@ def _churn_plan():
     ])
 
 
-def _config(protocol, backend, seed=7):
+def _config(protocol, seed=7):
     return ScenarioConfig(
         protocol=protocol, num_nodes=10, width=1000.0, height=400.0,
         num_flows=2, duration=10.0, pause_time=0.0, warmup=1.0, seed=seed,
         fault_plan=_churn_plan(), invariant_check=True,
-        scheduler=backend,
     )
 
 
-def _row(config):
-    return json.dumps(run_scenario(config).as_dict(), sort_keys=True)
+def _row(config, scheduler):
+    report = Scenario(config, scheduler=scheduler).run()
+    return json.dumps(report.as_dict(), sort_keys=True)
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_heap_and_calendar_rows_byte_identical(protocol):
-    assert _row(_config(protocol, "heap")) == _row(_config(protocol,
-                                                           "calendar"))
+    config = _config(protocol)
+    assert _row(config, EventScheduler) == _row(config, CalendarScheduler)
 
 
-def test_jobs_1_and_jobs_4_identical_for_both_backends():
-    configs = [_config("ldr", backend, seed=s)
-               for backend in ("calendar", "heap") for s in (1, 2)]
-    serial = CampaignEngine(jobs=1).run_rows(configs)
-    parallel = CampaignEngine(jobs=4).run_rows(
-        [_config("ldr", backend, seed=s)
-         for backend in ("calendar", "heap") for s in (1, 2)])
-    assert parallel == serial
-    # The rows themselves also agree across backends, pairwise by seed.
-    assert serial[0] == serial[2] and serial[1] == serial[3]
-
-
-def test_scheduler_choice_is_cache_identity_but_nothing_else():
-    calendar = _config("ldr", "calendar")
-    heap = _config("ldr", "heap")
-    # Same trial, different provenance: distinct cache keys...
-    assert trial_key(calendar) != trial_key(heap)
-    # ...and the serialized configs differ in exactly that one field.
-    cal_dict, heap_dict = calendar.to_dict(), heap.to_dict()
-    assert cal_dict.pop("scheduler") == "calendar"
-    assert heap_dict.pop("scheduler") == "heap"
-    assert cal_dict == heap_dict
-
-
-def test_env_override_forces_backend_without_changing_rows(monkeypatch):
-    # REPRO_SCHEDULER re-routes dispatched trials onto one backend
-    # (benchmarking/bisection seam).  Because the backends are
-    # observationally identical, the rows must not change.
-    baseline = CampaignEngine(jobs=1).run_rows([_config("ldr", "calendar")])
-    monkeypatch.setenv(SCHEDULER_ENV, "heap")
-    forced = CampaignEngine(jobs=1).run_rows([_config("ldr", "calendar")])
-    assert forced == baseline
-    assert os.environ[SCHEDULER_ENV] == "heap"  # seam was active
-
-
-def test_trace_artifacts_byte_identical_across_backends(tmp_path,
-                                                        monkeypatch):
+def test_trace_artifacts_byte_identical_across_backends(tmp_path):
     # Trace files are deterministic (repro.obs.writer), so they extend
-    # row identity down to the full event stream.  Two probes:
-    #  1. Backend in the config — headers legitimately differ in the
-    #     ``scheduler`` field, every event line must still match.
-    #  2. Env seam: forcing heap over a calendar config must reproduce
-    #     the heap-config trace byte for byte, header included — the
-    #     header records the backend that actually ran.
-    def _trace(name, backend, env=None):
-        path = tmp_path / name
-        if env:
-            monkeypatch.setenv(SCHEDULER_ENV, env)
-        else:
-            monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        outcome = run_trial_payload({
-            "config": _config("aodv", backend).to_dict(),
-            "trace": str(path),
-        })
-        assert outcome["ok"], outcome.get("error")
-        return pathlib.Path(outcome["trace"]).read_bytes()
+    # row identity down to the full event stream.  The artifact a
+    # campaign worker writes (default kernel) must equal, header
+    # included, the one the reference heap produces for the same config.
+    outcome = run_trial_payload({
+        "config": _config("aodv").to_dict(),
+        "trace": str(tmp_path / "calendar.trace.jsonl"),
+    })
+    assert outcome["ok"], outcome.get("error")
+    calendar = pathlib.Path(outcome["trace"]).read_bytes()
 
-    calendar = _trace("cal.trace.jsonl", "calendar")
-    heap = _trace("heap.trace.jsonl", "heap")
-    cal_lines, heap_lines = calendar.splitlines(), heap.splitlines()
-    assert cal_lines[0] != heap_lines[0]  # provenance recorded faithfully
-    assert cal_lines[1:] == heap_lines[1:]
-
-    forced_heap = _trace("forced.trace.jsonl", "calendar", env="heap")
-    assert forced_heap == heap
+    scenario = Scenario(_config("aodv").replaced(trace=True),
+                        scheduler=EventScheduler)
+    scenario.run()
+    heap_path = tmp_path / "heap.trace.jsonl"
+    write_trace(heap_path, scenario.trace, header=trace_header(
+        config=scenario.config,
+        destinations=sorted(scenario.traffic.destinations_used())))
+    assert heap_path.read_bytes() == calendar

@@ -1,7 +1,7 @@
 """Tests for the optional gray-zone (lossy edge) channel model."""
 
 from repro.mobility import StaticPlacement
-from repro.net import Node, WirelessChannel
+from repro.net import GridIndex, Node, ScanIndex, WirelessChannel
 from repro.net.packet import Frame, Packet
 from repro.sim import Simulator
 
@@ -119,7 +119,7 @@ def test_gray_zone_losses_identical_across_index_backends():
     # Same seed, same geometry: the per-reception draw sequence (and so
     # the exact set of lost frames) must not depend on the index backend.
     outcomes = {}
-    for index in ("scan", "grid"):
+    for index in (ScanIndex, GridIndex):
         sim = Simulator(seed=9)
         channel = WirelessChannel(
             sim, StaticPlacement({0: (0, 0), 1: (250, 0), 2: (265, 0)}),
@@ -135,8 +135,8 @@ def test_gray_zone_losses_identical_across_index_backends():
             channel.transmit(Frame(Packet(), 0, None), duration=1e-4)
             sim.run(until=sim.now + 0.01)
         outcomes[index] = (len(sinks[1].received), len(sinks[2].received))
-    assert outcomes["grid"] == outcomes["scan"]
-    assert 0 < outcomes["grid"][1] < 80  # the band actually lost frames
+    assert outcomes[GridIndex] == outcomes[ScanIndex]
+    assert 0 < outcomes[GridIndex][1] < 80  # the band actually lost frames
 
 
 def test_trace_json_roundtrip():

@@ -11,11 +11,16 @@ import pytest
 from repro.mobility import RandomWaypoint, StaticPlacement
 from repro.net import Node, WirelessChannel
 from repro.net.packet import Frame, Packet
-from repro.net.spatial import BUCKET_SLACK, CELL_MARGIN, make_index
+from repro.net.spatial import BUCKET_SLACK, CELL_MARGIN, GridIndex, ScanIndex
 from repro.sim import Simulator
 
+#: Both index classes, with readable test ids.
+INDEXES = [pytest.param(ScanIndex, id="scan"),
+           pytest.param(GridIndex, id="grid")]
 
-def _world(placement, index="grid", transmission_range=275.0, gray_zone=0.0):
+
+def _world(placement, index=GridIndex, transmission_range=275.0,
+           gray_zone=0.0):
     sim = Simulator(seed=3)
     channel = WirelessChannel(sim, placement,
                               transmission_range=transmission_range,
@@ -59,33 +64,16 @@ class CountingMobility:
 
 
 # ---------------------------------------------------------------------------
-# Construction / registry
-# ---------------------------------------------------------------------------
-
-def test_make_index_rejects_unknown_backend():
-    sim = Simulator(seed=1)
-    placement = StaticPlacement.line(2)
-    with pytest.raises(ValueError, match="unknown channel index"):
-        make_index("quadtree", sim, placement, 275.0)
-
-
-def test_channel_rejects_unknown_backend():
-    sim = Simulator(seed=1)
-    with pytest.raises(ValueError, match="unknown channel index"):
-        WirelessChannel(sim, StaticPlacement.line(2), index="nope")
-
-
-# ---------------------------------------------------------------------------
 # Ordering: results come back in channel-attach order, not id order
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("index_name", ["scan", "grid"])
-def test_results_preserve_attach_order(index_name):
+@pytest.mark.parametrize("index_cls", INDEXES)
+def test_results_preserve_attach_order(index_cls):
     # Attach ids out of numeric order; both backends must echo that order.
     sim = Simulator(seed=1)
     placement = StaticPlacement({7: (0.0, 0.0), 3: (50.0, 0.0),
                                  9: (100.0, 0.0), 1: (150.0, 0.0)})
-    index = make_index(index_name, sim, placement, 275.0)
+    index = index_cls(sim, placement, 275.0)
     for nid in (7, 3, 9, 1):
         index.attach(nid)
     assert index.near(7, 0.0) == [3, 9, 1]
@@ -98,8 +86,8 @@ def test_grid_order_matches_scan_when_nodes_span_cells():
     sim = Simulator(seed=1)
     positions = {nid: (nid * 260.0, 0.0) for nid in (5, 2, 8, 0, 6, 3)}
     placement = StaticPlacement(positions)
-    scan = make_index("scan", sim, placement, 275.0)
-    grid = make_index("grid", sim, placement, 275.0)
+    scan = ScanIndex(sim, placement, 275.0)
+    grid = GridIndex(sim, placement, 275.0)
     for nid in positions:
         scan.attach(nid)
         grid.attach(nid)
@@ -111,32 +99,32 @@ def test_grid_order_matches_scan_when_nodes_span_cells():
 # Boundary geometry
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("index_name", ["scan", "grid"])
-def test_distance_exactly_range_is_in_range(index_name):
+@pytest.mark.parametrize("index_cls", INDEXES)
+def test_distance_exactly_range_is_in_range(index_cls):
     # The unit disk is closed: distance == range counts.  The grid must
     # find the neighbor even when it sits exactly on a cell boundary.
     placement = StaticPlacement({0: (0.0, 0.0), 1: (275.0, 0.0),
                                  2: (275.0000001, 0.0)})
-    sim, channel, nodes = _world(placement, index=index_name)
+    sim, channel, nodes = _world(placement, index=index_cls)
     assert channel.neighbors_of(0) == [1]
     assert channel.in_range(0, 1)
     assert not channel.in_range(0, 2)
 
 
-@pytest.mark.parametrize("index_name", ["scan", "grid"])
-def test_negative_coordinates(index_name):
+@pytest.mark.parametrize("index_cls", INDEXES)
+def test_negative_coordinates(index_cls):
     placement = StaticPlacement({0: (-400.0, -400.0), 1: (-350.0, -400.0),
                                  2: (400.0, 400.0)})
-    sim, channel, nodes = _world(placement, index=index_name)
+    sim, channel, nodes = _world(placement, index=index_cls)
     assert channel.neighbors_of(0) == [1]
     assert channel.neighbors_of(2) == []
 
 
-@pytest.mark.parametrize("index_name", ["scan", "grid"])
-def test_zero_range_degenerates_to_colocation(index_name):
+@pytest.mark.parametrize("index_cls", INDEXES)
+def test_zero_range_degenerates_to_colocation(index_cls):
     placement = StaticPlacement({0: (10.0, 10.0), 1: (10.0, 10.0),
                                  2: (10.0, 10.1)})
-    sim, channel, nodes = _world(placement, index=index_name,
+    sim, channel, nodes = _world(placement, index=index_cls,
                                  transmission_range=0.0)
     assert channel.neighbors_of(0) == [1]
 
@@ -148,7 +136,7 @@ def test_cell_margin_covers_range_boundary_in_any_cell_phase():
     for offset in (0.0, 1e-9, 137.4999, 274.999999, 275.0 * CELL_MARGIN):
         placement = StaticPlacement({0: (offset, 0.0),
                                      1: (offset + 275.0, 0.0)})
-        grid = make_index("grid", sim, placement, 275.0)
+        grid = GridIndex(sim, placement, 275.0)
         grid.attach(0)
         grid.attach(1)
         assert grid.near(0, 0.0) == [1], "lost at offset %r" % offset
@@ -158,10 +146,10 @@ def test_cell_margin_covers_range_boundary_in_any_cell_phase():
 # Fault overlays stay in the channel (all-dead / all-denied neighborhoods)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("index_name", ["scan", "grid"])
-def test_all_dead_neighborhood_is_empty_but_index_unchanged(index_name):
+@pytest.mark.parametrize("index_cls", INDEXES)
+def test_all_dead_neighborhood_is_empty_but_index_unchanged(index_cls):
     placement = StaticPlacement.star(4, radius=100.0)
-    sim, channel, nodes = _world(placement, index=index_name)
+    sim, channel, nodes = _world(placement, index=index_cls)
     for leaf in (1, 2, 3, 4):
         nodes[leaf].alive = False
     assert channel.neighbors_of(0) == []
@@ -169,10 +157,10 @@ def test_all_dead_neighborhood_is_empty_but_index_unchanged(index_name):
     assert channel.index.near(0, sim.now) == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("index_name", ["scan", "grid"])
-def test_all_denied_neighborhood_is_empty_but_index_unchanged(index_name):
+@pytest.mark.parametrize("index_cls", INDEXES)
+def test_all_denied_neighborhood_is_empty_but_index_unchanged(index_cls):
     placement = StaticPlacement.star(4, radius=100.0)
-    sim, channel, nodes = _world(placement, index=index_name)
+    sim, channel, nodes = _world(placement, index=index_cls)
     for leaf in (1, 2, 3, 4):
         channel.deny_link(0, leaf)
     assert channel.neighbors_of(0) == []
@@ -187,7 +175,7 @@ def test_all_denied_neighborhood_is_empty_but_index_unchanged(index_name):
 
 def test_static_move_invalidates_immediately():
     placement = StaticPlacement({0: (0.0, 0.0), 1: (100.0, 0.0)})
-    sim, channel, nodes = _world(placement, index="grid")
+    sim, channel, nodes = _world(placement, index=GridIndex)
     assert channel.neighbors_of(0) == [1]
     placement.move(1, 5000.0, 0.0)  # version bump, same event, same time
     assert channel.neighbors_of(0) == []
@@ -197,7 +185,7 @@ def test_static_move_invalidates_immediately():
 
 def test_static_placement_builds_once_across_queries():
     placement = StaticPlacement.grid(4, 4, spacing=150.0)
-    sim, channel, nodes = _world(placement, index="grid")
+    sim, channel, nodes = _world(placement, index=GridIndex)
     for _ in range(5):
         for nid in placement.node_ids():
             channel.neighbors_of(nid)
@@ -211,7 +199,7 @@ def test_attach_forces_rebucket():
     placement = StaticPlacement({0: (0.0, 0.0), 1: (100.0, 0.0),
                                  2: (120.0, 0.0)})
     sim = Simulator(seed=3)
-    channel = WirelessChannel(sim, placement, index="grid")
+    channel = WirelessChannel(sim, placement, index=GridIndex)
     node0 = Node(sim, 0, channel)
     node1 = Node(sim, 1, channel)
     assert channel.neighbors_of(0) == [1]
@@ -229,7 +217,7 @@ def _listed(index, node_id):
 def test_candidate_lists_rebuilt_after_static_move():
     placement = StaticPlacement({0: (0.0, 0.0), 1: (5000.0, 0.0),
                                  2: (100.0, 0.0)})
-    sim, channel, nodes = _world(placement, index="grid")
+    sim, channel, nodes = _world(placement, index=GridIndex)
     assert channel.neighbors_of(0) == [2]
     assert _listed(channel.index, 0) == [2]
     placement.move(1, 50.0, 0.0)  # version bump, same event, same time
@@ -265,7 +253,7 @@ def test_candidate_lists_rebuilt_when_snapshot_expires():
     sim = Simulator(seed=1)
     reach = 275.0 * CELL_MARGIN * (1.0 + 2.0 * (BUCKET_SLACK - 1.0))
     mobility = _Approach(x0=reach + 1.0, max_speed=20.0)
-    index = make_index("grid", sim, mobility, 275.0)
+    index = GridIndex(sim, mobility, 275.0)
     index.attach(0)
     index.attach(1)
     limit = index._bucket_limit
@@ -285,7 +273,7 @@ def test_near_for_unattached_node_matches_scan(mobile):
     # A node the index never saw has no snapshot position (and no list);
     # its query must still answer exactly what the reference scan does.
     indexes = {}
-    for name in ("scan", "grid"):
+    for index_cls in (ScanIndex, GridIndex):
         sim = Simulator(seed=9)
         if mobile:
             mobility = RandomWaypoint(12, 900.0, 300.0, pause_time=0.0,
@@ -294,14 +282,14 @@ def test_near_for_unattached_node_matches_scan(mobile):
         else:
             mobility = StaticPlacement(
                 {nid: (90.0 * nid, 40.0 * (nid % 2)) for nid in range(12)})
-        index = make_index(name, sim, mobility, 275.0)
+        index = index_cls(sim, mobility, 275.0)
         for nid in range(11):  # node 11 is never attached
             index.attach(nid)
-        indexes[name] = index
+        indexes[index_cls] = index
     for t in (2.0, 2.4, 3.1, 9.0):
-        indexes["grid"].near(0, t)  # build (or reuse) the snapshot first
-        scan = indexes["scan"].near(11, t)
-        assert indexes["grid"].near(11, t) == scan
+        indexes[GridIndex].near(0, t)  # build (or reuse) the snapshot first
+        scan = indexes[ScanIndex].near(11, t)
+        assert indexes[GridIndex].near(11, t) == scan
         assert scan, "node 11 should have attached neighbors at t=%g" % t
 
 
@@ -312,7 +300,7 @@ def test_speed_bounded_buckets_survive_across_events():
     mobility = RandomWaypoint(30, 1200.0, 240.0, max_speed=20.0,
                               pause_time=0.0, duration=60.0,
                               rng=sim.stream("mobility"))
-    channel = WirelessChannel(sim, mobility, index="grid")
+    channel = WirelessChannel(sim, mobility, index=GridIndex)
     nodes = [Node(sim, nid, channel) for nid in mobility.node_ids()]
     slack_window = channel.index._bucket_limit
     assert slack_window == pytest.approx(
@@ -352,7 +340,7 @@ def test_unknown_motion_law_is_reconsulted_every_event():
 
     mobility = TeleportingMobility()
     sim = Simulator(seed=1)
-    channel = WirelessChannel(sim, mobility, index="grid")
+    channel = WirelessChannel(sim, mobility, index=GridIndex)
     nodes = [Node(sim, nid, channel) for nid in mobility.node_ids()]
     results = []
 
@@ -374,12 +362,12 @@ def test_unknown_motion_law_is_reconsulted_every_event():
 # The transmit snapshot guarantee (one mobility lookup per node per tx)
 # ---------------------------------------------------------------------------
 
-def _transmit_world(index_name, num_nodes=24):
+def _transmit_world(index_cls, num_nodes=24):
     sim = Simulator(seed=11)
     inner = RandomWaypoint(num_nodes, 900.0, 500.0, pause_time=0.0,
                            duration=30.0, rng=sim.stream("mobility"))
     mobility = CountingMobility(inner)
-    channel = WirelessChannel(sim, mobility, gray_zone=0.2, index=index_name)
+    channel = WirelessChannel(sim, mobility, gray_zone=0.2, index=index_cls)
     nodes = [Node(sim, nid, channel) for nid in mobility.node_ids()]
     sim.run(until=1.0)
     return sim, channel, mobility, nodes
@@ -387,7 +375,7 @@ def _transmit_world(index_name, num_nodes=24):
 
 @pytest.mark.parametrize("is_broadcast", [True, False])
 def test_grid_transmit_consults_mobility_at_most_once_per_node(is_broadcast):
-    sim, channel, mobility, nodes = _transmit_world("grid")
+    sim, channel, mobility, nodes = _transmit_world(GridIndex)
     link_dst = None if is_broadcast else 1
     mobility.reset()
     channel.transmit(Frame(Packet(), sender=0, link_dst=link_dst),
@@ -402,7 +390,7 @@ def test_scan_transmit_repeats_lookups_so_the_guarantee_is_meaningful():
     # The reference scan recomputes positions per query (sender coverage +
     # virtual CTS): without the grid's memo some node is consulted more
     # than once, which is exactly the regression the test above pins.
-    sim, channel, mobility, nodes = _transmit_world("scan")
+    sim, channel, mobility, nodes = _transmit_world(ScanIndex)
     mobility.reset()
     channel.transmit(Frame(Packet(), sender=0, link_dst=1), duration=1e-3)
     assert max(mobility.counts.values()) >= 2
@@ -410,7 +398,7 @@ def test_scan_transmit_repeats_lookups_so_the_guarantee_is_meaningful():
 
 def test_grid_point_queries_do_not_build_buckets():
     # in_range-style point lookups must stay O(1): no bucket construction.
-    sim, channel, mobility, nodes = _transmit_world("grid")
+    sim, channel, mobility, nodes = _transmit_world(GridIndex)
     builds_before = channel.index.builds
     mobility.reset()
     channel.in_range(0, 1)

@@ -18,7 +18,7 @@ import pytest
 from repro.mobility import RandomWaypoint, StaticPlacement
 from repro.net import Node, WirelessChannel
 from repro.net.packet import Frame, Packet
-from repro.net.spatial import LIST_BLOCK
+from repro.net.spatial import LIST_BLOCK, GridIndex, ScanIndex
 from repro.sim import Simulator
 
 RANGE = 275.0
@@ -63,14 +63,14 @@ def _apply_overlays(rng, channel, nodes):
 
 def _compare_worlds(case_seed, mobility_factory, times, label):
     worlds = {}
-    for index in ("scan", "grid"):
+    for index in (ScanIndex, GridIndex):
         rng = random.Random(case_seed)  # identical overlay derivation
         sim, channel, nodes = _build_world(index, mobility_factory,
                                            seed=case_seed & 0x7FFFFFFF)
         _apply_overlays(rng, channel, nodes)
         worlds[index] = (sim, channel, nodes)
-    _, scan_channel, scan_nodes = worlds["scan"]
-    _, grid_channel, _ = worlds["grid"]
+    _, scan_channel, scan_nodes = worlds[ScanIndex]
+    _, grid_channel, _ = worlds[GridIndex]
     ids = sorted(scan_nodes)
     for t in times:
         for nid in ids:
@@ -169,8 +169,8 @@ def _skin_edge_sweep(master_seed, cases):
 
         worlds = {index: _build_world(index, mobility_factory,
                                       seed=case_seed & 0x7FFFFFFF)[1].index
-                  for index in ("scan", "grid")}
-        grid = worlds["grid"]
+                  for index in (ScanIndex, GridIndex)}
+        grid = worlds[GridIndex]
         limit = grid._bucket_limit
         t0 = case_rng.uniform(limit, 40.0 - limit)
         grid.near(0, t0)  # the one snapshot every query below reuses
@@ -178,7 +178,7 @@ def _skin_edge_sweep(master_seed, cases):
             trial, case_seed, num_nodes, speed)
         for t in _snapshot_edge_times(t0, limit) + [t0]:
             for nid in range(num_nodes):
-                scan = worlds["scan"].near(nid, t)
+                scan = worlds[ScanIndex].near(nid, t)
                 assert grid.near(nid, t) == scan, (
                     "%s: near(%d, t0%+g) diverged" % (label, nid, t - t0))
         assert grid.builds == 1, label
@@ -204,7 +204,7 @@ def test_transmit_streams_identical_under_gray_zone_and_faults():
                               duration=30.0, rng=sim.stream("mobility"))
 
     logs = {}
-    for index in ("scan", "grid"):
+    for index in (ScanIndex, GridIndex):
         sim, channel, nodes = _build_world(index, mobility_factory,
                                            seed=77, gray_zone=0.25)
         log = []
@@ -230,5 +230,5 @@ def test_transmit_streams_identical_under_gray_zone_and_faults():
             at += seq_rng.uniform(0.005, 0.2)
         sim.run(until=at + 1.0)
         logs[index] = log
-    assert logs["grid"] == logs["scan"]
-    assert any(entry[0] == "rx" for entry in logs["grid"])
+    assert logs[GridIndex] == logs[ScanIndex]
+    assert any(entry[0] == "rx" for entry in logs[GridIndex])

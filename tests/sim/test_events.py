@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import SCHEDULER_BACKENDS, EventScheduler, make_scheduler
+from repro.sim.events import EventScheduler
 
 
 def test_events_fire_in_time_order():
@@ -106,9 +106,8 @@ def test_events_scheduled_during_run_execute():
     assert sched.now == 3.0
 
 
-@pytest.mark.parametrize("backend", sorted(SCHEDULER_BACKENDS))
-def test_step_returns_false_when_empty(backend):
-    sched = make_scheduler(backend)
+def test_step_returns_false_when_empty(scheduler_cls):
+    sched = scheduler_cls()
     assert sched.step() is False
     sched.schedule(1.0, lambda: None)
     assert sched.step() is True
@@ -136,13 +135,12 @@ def test_max_events_bounds_execution():
     assert len(fired) == 5
 
 
-@pytest.mark.parametrize("backend", sorted(SCHEDULER_BACKENDS))
-def test_max_events_counts_dispatched_not_drained(backend):
+def test_max_events_counts_dispatched_not_drained(scheduler_cls):
     # Regression: ``run(max_events=N)`` bounds *dispatched callbacks*.
     # Cancelled events drained from the queue on the way must not eat
     # into the budget (the old loop counted every pop, so a burst of
     # cancellations could stall a bounded run before it fired anything).
-    sched = make_scheduler(backend)
+    sched = scheduler_cls()
     fired = []
     doomed = [sched.schedule(0.5, fired.append, "dead") for _ in range(5)]
     for event in doomed:
@@ -155,9 +153,8 @@ def test_max_events_counts_dispatched_not_drained(backend):
     assert sched.now == 2.0
 
 
-@pytest.mark.parametrize("backend", sorted(SCHEDULER_BACKENDS))
-def test_max_events_zero_fires_nothing(backend):
-    sched = make_scheduler(backend)
+def test_max_events_zero_fires_nothing(scheduler_cls):
+    sched = scheduler_cls()
     fired = []
     sched.schedule(1.0, fired.append, "x")
     sched.run(max_events=0)

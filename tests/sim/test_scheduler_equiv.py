@@ -18,10 +18,7 @@ import random
 
 import pytest
 
-from repro.sim import Simulator, Timer
-from repro.sim.events import SCHEDULER_BACKENDS, make_scheduler
-
-BACKENDS = sorted(SCHEDULER_BACKENDS)
+from repro.sim import CalendarScheduler, EventScheduler, Simulator, Timer
 
 # A coarse delay grid keeps plenty of exact ties (the FIFO tie-break is
 # the property most worth fuzzing) while still spreading events across
@@ -29,7 +26,7 @@ BACKENDS = sorted(SCHEDULER_BACKENDS)
 _DELAYS = (0.0, 0.0, 0.001, 0.001, 0.01, 0.03125, 0.2, 0.2, 1.0, 3.0, 17.5)
 
 
-def _fuzz_log(backend, seed, steps):
+def _fuzz_log(scheduler_cls, seed, steps):
     """Replay one seeded random scheduler program; return its trace.
 
     All randomness is drawn from a private ``random.Random(seed)`` in
@@ -38,7 +35,7 @@ def _fuzz_log(backend, seed, steps):
     shows up as differing logs (the assertion), never as flakiness.
     """
     rng = random.Random(seed)
-    sim = Simulator(seed=0, scheduler=backend)
+    sim = Simulator(seed=0, scheduler=scheduler_cls)
     sched = sim.scheduler
     log = []
     handles = []  # every Event ever scheduled (fired or not) — cancel fuzz
@@ -93,20 +90,21 @@ def _fuzz_log(backend, seed, steps):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_backends_agree_on_random_programs(seed):
-    assert _fuzz_log("heap", seed, 150) == _fuzz_log("calendar", seed, 150)
+    assert _fuzz_log(EventScheduler, seed, 150) == \
+        _fuzz_log(CalendarScheduler, seed, 150)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(8, 72))
 def test_backends_agree_wide_sweep(seed):
-    assert _fuzz_log("heap", seed, 400) == _fuzz_log("calendar", seed, 400)
+    assert _fuzz_log(EventScheduler, seed, 400) == \
+        _fuzz_log(CalendarScheduler, seed, 400)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_simultaneous_events_fire_fifo_across_rungs(backend):
+def test_simultaneous_events_fire_fifo_across_rungs(scheduler_cls):
     # 500 events at one instant overflow a single calendar bucket and
     # force rung splits; insertion order must still be the fire order.
-    sched = make_scheduler(backend)
+    sched = scheduler_cls()
     fired = []
     for i in range(500):
         sched.schedule(1.0, fired.append, i)
@@ -114,11 +112,10 @@ def test_simultaneous_events_fire_fifo_across_rungs(backend):
     assert fired == list(range(500))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_interleaved_ties_preserve_global_seq_order(backend):
+def test_interleaved_ties_preserve_global_seq_order(scheduler_cls):
     # Ties created before, during, and after partial runs still honor the
     # global sequence numbering, including events scheduled mid-dispatch.
-    sched = make_scheduler(backend)
+    sched = scheduler_cls()
     fired = []
     sched.schedule(2.0, fired.append, "a")
     sched.schedule(2.0, lambda: (fired.append("b"),
@@ -133,7 +130,7 @@ def test_calendar_rung_split_keeps_time_order():
     # A dense far-future cluster inside one bucket of a wide rung forces
     # the recursive rung *split* (distinct times, > _SPLIT_THRESHOLD
     # entries): everything must still fire in exact (time, seq) order.
-    sched = make_scheduler("calendar")
+    sched = CalendarScheduler()
     fired = []
     sched.schedule(0.5, fired.append, 0.5)
     for i in range(60):
@@ -145,14 +142,8 @@ def test_calendar_rung_split_keeps_time_order():
     assert len(fired) == 62 and sched.pending_count() == 0
 
 
-def test_registry_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        make_scheduler("wheel-of-fortune")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_schedule_reserved_rejects_past_times(backend):
-    sched = make_scheduler(backend)
+def test_schedule_reserved_rejects_past_times(scheduler_cls):
+    sched = scheduler_cls()
     sched.schedule(1.0, lambda: None)
     sched.run()
     assert sched.now == 1.0

@@ -3,9 +3,6 @@
 import pytest
 
 from repro.sim import Simulator, Timer
-from repro.sim.events import SCHEDULER_BACKENDS
-
-BACKENDS = sorted(SCHEDULER_BACKENDS)
 
 
 def test_timer_fires_after_delay():
@@ -87,12 +84,11 @@ def test_negative_start_and_restart_rejected():
     assert not timer.armed
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_restart_storm_keeps_one_queued_entry(backend):
+def test_restart_storm_keeps_one_queued_entry(scheduler_cls):
     # The whole point of the deferred re-arm: 10^4 deadline extensions
     # leave exactly ONE entry in the queue (the carrier), not 10^4
     # cancelled tombstones for the dispatch loop to drain later.
-    sim = Simulator(scheduler=backend)
+    sim = Simulator(scheduler=scheduler_cls)
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     timer.start(1.0)
@@ -105,9 +101,8 @@ def test_restart_storm_keeps_one_queued_entry(backend):
     assert fired == [deadline]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_restart_to_earlier_deadline_requeues(backend):
-    sim = Simulator(scheduler=backend)
+def test_restart_to_earlier_deadline_requeues(scheduler_cls):
+    sim = Simulator(scheduler=scheduler_cls)
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     timer.start(5.0)

@@ -32,8 +32,8 @@ def test_profile_writes_flame_file(capsys, tmp_path):
     assert "sim.events_dispatched" in captured.err
 
 
-def test_profile_scheduler_flag_accepted(capsys):
-    assert main(["profile", "--scheduler", "heap", "--top", "3"] + TINY) == 0
+def test_profile_prints_top_stacks(capsys):
+    assert main(["profile", "--top", "3"] + TINY) == 0
     assert "sim.events_dispatched" in capsys.readouterr().err
 
 
@@ -51,6 +51,13 @@ def test_audit_reports_loop_freedom(capsys):
     assert main(["audit"] + TINY) == 0
     out = capsys.readouterr().out
     assert "YES" in out
+
+
+def test_audit_honours_protocol(capsys):
+    assert main(["audit", "--protocol", "aodv"] + TINY) == 0
+    out = capsys.readouterr().out
+    assert "AODV loop-free   : YES" in out
+    assert "LDR" not in out
 
 
 def test_audit_reports_breach_and_exits_nonzero(capsys, monkeypatch):
