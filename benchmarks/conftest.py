@@ -1,9 +1,10 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one table or figure from the paper's
-evaluation (Section 4).  By default the campaigns are *scaled down* so the
-whole suite runs in minutes on a laptop; set environment variables to
-approach the paper's full scale:
+``bench_paper.py`` regenerates the paper's evaluation (Section 4, Table 1
+and Figures 2–7) from one run of the paper grid; ``bench_ablation.py`` and
+``bench_oracle.py`` measure the extensions.  By default the campaigns are
+*scaled down* so the whole suite runs in minutes on a laptop; set
+environment variables to approach the paper's full scale:
 
 * ``REPRO_PAPER_SCALE=1`` — 900-second runs, 10 trials, the full pause
   sweep (hours of wall-clock on one core — combine with

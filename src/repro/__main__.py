@@ -13,8 +13,9 @@ profile       run one scenario under the wall-clock stack sampler;
 compare       several protocols on the identical workload
 table1        regenerate Table 1 for a flow count
 figure        regenerate one of Figures 2-7
-campaign      named extra campaigns (``churn``: crash/reboot/partition
-              grids over LDR vs AODV vs DSR with the monitor on;
+campaign      named grids (``paper``: Table 1 and Figures 2-7 from one
+              grid; ``churn``: crash/reboot/partition grids over LDR vs
+              AODV vs DSR with the monitor on);
               ``--trace [DIR]`` keeps a per-trial JSONL trace artifact;
               ``--journal DIR`` journals the run crash-tolerantly and
               ``campaign resume DIR`` continues it after a crash,
@@ -68,19 +69,14 @@ from repro.experiments import (
 )
 from repro.experiments.campaigns import (
     Campaign,
-    aggregate_churn,
-    format_churn,
-    run_churn,
-    run_churn_shard,
+    GridMismatchError,
+    run_grid,
+    run_grid_shards,
 )
-from repro.faults import FaultPlan, FaultPlanError
-from repro.experiments.figures import (
-    figure_delivery,
-    figure_qualnet_crosscheck,
-    figure_seqno,
-    format_series,
-)
+from repro.experiments.figures import FIGURES
+from repro.experiments.grids import GRIDS
 from repro.experiments.tables import format_table1, table1
+from repro.faults import FaultPlan
 from repro.routing import LoopError
 
 
@@ -233,25 +229,14 @@ def cmd_table1(args):
 
 
 def cmd_figure(args):
-    campaign = _campaign_from(args)
-    figures = {
-        "fig2": lambda: figure_delivery(50, 10, campaign=campaign),
-        "fig3": lambda: figure_delivery(50, 30, campaign=campaign),
-        "fig4": lambda: figure_delivery(100, 10, campaign=campaign),
-        "fig5": lambda: figure_delivery(100, 30, campaign=campaign),
-        "fig6": lambda: figure_qualnet_crosscheck(campaign=campaign),
-        "fig7": lambda: figure_seqno(campaign=campaign),
-    }
-    series = figures[args.name]()
-    ylabel = "mean destination seqno" if args.name == "fig7" else "delivery ratio"
-    print(format_series(series, "Figure %s" % args.name[3:], ylabel=ylabel))
+    figure = FIGURES[args.name]
+    print(figure.render(figure.run(_campaign_from(args))))
     return 0
 
 
-def _report_churn(labels, result, manifest=None):
-    """Render a churn result: table, quarantine report, resume hint."""
-    table = aggregate_churn(labels, result)
-    print(format_churn(table))
+def _report_grid(grid, labels, result, manifest=None):
+    """Render a grid run: table, quarantine report, resume hint."""
+    print(grid.render(labels, result.trials))
     quarantined = result.quarantined()
     if quarantined:
         print("\n%d trial(s) quarantined after repeated failure:"
@@ -281,7 +266,8 @@ def _report_churn(labels, result, manifest=None):
                      last[-1] if last else "(no error recorded)"),
                   file=sys.stderr)
         return 1
-    total = sum(row["invariant_violations"] for row in table)
+    total = sum(trial.row["invariant_violations"]
+                for trial in result.completed())
     if total:
         print("\n%d invariant violation(s) across the campaign"
               % total, file=sys.stderr)
@@ -306,9 +292,9 @@ def _cmd_campaign_resume(args):
               "the transition it described was re-derived", file=sys.stderr)
     meta = manifest.header.get("meta", {})
     labels = [tuple(label) for label in meta.get("labels", [])]
-    if manifest.header.get("name") == "churn" \
-            and len(labels) == len(result.trials):
-        return _report_churn(labels, result, manifest)
+    grid = GRIDS.get(manifest.header.get("name"))
+    if grid is not None and len(labels) == len(result.trials):
+        return _report_grid(grid, labels, result, manifest)
     # A journal without table metadata still resumes; report coverage.
     print("campaign %r: %d/%d trial(s) complete (coverage %.0f%%), "
           "%d quarantined, %d failed"
@@ -323,7 +309,7 @@ def _cmd_campaign_resume(args):
     return 0 if not result.failures() else 1
 
 
-def _report_shard_sessions(plan, sessions, root):
+def _report_shard_sessions(name, plan, sessions, root):
     """Render per-shard completion; shard runs never render the table —
     that is the aggregator's job (``repro campaign merge``)."""
     worst = 0
@@ -335,9 +321,10 @@ def _report_shard_sessions(plan, sessions, root):
                  result.failed))
         if result.interrupted:
             print("shard %d interrupted by %s; resume with:\n  python -m "
-                  "repro campaign churn --journal %s --shards %d "
+                  "repro campaign %s --journal %s --shards %d "
                   "--shard-index %d"
-                  % (index, result.interrupted, root, plan.shards, index),
+                  % (index, result.interrupted, name, root, plan.shards,
+                     index),
                   file=sys.stderr)
             worst = max(worst, 3)
         elif result.failures():
@@ -357,7 +344,7 @@ def _report_shard_sessions(plan, sessions, root):
     return worst
 
 
-def _cmd_campaign_churn_sharded(args, campaign):
+def _cmd_campaign_sharded(args, campaign, labels, configs):
     if not args.journal:
         print("--shards requires --journal DIR (the shared campaign "
               "directory)", file=sys.stderr)
@@ -371,10 +358,10 @@ def _cmd_campaign_churn_sharded(args, campaign):
         print("--shard-index %d outside 0..%d"
               % (args.shard_index, args.shards - 1), file=sys.stderr)
         return 2
-    _, plan, sessions = run_churn_shard(
-        campaign, args.shards, shard_index=args.shard_index,
-        claim=args.claim)
-    return _report_shard_sessions(plan, sessions, args.journal)
+    plan, sessions = run_grid_shards(
+        campaign, args.name, labels, configs, args.shards,
+        shard_index=args.shard_index, claim=args.claim)
+    return _report_shard_sessions(args.name, plan, sessions, args.journal)
 
 
 def _cmd_campaign_merge(args):
@@ -404,7 +391,7 @@ def _cmd_campaign_merge(args):
         return 2
     for warning in merged.warnings:
         print("warning: %s" % warning, file=sys.stderr)
-    if merged.labels is not None:
+    if merged.grid is not None:
         print(merged.render_table())
     print(format_status_line(merged), file=sys.stderr)
     print("  " + format_cdf_line(merged), file=sys.stderr)
@@ -444,18 +431,23 @@ def cmd_campaign(args):
         return _cmd_campaign_merge(args)
     if args.name == "watch":
         return _cmd_campaign_watch(args)
+    if args.dir:
+        print("positional DIR is only for 'campaign resume', 'merge' "
+              "and 'watch'; use --journal DIR to journal a %s run"
+              % args.name, file=sys.stderr)
+        return 2
+    grid = GRIDS[args.name]
     campaign = _campaign_from(args)
-    if args.name == "churn":
-        if args.dir:
-            print("positional DIR is only for 'campaign resume', 'merge' "
-                  "and 'watch'; use --journal DIR to journal a churn run",
-                  file=sys.stderr)
-            return 2
+    labels, configs = grid.build(campaign)
+    try:
         if args.shards:
-            return _cmd_campaign_churn_sharded(args, campaign)
-        labels, result, manifest = run_churn(campaign)
-        return _report_churn(labels, result, manifest)
-    raise AssertionError("unreachable: argparse restricts choices")
+            return _cmd_campaign_sharded(args, campaign, labels, configs)
+        labels, result, manifest = run_grid(campaign, args.name, labels,
+                                            configs)
+    except GridMismatchError as err:
+        print("campaign %s: %s" % (args.name, err), file=sys.stderr)
+        return 2
+    return _report_grid(grid, labels, result, manifest)
 
 
 def cmd_chaos(args):
@@ -595,8 +587,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("figure", help="regenerate a figure")
-    p.add_argument("name", choices=["fig2", "fig3", "fig4", "fig5", "fig6",
-                                    "fig7"])
+    p.add_argument("name", choices=list(FIGURES))
     p.add_argument("--paper-scale", action="store_true")
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--trials", type=int, default=None)
@@ -604,7 +595,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("campaign", help="run a named extra campaign")
-    p.add_argument("name", choices=["churn", "resume", "merge", "watch"])
+    p.add_argument("name", choices=list(GRIDS) + ["resume", "merge", "watch"])
     p.add_argument("dir", nargs="?", default=None,
                    help="campaign directory (for 'resume': the directory "
                         "holding manifest.jsonl; for 'merge'/'watch': the "

@@ -20,7 +20,8 @@ callback.  Results are bit-identical to a serial in-process loop.
   campaign directories, and work-steal claim tokens (atomic renames).
 * :mod:`repro.exec.aggregate` — merge partial shard result sets and
   stream running tables/CDFs while trials are still landing
-  (``repro campaign merge`` / ``repro campaign watch``).
+  (``repro campaign merge`` / ``repro campaign watch``), rendered by the
+  grid name in the journal header.
 * :mod:`repro.exec.chaos` — the fault-injecting self-test behind
   ``repro chaos``.
 """
@@ -65,7 +66,7 @@ from repro.exec.shard import (
     start_shard,
 )
 from repro.exec.supervise import RetryPolicy, backoff_delay, stall_budget
-from repro.exec.worker import run_trial_config, run_trial_payload
+from repro.exec.worker import run_trial_payload
 
 __all__ = [
     "AggregateError",
@@ -97,7 +98,6 @@ __all__ = [
     "merge_campaign",
     "release_shard",
     "resume_campaign",
-    "run_trial_config",
     "run_trial_payload",
     "stall_budget",
     "start_campaign",

@@ -14,6 +14,8 @@ independent journaled campaigns.  This module folds them back together:
   completed rows to a CSV — aggregation happens while trials are still
   landing, the ``run_many.py``/``stream_csv.py`` shape.
 
+Merges render by the journal header's grid name (``experiments.grids``).
+
 The invariant inherited from the journal discipline: rows live in each
 shard's content-hash cache and trace artifacts are written atomically, so
 the merged table and artifact set of a K-shard campaign are
@@ -34,14 +36,13 @@ from repro.exec.manifest import (
     CampaignManifest,
 )
 from repro.exec.shard import SHARD_SCHEMA, campaign_fingerprint, shards_root
+from repro.experiments.grids import GRIDS
 
-#: Columns of the merged rows CSV, in order.  Metric columns mirror what
-#: the churn table aggregates; values are JSON-rendered so repeated
-#: merges emit byte-identical files.
-CSV_COLUMNS = ("index", "fault", "protocol", "seed", "key", "state",
-               "delivery_ratio", "mean_latency", "network_load",
-               "control_transmissions", "loop_violations",
-               "invariant_violations")
+#: Metric columns of the merged rows CSV, after the identity columns.
+#: Values are JSON-rendered so repeated merges emit byte-identical files.
+METRIC_COLUMNS = ("delivery_ratio", "mean_latency", "network_load",
+                  "control_transmissions", "loop_violations",
+                  "invariant_violations")
 
 #: CDF percentiles rendered on the terminal status line.
 _PERCENTILES = (10, 50, 90)
@@ -191,7 +192,27 @@ class MergedCampaign:
         self.labels = next(
             (view.labels for view in views if view.labels), None)
         self.name = views[0].name if views else None
+        self.grid = GRIDS.get(self.name)
+        # An unregistered grid's rows are labelled by the config's protocol.
+        self.coordinates = (self.grid.coordinates if self.grid is not None
+                            else ("protocol",))
         self.warnings = [w for view in views for w in view.warnings]
+        if self.grid is not None:
+            self._check_labels()
+
+    def _check_labels(self):
+        labels = self.labels or []
+        if len(labels) != self.total:
+            raise AggregateError(
+                "meta labels cover %d trial(s) but the campaign registers "
+                "%d" % (len(labels), self.total))
+        arity = len(self.coordinates)
+        for index, label in enumerate(labels):
+            if not isinstance(label, list) or len(label) != arity:
+                raise AggregateError(
+                    "meta label #%d is %r; a %r label has %d coordinate(s) "
+                    "(%s)" % (index, label, self.name, arity,
+                              ", ".join(self.coordinates)))
 
     @property
     def completed(self):
@@ -221,65 +242,34 @@ class MergedCampaign:
     def completed_rows(self):
         return [t.row for t in self.ordered_trials() if t.ok]
 
-    def table(self):
-        """The churn-style aggregate table (requires grid labels)."""
-        if self.labels is None:
-            raise AggregateError(
-                "campaign meta carries no grid labels; only row-level "
-                "aggregation (CSV) is available")
-        from repro.experiments.campaigns import aggregate_churn
-
-        labels = [tuple(label) for label in self.labels]
-        if len(labels) != self.total:
-            raise AggregateError(
-                "meta labels cover %d trial(s) but the campaign registers "
-                "%d" % (len(labels), self.total))
+    def render_table(self):
+        """The grid's render — byte-identical to the unsharded run's."""
         placeholder = MergedTrial(-1, None, None, "pending", None)
         trials = [self.trials.get(index, placeholder)
                   for index in range(self.total)]
-        return aggregate_churn(labels, _ResultShim(trials))
+        return self.grid.render(self.labels, trials)
 
-    def render_table(self):
-        """The rendered table — byte-identical to the unsharded run's."""
-        from repro.experiments.campaigns import format_churn
-
-        return format_churn(self.table())
+    @property
+    def columns(self):
+        """The rows CSV's columns (label coordinates after the index)."""
+        return (("index",) + self.coordinates + ("seed", "key", "state")
+                + METRIC_COLUMNS)
 
     def csv_rows(self):
         """Every registered trial as a CSV line dict, in global order."""
-        labels = ([tuple(label) for label in self.labels]
-                  if self.labels is not None else None)
         rows = []
         for trial in self.ordered_trials():
-            fault, protocol = "", ""
-            if labels is not None and 0 <= trial.index < len(labels):
-                fault, protocol = labels[trial.index]
             config = trial.config or {}
             row = trial.row or {}
-            rows.append({
-                "index": trial.index,
-                "fault": fault,
-                "protocol": protocol or config.get("protocol", ""),
-                "seed": config.get("seed", ""),
-                "key": trial.key,
-                "state": trial.state,
-                "delivery_ratio": row.get("delivery_ratio", ""),
-                "mean_latency": row.get("mean_latency", ""),
-                "network_load": row.get("network_load", ""),
-                "control_transmissions":
-                    row.get("control_transmissions", ""),
-                "loop_violations": row.get("loop_violations", ""),
-                "invariant_violations":
-                    row.get("invariant_violations", ""),
-            })
+            label = (self.labels[trial.index] if self.grid is not None
+                     else [config.get("protocol", "")])
+            line = dict(zip(self.coordinates, label))
+            line.update(index=trial.index, seed=config.get("seed", ""),
+                        key=trial.key, state=trial.state)
+            for column in METRIC_COLUMNS:
+                line[column] = row.get(column, "")
+            rows.append(line)
         return rows
-
-
-class _ResultShim:
-    """Duck-types :class:`CampaignResult` for ``aggregate_churn``."""
-
-    def __init__(self, trials):
-        self.trials = trials
 
 
 # -- merging ------------------------------------------------------------
@@ -390,14 +380,15 @@ def _csv_cell(value):
     return str(value)
 
 
-def format_csv_row(row):
-    return ",".join(_csv_cell(row[column]) for column in CSV_COLUMNS)
+def format_csv_row(row, columns):
+    return ",".join(_csv_cell(row[column]) for column in columns)
 
 
 def write_rows_csv(path, merged):
     """Write the full merged row set as CSV (deterministic bytes)."""
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(format_csv_row(row) for row in merged.csv_rows())
+    columns = merged.columns
+    lines = [",".join(columns)]
+    lines.extend(format_csv_row(row, columns) for row in merged.csv_rows())
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -487,13 +478,13 @@ def collect_traces(merged, out_dir):
 
 
 def write_merge_output(merged, out_dir):
-    """Materialize a merge: table.txt (when labels), rows.csv, cdf.csv,
+    """Materialize a merge: table.txt (registered grids), rows.csv, cdf.csv,
     and collected trace artifacts under ``out_dir``.  Repeated merges of
     the same shard state write byte-identical files (idempotence)."""
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
-    if merged.labels is not None:
+    if merged.grid is not None:
         table_path = out_dir / "table.txt"
         table_path.write_text(merged.render_table() + "\n",
                               encoding="utf-8")
@@ -548,13 +539,12 @@ def watch_campaign(root, stream, interval=2.0, csv_path=None, once=False,
     root = pathlib.Path(root)
     sleep = interval if poll is None else poll
     seen = set()
+    columns = None
     handle = None
     if csv_path is not None:
         path = pathlib.Path(csv_path)
         path.parent.mkdir(parents=True, exist_ok=True)
         handle = open(path, "w", encoding="utf-8")
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        handle.flush()
     last_clock = None
     try:
         while True:
@@ -573,18 +563,23 @@ def watch_campaign(root, stream, interval=2.0, csv_path=None, once=False,
                 for warning in merged.warnings:
                     stream.write("warning: %s\n" % warning)
                 if handle is not None:
+                    if columns is None:
+                        # The columns follow the grid the journal names,
+                        # so the header waits for the first merge.
+                        columns = merged.columns
+                        handle.write(",".join(columns) + "\n")
                     for row in merged.csv_rows():
                         if row["index"] in seen or \
                                 row["state"] not in (DONE, QUARANTINED):
                             continue
                         seen.add(row["index"])
-                        handle.write(format_csv_row(row) + "\n")
+                        handle.write(format_csv_row(row, columns) + "\n")
                     handle.flush()
                 stream.write(format_status_line(merged) + "\n")
                 stream.write("  " + format_cdf_line(merged) + "\n")
                 stream.flush()
                 if merged.complete:
-                    if merged.labels is not None:
+                    if merged.grid is not None:
                         stream.write("\n" + merged.render_table() + "\n")
                         stream.flush()
                     return 0

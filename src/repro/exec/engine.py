@@ -12,6 +12,9 @@ resumed from a journaled checkpoint — and the engine preserves submission
 order, so aggregation downstream sees exactly the sequence a serial loop
 would have produced.
 
+Every trial is keyed (:func:`~repro.exec.cache.trial_key`) and dispatched
+by value, in-process or to a worker; a config without a key is refused.
+
 Robustness model (the campaign-fabric contract):
 
 * **Journal**: with a :class:`~repro.exec.manifest.CampaignManifest`
@@ -47,7 +50,6 @@ from repro.exec.cache import trial_key
 from repro.exec.manifest import DONE, FAILED, QUARANTINED, RUNNING
 from repro.exec.progress import Progress
 from repro.exec.supervise import RetryPolicy, stall_budget
-from repro.experiments.scenario import ConfigSerializationError
 from repro.obs.reader import trace_ok
 
 #: Seconds between pool polls; bounds interrupt/stall reaction latency.
@@ -90,7 +92,7 @@ class TrialResult:
     def __init__(self, index, config):
         self.index = index
         self.config = config
-        self.key = None
+        self.key = trial_key(config)
         self.row = None
         self.cached = False
         self.error = None
@@ -204,8 +206,6 @@ class CampaignEngine:
         for no tracing.  A cached trial whose artifact is missing *or
         fails to parse end-to-end* is re-executed so a valid artifact
         always exists afterwards; its row is byte-identical either way.
-        Trials whose configs cannot be serialized have no stable key and
-        are never traced.
     trace_gzip:
         Store trace artifacts gzip-compressed (``<key>.trace.jsonl.gz``).
         Compression is deterministic, and readers sniff the format, so
@@ -267,7 +267,9 @@ class CampaignEngine:
         Order of results matches the order of ``configs``.  Cached trials
         are never re-executed; failed trials are retried (with backoff)
         up to the policy's attempt ceiling and then surface as failed or
-        quarantined in the result instead of raising.
+        quarantined in the result instead of raising.  Raises
+        :class:`~repro.experiments.scenario.ConfigSerializationError`,
+        before running anything, when a config has no stable key.
         """
         trials = [TrialResult(i, c) for i, c in enumerate(configs)]
         self._start = time.monotonic()
@@ -281,10 +283,6 @@ class CampaignEngine:
                 % (len(self.manifest.entries), len(trials)))
         pending = []
         for trial in trials:
-            try:
-                trial.key = trial_key(trial.config)
-            except ConfigSerializationError:
-                trial.key = None  # live objects: run in-process, uncached
             if self._absorb_journal_state(trial, trials):
                 continue
             if self._serve_from_cache(trial, trials):
@@ -294,15 +292,12 @@ class CampaignEngine:
         previous = self._install_signals()
         try:
             if self.jobs > 1:
-                poolable = [t for t in pending if t.key is not None]
-                local = [t for t in pending if t.key is None]
-                self._run_pool(poolable, trials)
+                self._run_pool(pending, trials)
             else:
-                local = pending
-            for trial in local:
-                if self._interrupted:
-                    break
-                self._run_local(trial, trials)
+                for trial in pending:
+                    if self._interrupted:
+                        break
+                    self._run_local(trial, trials)
         finally:
             self._restore_signals(previous)
         if self._interrupted and self.manifest is not None:
@@ -341,7 +336,7 @@ class CampaignEngine:
 
     def _serve_from_cache(self, trial, trials):
         """Serve a cached row (with a valid trace artifact); True on hit."""
-        if self.cache is None or trial.key is None:
+        if self.cache is None:
             return False
         row, note = self.cache.lookup(trial.key)
         if note:
@@ -367,7 +362,7 @@ class CampaignEngine:
 
     def _trace_path(self, trial):
         """Where this trial's trace artifact goes, or None (untraced)."""
-        if self.trace_dir is None or trial.key is None:
+        if self.trace_dir is None:
             return None
         suffix = ".trace.jsonl.gz" if self.trace_gzip else ".trace.jsonl"
         return self.trace_dir / (trial.key + suffix)
@@ -378,11 +373,6 @@ class CampaignEngine:
         if trace is not None:
             payload["trace"] = str(trace)
         return payload
-
-    def _execute_inproc(self, trial):
-        if trial.key is None:
-            return _worker.run_trial_config(trial.config, timeout=self.timeout)
-        return _worker.run_trial_payload(self._payload(trial))
 
     def _backoff(self, trial):
         """Sleep the policy's pre-retry delay; False when interrupted."""
@@ -405,7 +395,7 @@ class CampaignEngine:
                 return
             trial.attempts += 1
             self._record(trial, RUNNING)
-            outcome = self._execute_inproc(trial)
+            outcome = _worker.run_trial_payload(self._payload(trial))
             if outcome.get("warning"):
                 self._warn(trials, outcome["warning"])
             if outcome["ok"]:
@@ -624,16 +614,15 @@ class CampaignEngine:
     # -- bookkeeping ---------------------------------------------------
 
     def _record(self, trial, state, error=None):
-        if self.manifest is None or trial.key is None:
+        if self.manifest is None:
             return
         self.manifest.record_state(trial.index, state,
                                    attempt=trial.attempts, error=error)
 
     def _settle(self, trial, trials):
-        if (trial.ok and not trial.cached
-                and self.cache is not None and trial.key is not None):
+        if trial.ok and not trial.cached and self.cache is not None:
             self.cache.put(trial.key, trial.row, config=trial.config)
-        if self.manifest is not None and trial.key is not None:
+        if self.manifest is not None:
             entry = self.manifest.entries.get(trial.index)
             if trial.quarantined:
                 if entry is None or entry.state != QUARANTINED:

@@ -137,7 +137,7 @@ def shard_dir(root, index):
     return shards_root(root) / ("shard-%03d" % index)
 
 
-def shard_meta(plan, index, configs, labels=None, extra=None):
+def shard_meta(plan, index, configs, labels=None):
     """The manifest ``meta`` block registering a shard's place in a plan.
 
     ``configs`` is the FULL campaign grid (the fingerprint and total
@@ -159,13 +159,11 @@ def shard_meta(plan, index, configs, labels=None, extra=None):
     }
     if labels is not None:
         meta["labels"] = [list(label) for label in labels]
-    if extra:
-        meta.update(extra)
     return meta
 
 
 def start_shard(root, configs, plan, index, name="campaign", labels=None,
-                meta=None, **engine_opts):
+                **engine_opts):
     """Start shard ``index`` of ``configs`` under ``root``.
 
     Creates ``<root>/shards/shard-<index>/`` as an ordinary journaled
@@ -188,7 +186,7 @@ def start_shard(root, configs, plan, index, name="campaign", labels=None,
     manifest, engine = start_campaign(
         shard_dir(root, index), [config for _, config in subset],
         name=name,
-        meta=shard_meta(plan, index, configs, labels=labels, extra=meta),
+        meta=shard_meta(plan, index, configs, labels=labels),
         **engine_opts)
     return manifest, engine, subset
 

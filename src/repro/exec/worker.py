@@ -11,7 +11,7 @@ engine to retry, quarantine, or report.  Outcomes carry the worker's pid
 so the campaign journal can attribute attempts to processes.  A trial
 runs exactly the dispatched config on the default kernel: nothing in the
 worker's environment alters it, so a row is a function of its cache key
-alone.
+alone.  The engine runs every trial through it, in-process or pooled.
 """
 
 import os
@@ -19,22 +19,7 @@ import os
 from repro.exec.deadline import TrialTimeout, call_with_deadline
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 
-__all__ = ["TrialTimeout", "run_trial_config", "run_trial_payload"]
-
-
-def _run_guarded(trial_fn, timeout):
-    """Run ``trial_fn`` under an optional wall-clock budget.
-
-    Returns ``{"ok": True, "row": ...}`` or ``{"ok": False, "error":
-    traceback-text}`` — possibly with a ``"warning"`` when the deadline
-    fired but the trial thread could not be hard-cancelled; never raises.
-    ``"worker"`` carries this process's pid either way.
-    """
-    outcome = call_with_deadline(trial_fn, timeout)
-    if outcome["ok"]:
-        outcome["row"] = outcome.pop("value")
-    outcome["worker"] = os.getpid()
-    return outcome
+__all__ = ["TrialTimeout", "run_trial_payload"]
 
 
 def run_trial_payload(payload):
@@ -46,7 +31,10 @@ def run_trial_payload(payload):
     event stream is written (atomically) to that path as a JSONL trace
     artifact.  The outcome is ``{"ok": True, "row": RunReport.as_dict()}``
     on success — with ``"trace": path`` echoed back when an artifact was
-    written — else ``{"ok": False, "error": traceback-text}``.
+    written — else ``{"ok": False, "error": traceback-text}``, possibly
+    with a ``"warning"`` when the deadline fired but the trial thread
+    could not be hard-cancelled.  ``"worker"`` carries this process's pid
+    either way.
     """
 
     def trial():
@@ -70,17 +58,8 @@ def run_trial_payload(payload):
                     ))
         return {"row": row, "trace": trace_path}
 
-    outcome = _run_guarded(trial, payload.get("timeout"))
+    outcome = call_with_deadline(trial, payload.get("timeout"))
     if outcome["ok"]:
-        result = outcome.pop("row")
-        outcome.update(result)
+        outcome.update(outcome.pop("value"))
+    outcome["worker"] = os.getpid()
     return outcome
-
-
-def run_trial_config(config, timeout=None):
-    """In-process fallback for configs that cannot be serialized.
-
-    Same outcome contract as :func:`run_trial_payload`, but runs the live
-    :class:`ScenarioConfig` object directly (no cache, no worker).
-    """
-    return _run_guarded(lambda: run_scenario(config).as_dict(), timeout)

@@ -1,13 +1,14 @@
 """Experiment harness: scenario construction, multi-trial runs, and the
-generators for every table and figure in the paper's evaluation.
+trial grids every table and figure in the paper's evaluation views.
 
 * :mod:`repro.experiments.scenario` — one simulation run.
 * :mod:`repro.experiments.runner` — seeds, trials, aggregation.
 * :mod:`repro.experiments.campaigns` — the paper's 50-node and 100-node
   configurations (scaled by default; ``paper_scale=True`` for the real
-  thing).
+  thing) as labelled grids, and ``run_grid``, the one way a grid runs.
 * :mod:`repro.experiments.tables` / :mod:`repro.experiments.figures` —
-  Table 1 and Figures 2–7.
+  Table 1 and Figures 2–7, as views over a grid's trials.
+* :mod:`repro.experiments.grids` — the named grids (``churn``, ``paper``).
 """
 
 from repro.experiments.runner import (

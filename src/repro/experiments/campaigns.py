@@ -1,4 +1,4 @@
-"""The paper's experiment campaigns (Section 4).
+"""The paper's experiment campaigns (Section 4), as labelled trial grids.
 
 Two main sets of simulations:
 
@@ -13,8 +13,11 @@ runs, 10 trials per point.
 Paper-scale runs take hours in pure Python, so the default here is a
 *scaled* campaign (shorter runs, fewer pauses, fewer trials) that keeps the
 load/mobility ratios; pass ``paper_scale=True`` to regenerate at full
-scale.
+scale.  Every campaign is a grid of labelled trials, run by
+:func:`run_grid` / :func:`run_grid_shards` and viewed through :func:`fold`.
 """
+
+import pathlib
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.faults import (
@@ -57,26 +60,20 @@ def node_scenario(num_nodes, num_flows, pause_time, duration, seed=1,
 def pause_sweep(duration, paper_scale=False):
     """The pause times swept on a figure's x-axis.
 
-    The paper uses 0..900 s; scaled runs sweep the same fractions of the
-    (shorter) run length.
+    Both scales sweep fractions of the run length (the paper's are 0, 30,
+    60, 120, 300, 600 and 900 of 900 s), so no pause outlasts the run.
     """
-    if paper_scale:
-        return [0, 30, 60, 120, 300, 600, 900]
-    fractions = (0.0, 0.25, 1.0)
+    fractions = ((0.0, 1 / 30, 1 / 15, 2 / 15, 1 / 3, 2 / 3, 1.0)
+                 if paper_scale else (0.0, 0.25, 1.0))
     return [round(f * duration) for f in fractions]
 
 
 class Campaign:
-    """Shared knobs for a table/figure regeneration.
-
-    Besides the scenario scale (duration, trials, node counts), a
-    campaign carries *execution* knobs — worker count, result cache,
-    retry/timeout budgets — and builds the
-    :class:`~repro.exec.engine.CampaignEngine` every generator in
-    :mod:`~repro.experiments.tables` / :mod:`~repro.experiments.figures`
-    runs its trials through.  Parallel and cached runs are bit-identical
-    to serial ones, which is what makes ``paper_scale=True`` regeneration
-    feasible on a multi-core box.
+    """Shared knobs for a grid run: the scenario scale (duration, trials,
+    node counts) and the *execution* knobs :func:`run_grid` runs it with
+    (workers, result cache, retry/timeout budgets, journal).  Parallel,
+    cached, journaled and sharded runs are bit-identical to serial ones,
+    which is what makes ``paper_scale=True`` regeneration feasible.
     """
 
     def __init__(self, paper_scale=False, duration=None, trials=None,
@@ -115,17 +112,14 @@ class Campaign:
     def pauses(self):
         return pause_sweep(self.duration, self.paper_scale)
 
-    def seeds(self):
-        return range(1, self.trials + 1)
-
-    def engine(self, progress=None):
+    def engine(self):
         """Build the campaign's :class:`CampaignEngine` (unjournaled)."""
         from repro.exec import CampaignEngine, ResultCache
 
         cache = ResultCache(self.cache_dir) if self.use_cache else None
         return CampaignEngine(
             jobs=self.jobs, cache=cache, retries=self.retries,
-            timeout=self.timeout, progress=progress or self.progress,
+            timeout=self.timeout, progress=self.progress,
             trace_dir=self.trace_dir, trace_gzip=self.trace_gzip,
             quarantine_after=self.quarantine_after,
         )
@@ -203,153 +197,18 @@ def churn_grid(campaign, protocols=CHURN_PROTOCOLS, num_flows=10):
     for fault_name, plan in churn_plans(campaign.duration,
                                         campaign.num_nodes_small):
         for protocol in protocols:
-            for seed in campaign.seeds():
+            for trial in range(campaign.trials):
                 labels.append((fault_name, protocol))
                 configs.append(node_scenario(
                     campaign.num_nodes_small, num_flows, 0.0,
-                    campaign.duration, seed=seed, protocol=protocol,
+                    campaign.duration, seed=1 + trial, protocol=protocol,
                     fault_plan=plan, invariant_check=True,
                 ))
     return labels, configs
 
 
-def run_churn(campaign, protocols=CHURN_PROTOCOLS, num_flows=10):
-    """Execute the churn grid; returns ``(labels, result, manifest)``.
-
-    With ``campaign.journal`` unset this is a classic in-memory run
-    (``manifest`` is None).  With a journal directory the campaign is
-    crash-tolerant: a fresh directory is started (grid labels stored in
-    the manifest meta so a later ``repro campaign resume`` can re-render
-    the table), an existing one is *resumed* — finished trials come back
-    from the campaign cache and only outstanding work executes, with the
-    merged result byte-identical to an uninterrupted run.
-    """
-    labels, configs = churn_grid(campaign, protocols, num_flows)
-    if campaign.journal is None:
-        return labels, campaign.engine().run(configs), None
-    import pathlib
-
-    from repro.exec.manifest import (
-        campaign_paths,
-        resume_campaign,
-        start_campaign,
-    )
-
-    root = pathlib.Path(campaign.journal)
-    manifest_path, _, _ = campaign_paths(root)
-    if manifest_path.exists():
-        manifest, result = resume_campaign(
-            root, progress=campaign.progress, jobs=campaign.jobs)
-        meta_labels = manifest.header.get("meta", {}).get("labels")
-        if meta_labels is not None:
-            labels = [tuple(label) for label in meta_labels]
-        return labels, result, manifest
-    manifest, engine = start_campaign(
-        root, configs, name="churn",
-        meta={"labels": [list(label) for label in labels],
-              "protocols": list(protocols), "num_flows": num_flows},
-        jobs=campaign.jobs, retries=campaign.retries,
-        timeout=campaign.timeout,
-        quarantine_after=campaign.quarantine_after,
-        trace=campaign.trace_dir is not None,
-        trace_gzip=campaign.trace_gzip,
-        progress=campaign.progress)
-    return labels, engine.run(configs), manifest
-
-
-def _shard_engine_opts(campaign):
-    """The engine knobs a shard inherits from its campaign."""
-    return {
-        "jobs": campaign.jobs, "retries": campaign.retries,
-        "timeout": campaign.timeout,
-        "quarantine_after": campaign.quarantine_after,
-        "trace": campaign.trace_dir is not None,
-        "trace_gzip": campaign.trace_gzip,
-    }
-
-
-def _run_one_shard(campaign, root, plan, index, labels, configs,
-                   protocols, num_flows):
-    """Start (or resume) shard ``index`` and run its subset to the end."""
-    from repro.exec.manifest import campaign_paths, resume_campaign
-    from repro.exec.shard import shard_dir, start_shard
-
-    sdir = shard_dir(root, index)
-    manifest_path, _, _ = campaign_paths(sdir)
-    if manifest_path.exists():
-        return resume_campaign(sdir, progress=campaign.progress,
-                               jobs=campaign.jobs)
-    manifest, engine, subset = start_shard(
-        root, configs, plan, index, name="churn", labels=labels,
-        meta={"protocols": list(protocols), "num_flows": num_flows},
-        progress=campaign.progress, **_shard_engine_opts(campaign))
-    return manifest, engine.run([config for _, config in subset])
-
-
-def run_churn_shard(campaign, shards, shard_index=None, claim=False,
-                    protocols=CHURN_PROTOCOLS, num_flows=10):
-    """Run shard(s) of the churn grid; returns ``(labels, plan, sessions)``.
-
-    The grid is partitioned deterministically by content-hash trial key
-    (:class:`~repro.exec.shard.ShardPlan`), so any number of hosts can
-    each run their shard with no coordination and the merged campaign
-    (``repro campaign merge``) is byte-identical to an unsharded run.
-
-    With ``shard_index`` set, exactly that shard runs (a second
-    invocation *resumes* it from its journal).  With ``claim=True`` the
-    call work-steals instead: it claims unclaimed shards one at a time
-    from the shared claim board (atomic renames, see
-    :mod:`repro.exec.shard`) until none remain.  ``sessions`` is
-    ``[(shard_index, result, manifest), ...]`` for every shard this call
-    executed.
-    """
-    import pathlib
-
-    from repro.exec.shard import (
-        ShardPlan,
-        claim_shard,
-        init_claims,
-        release_shard,
-    )
-
-    if campaign.journal is None:
-        raise ValueError("sharded churn requires a journal directory "
-                         "(--journal DIR)")
-    labels, configs = churn_grid(campaign, protocols, num_flows)
-    plan = ShardPlan(shards)
-    root = pathlib.Path(campaign.journal)
-    sessions = []
-    if not claim:
-        if shard_index is None:
-            raise ValueError("pass shard_index or claim=True")
-        manifest, result = _run_one_shard(
-            campaign, root, plan, shard_index, labels, configs,
-            protocols, num_flows)
-        return labels, plan, [(shard_index, result, manifest)]
-    init_claims(root, plan)
-    while True:
-        index = claim_shard(root, plan)
-        if index is None:
-            break
-        try:
-            manifest, result = _run_one_shard(
-                campaign, root, plan, index, labels, configs,
-                protocols, num_flows)
-        except BaseException:
-            # Hand the shard back: the journal keeps whatever landed,
-            # and the next claimant resumes from it.
-            release_shard(root, index, done=False)
-            raise
-        sessions.append((index, result, manifest))
-        if result.interrupted:
-            release_shard(root, index, done=False)
-            break
-        release_shard(root, index, done=True)
-    return labels, plan, sessions
-
-
-def aggregate_churn(labels, result):
-    """Aggregate a churn result per (fault plan, protocol) bucket.
+def aggregate_churn(labels, trials):
+    """Aggregate churn trials per (fault plan, protocol) cell.
 
     Delivery ratio and control overhead are averaged over trials;
     violation counts are summed — a single loop anywhere in the campaign
@@ -357,29 +216,15 @@ def aggregate_churn(labels, result):
 
     Tolerates partial coverage: trials without a row (quarantined poison
     trials, or work still outstanding after an interruption) reduce the
-    bucket's ``trials``/``coverage`` instead of crashing aggregation, and
-    metric fields are None for buckets with no completed trial at all.
+    cell's ``trials``/``coverage`` instead of crashing aggregation, and
+    metric fields are None for cells with no completed trial at all.
     Coverage degradation is explicit in every row, never silent.
     """
-    order = []
-    buckets = {}
-    for label, trial in zip(labels, result.trials):
-        label = tuple(label)
-        if label not in buckets:
-            buckets[label] = {"rows": [], "planned": 0, "quarantined": 0}
-            order.append(label)
-        bucket = buckets[label]
-        bucket["planned"] += 1
-        if trial.ok:
-            bucket["rows"].append(trial.row)
-        elif trial.quarantined:
-            bucket["quarantined"] += 1
     table = []
-    for fault_name, protocol in order:
-        bucket = buckets[(fault_name, protocol)]
-        rows = bucket["rows"]
+    for (fault_name, protocol), cell in fold(labels, trials,
+                                             lambda label: label).items():
+        rows = [trial.row for trial in cell if trial.ok]
         n = len(rows)
-        planned = bucket["planned"]
 
         def mean(field, rows=rows, n=n):
             return sum(r[field] for r in rows) / n if n else None
@@ -388,9 +233,9 @@ def aggregate_churn(labels, result):
             "fault": fault_name,
             "protocol": protocol,
             "trials": n,
-            "planned": planned,
-            "quarantined": bucket["quarantined"],
-            "coverage": (n / planned) if planned else 1.0,
+            "planned": len(cell),
+            "quarantined": sum(1 for trial in cell if trial.quarantined),
+            "coverage": n / len(cell),
             "delivery_ratio": mean("delivery_ratio"),
             "network_load": mean("network_load"),
             "control_transmissions": mean("control_transmissions"),
@@ -399,22 +244,6 @@ def aggregate_churn(labels, result):
                 sum(r["invariant_violations"] for r in rows),
         })
     return table
-
-
-def churn_table(campaign, protocols=CHURN_PROTOCOLS, num_flows=10):
-    """Run the churn grid and aggregate per (fault plan, protocol).
-
-    Raises :class:`~repro.exec.engine.CampaignError` when trials failed
-    outright (exhausted retries without quarantine); quarantined trials
-    only degrade the table's coverage columns.
-    """
-    labels, result, _ = run_churn(campaign, protocols, num_flows)
-    failures = result.failures()
-    if failures:
-        from repro.exec.engine import CampaignError
-
-        raise CampaignError(failures)
-    return aggregate_churn(labels, result)
 
 
 def format_churn(table):
@@ -458,3 +287,169 @@ def format_churn(table):
         lines.append("quarantined: %d trial(s) set aside after repeated "
                      "failure (see the campaign journal)" % quarantined)
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Grids: the pause-sweep enumerator, the fold, and the runner
+# ---------------------------------------------------------------------------
+
+def pause_grid(campaign, protocols, nodes, flows, seed=1, block="table1"):
+    """Every protocol x N x flows x pause x trial of a pause sweep, as
+    ``(labels, configs)``: trial ``i`` of a cell uses ``seed + i`` and is
+    labelled ``(block, N, flows, pause, protocol)``."""
+    labels = []
+    configs = []
+    for protocol in protocols:
+        for num_nodes in nodes:
+            for num_flows in flows:
+                for pause in campaign.pauses():
+                    for trial in range(campaign.trials):
+                        labels.append(
+                            (block, num_nodes, num_flows, pause, protocol))
+                        configs.append(node_scenario(
+                            num_nodes, num_flows, pause, campaign.duration,
+                            seed=seed + trial, protocol=protocol,
+                        ))
+    return labels, configs
+
+
+def fold(labels, trials, key):
+    """Bucket ``trials`` by ``key(label)`` in first-seen order, skipping
+    keys that are None.  A cell keeps trials without a row, so a view
+    knows how many it planned."""
+    cells = {}
+    for label, trial in zip(labels, trials):
+        cell = key(tuple(label))
+        if cell is not None:
+            cells.setdefault(cell, []).append(trial)
+    return cells
+
+
+class GridMismatchError(ValueError):
+    """A journal directory holds another campaign than the grid being run."""
+
+
+def _engine_opts(campaign):
+    """The engine knobs a journaled grid inherits from its campaign."""
+    return {
+        "jobs": campaign.jobs, "retries": campaign.retries,
+        "timeout": campaign.timeout,
+        "quarantine_after": campaign.quarantine_after,
+        "trace": campaign.trace_dir is not None,
+        "trace_gzip": campaign.trace_gzip,
+        "progress": campaign.progress,
+    }
+
+
+def _resume(campaign, directory, name):
+    """Resume ``name``'s journal in ``directory``; None when there is none.
+    A journal of another campaign raises :class:`GridMismatchError`."""
+    from repro.exec.manifest import MANIFEST_NAME, CampaignManifest, resume_campaign
+
+    if not (directory / MANIFEST_NAME).exists():
+        return None
+    found = CampaignManifest.load(directory / MANIFEST_NAME).header.get("name")
+    if found != name:
+        raise GridMismatchError(
+            "%s holds the journal of campaign %r, not %r; continue it with: "
+            "python -m repro campaign resume %s"
+            % (directory, found, name, directory))
+    return resume_campaign(directory, progress=campaign.progress,
+                           jobs=campaign.jobs)
+
+
+def run_grid(campaign, name, labels, configs):
+    """Run a labelled grid; returns ``(labels, result, manifest)``.
+
+    Without ``campaign.journal`` the grid runs in memory (``manifest`` is
+    None).  Otherwise a journal is started under ``name``, labels in its
+    meta, or ``name``'s existing journal is *resumed*: finished trials
+    come from its cache, byte-identical to an uninterrupted run.
+    """
+    if campaign.journal is None:
+        return labels, campaign.engine().run(configs), None
+    from repro.exec.manifest import start_campaign
+
+    root = pathlib.Path(campaign.journal)
+    resumed = _resume(campaign, root, name)
+    if resumed is not None:
+        manifest, result = resumed
+        meta_labels = manifest.header.get("meta", {}).get("labels")
+        if meta_labels is not None:
+            labels = [tuple(label) for label in meta_labels]
+        return labels, result, manifest
+    manifest, engine = start_campaign(
+        root, configs, name=name,
+        meta={"labels": [list(label) for label in labels]},
+        **_engine_opts(campaign))
+    return labels, engine.run(configs), manifest
+
+
+def _run_one_shard(campaign, name, root, plan, index, labels, configs):
+    """Start (or resume) shard ``index`` and run its subset to the end."""
+    from repro.exec.shard import shard_dir, start_shard
+
+    resumed = _resume(campaign, shard_dir(root, index), name)
+    if resumed is not None:
+        return resumed
+    manifest, engine, subset = start_shard(
+        root, configs, plan, index, name=name, labels=labels,
+        **_engine_opts(campaign))
+    return manifest, engine.run([config for _, config in subset])
+
+
+def run_grid_shards(campaign, name, labels, configs, shards,
+                    shard_index=None, claim=False):
+    """Run shard(s) of a labelled grid; returns ``(plan, sessions)``.
+
+    The grid is partitioned deterministically by content-hash trial key
+    (:class:`~repro.exec.shard.ShardPlan`), so any number of hosts can
+    each run their shard with no coordination and the merged campaign
+    (``repro campaign merge``) is byte-identical to an unsharded run.
+
+    With ``shard_index`` set, exactly that shard runs (a second
+    invocation *resumes* it from its journal).  With ``claim=True`` the
+    call work-steals instead: it claims unclaimed shards one at a time
+    from the shared claim board (atomic renames, see
+    :mod:`repro.exec.shard`) until none remain.  ``sessions`` is
+    ``[(shard_index, result, manifest), ...]`` for every shard this call
+    executed.
+    """
+    from repro.exec.shard import (
+        ShardPlan,
+        claim_shard,
+        init_claims,
+        release_shard,
+    )
+
+    if campaign.journal is None:
+        raise ValueError("a sharded grid requires a journal directory "
+                         "(--journal DIR)")
+    plan = ShardPlan(shards)
+    root = pathlib.Path(campaign.journal)
+    if not claim:
+        if shard_index is None:
+            raise ValueError("pass shard_index or claim=True")
+        manifest, result = _run_one_shard(
+            campaign, name, root, plan, shard_index, labels, configs)
+        return plan, [(shard_index, result, manifest)]
+    sessions = []
+    init_claims(root, plan)
+    while True:
+        index = claim_shard(root, plan)
+        if index is None:
+            break
+        try:
+            manifest, result = _run_one_shard(
+                campaign, name, root, plan, index, labels, configs)
+        except BaseException:
+            # Hand the shard back: the journal keeps whatever landed,
+            # and the next claimant resumes from it.
+            release_shard(root, index, done=False)
+            raise
+        sessions.append((index, result, manifest))
+        if result.interrupted:
+            release_shard(root, index, done=False)
+            break
+        release_shard(root, index, done=True)
+    return plan, sessions

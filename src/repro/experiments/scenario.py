@@ -71,9 +71,9 @@ CONFIG_CLASSES = {
 class ConfigSerializationError(TypeError):
     """A ScenarioConfig cannot be turned into plain JSON-able data.
 
-    Raised for live objects (custom mobility models, callables) that have
-    no stable textual form; such configs still run in-process but cannot be
-    cached or dispatched to worker processes by value.
+    Raised for live objects (callables inside a protocol config) that have
+    no stable textual form: such a config has no trial key, so the
+    campaign engine, journals and shard plans refuse it.
     """
 
 
@@ -146,7 +146,6 @@ class ScenarioConfig:
         seed=1,
         protocol_config=None,
         mac_config=None,
-        mobility=None,
         loop_check=False,
         warmup=5.0,
         fault_plan=None,
@@ -177,7 +176,6 @@ class ScenarioConfig:
         self.seed = seed
         self.protocol_config = protocol_config
         self.mac_config = mac_config
-        self.mobility = mobility
         self.loop_check = loop_check
         self.warmup = warmup
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
@@ -198,11 +196,6 @@ class ScenarioConfig:
         # explicit, serializable schedule — both are part of the trial's
         # cache identity, like the fault plan.
         self.placements = self._check_placements(placements, num_nodes)
-        if placements is not None and mobility is not None:
-            raise ValueError(
-                "placements and a custom mobility object are mutually "
-                "exclusive; pick one way to pin positions"
-            )
         self.flows = self._check_flows(flows, num_nodes)
 
     @staticmethod
@@ -246,8 +239,9 @@ class ScenarioConfig:
         return normalized
 
     #: Fields with plain scalar values, in declaration order.  ``to_dict``
-    #: serializes these verbatim; the three object-valued fields
-    #: (``protocol_config``, ``mac_config``, ``mobility``) are special-cased.
+    #: serializes these verbatim; the object-valued fields
+    #: (``protocol_config``, ``mac_config``, ``fault_plan``, ``placements``,
+    #: ``flows``) are special-cased.
     SCALAR_FIELDS = (
         "protocol",
         "num_nodes",
@@ -290,14 +284,9 @@ class ScenarioConfig:
         an equivalent config, so cache keys and worker dispatch never
         depend on pickle internals.  Raises
         :class:`ConfigSerializationError` when the config carries live
-        objects (a custom ``mobility`` model, callables inside a protocol
-        config) that have no stable textual form.
+        objects (callables inside a protocol config) that have no stable
+        textual form.
         """
-        if self.mobility is not None:
-            raise ConfigSerializationError(
-                "a ScenarioConfig with a custom mobility object cannot be "
-                "serialized; describe placement via pause_time/seed instead"
-            )
         data = {key: getattr(self, key) for key in self.SCALAR_FIELDS}
         data["protocol_config"] = _nested_to_dict(
             self.protocol_config, "protocol_config"
@@ -372,8 +361,6 @@ class Scenario:
             self.mobility = StaticPlacement(
                 dict(enumerate(config.placements))
             )
-        elif config.mobility is not None:
-            self.mobility = config.mobility
         elif config.pause_time >= config.duration:
             # Fully paused = static placement drawn from the same stream.
             rng = self.sim.stream("mobility")

@@ -34,7 +34,7 @@ def _grid(n=6):
 
 
 def _run_shards(root, configs, plan, labels=None, indices=None,
-                name="agg"):
+                name="churn"):
     for index in (range(plan.shards) if indices is None else indices):
         manifest, engine, subset = start_shard(
             root, configs, plan, index, name=name, labels=labels)
@@ -42,7 +42,7 @@ def _run_shards(root, configs, plan, labels=None, indices=None,
         manifest.close()
 
 
-def _run_plain(root, configs, labels, name="agg"):
+def _run_plain(root, configs, labels, name="churn"):
     meta = {"labels": [list(label) for label in labels]}
     manifest, engine = start_campaign(root, configs, name=name, meta=meta)
     result = engine.run(configs)
@@ -64,8 +64,9 @@ def test_sharded_merge_is_byte_identical_to_unsharded(tmp_path):
     assert sharded.complete and plain.complete
     assert sharded.completed_rows() == plain.completed_rows()
     assert sharded.render_table() == plain.render_table()
-    assert [format_csv_row(r) for r in sharded.csv_rows()] == \
-        [format_csv_row(r) for r in plain.csv_rows()]
+    assert sharded.columns == plain.columns
+    assert [format_csv_row(r, sharded.columns) for r in sharded.csv_rows()] \
+        == [format_csv_row(r, plain.columns) for r in plain.csv_rows()]
 
 
 def test_three_shard_merge_is_complete(tmp_path):
@@ -120,7 +121,7 @@ def test_registered_but_unrun_trials_block_certification(tmp_path):
     plan = ShardPlan(2)
     _run_shards(tmp_path, configs, plan, labels=labels, indices=[0])
     # Shard 1 started (trials registered in its journal) but never ran.
-    manifest, _, _ = start_shard(tmp_path, configs, plan, 1, name="agg",
+    manifest, _, _ = start_shard(tmp_path, configs, plan, 1, name="churn",
                                  labels=labels)
     manifest.close()
     with pytest.raises(CoverageError) as err:
@@ -310,6 +311,42 @@ def test_cli_merge_refuses_schema_1_shard(tmp_path, capsys):
     assert "schema 1" in err
 
 
+@pytest.mark.parametrize("labels, reason", [
+    ([["baseline", "ldr"]], "cover 1 trial(s) but the campaign registers 2"),
+    ([["baseline", "ldr"], ["crash"]], "has 2 coordinate(s)"),
+])
+def test_cli_merge_and_watch_refuse_malformed_labels(tmp_path, capsys,
+                                                     labels, reason):
+    """Labels that do not name every trial of a registered grid are a
+    merge error, reported on one line, never a traceback."""
+    from repro.__main__ import main
+
+    _, configs = _grid(2)
+    manifest, engine = start_campaign(tmp_path, configs, name="churn",
+                                      meta={"labels": labels})
+    engine.run(configs)
+    manifest.close()
+
+    assert main(["campaign", "merge", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot merge %s: " % tmp_path) and reason in err
+    assert main(["campaign", "watch", str(tmp_path), "--once"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("watch: ") and reason in out
+
+
+def test_unregistered_grid_merges_rows_without_a_table(tmp_path):
+    labels, configs = _grid(2)
+    _run_plain(tmp_path, configs, labels, name="other")
+    merged = merge_campaign(tmp_path)
+    assert merged.grid is None
+    written = write_merge_output(merged, tmp_path / "out")
+    assert "table" not in written
+    rows = written["rows"].read_text().splitlines()
+    assert rows[0].startswith("index,protocol,seed,key,state,")
+    assert rows[1].startswith("0,aodv,1,")
+
+
 def test_cli_watch_once(tmp_path, capsys):
     from repro.__main__ import main
 
@@ -335,6 +372,35 @@ def test_cli_sharded_churn_usage_errors(tmp_path, capsys):
     assert main(["campaign", "churn", "--journal", str(tmp_path),
                  "--shards", "2", "--shard-index", "5"]) == 2
     assert "outside" in capsys.readouterr().err
+
+
+def test_cli_grid_refuses_a_journal_of_another_campaign(tmp_path, capsys):
+    """``campaign NAME --journal DIR`` resumes only a journal of NAME; any
+    other campaign's journal is refused on one line, not rendered."""
+    from repro.__main__ import main
+
+    labels, configs = _grid(2)
+    _run_plain(tmp_path / "plain", configs, labels, name="other")
+    _run_shards(tmp_path / "sharded", configs, ShardPlan(2), labels=labels,
+                name="other")
+    args = ["--duration", "6", "--trials", "1"]
+    for root, extra in ((tmp_path / "plain", []),
+                        (tmp_path / "sharded",
+                         ["--shards", "2", "--shard-index", "0"])):
+        assert main(["campaign", "churn", "--journal", str(root)]
+                    + args + extra) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert "'other'" in err[0] and "'churn'" in err[0]
+        assert "python -m repro campaign resume %s" % root in err[0]
+
+    # The same grid's journal still resumes (here: all cached).
+    _run_plain(tmp_path / "mine", configs, labels)
+    assert main(["campaign", "churn", "--journal", str(tmp_path / "mine")]
+                + args) == 0
+    assert "baseline" in capsys.readouterr().out
 
 
 def test_cli_sharded_churn_runs_and_merges(tmp_path, capsys):

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro.core import LdrConfig
 from repro.exec.cache import ResultCache, default_cache_dir, trial_key
 from repro.experiments.scenario import ConfigSerializationError, ScenarioConfig
-from repro.mobility import StaticPlacement
 
 
 def _config(**overrides):
@@ -37,7 +37,7 @@ def test_trial_key_covers_protocol_config():
 
 
 def test_trial_key_rejects_live_objects():
-    config = _config(mobility=StaticPlacement({0: (0.0, 0.0)}))
+    config = _config(protocol_config=LdrConfig(link_cost=lambda a: 1.0))
     with pytest.raises(ConfigSerializationError):
         trial_key(config)
 

@@ -5,7 +5,7 @@ import time
 
 import repro.exec.deadline as deadline_mod
 from repro.exec.deadline import TrialTimeout, call_with_deadline
-from repro.exec.worker import run_trial_config
+from repro.exec.worker import run_trial_payload
 from repro.experiments.scenario import ScenarioConfig
 
 
@@ -101,7 +101,7 @@ def test_uncancellable_overrun_carries_explicit_warning(monkeypatch):
 def test_worker_timeout_surfaces_as_failed_outcome():
     config = ScenarioConfig(num_nodes=40, num_flows=10, duration=600.0,
                             seed=1)
-    outcome = run_trial_config(config, timeout=0.2)
+    outcome = run_trial_payload({"config": config.to_dict(), "timeout": 0.2})
     assert outcome["ok"] is False
     assert "timed out" in outcome["error"]
     assert outcome["worker"] > 0

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.core import LdrConfig
 from repro.exec import worker
 from repro.exec.cache import ResultCache
 from repro.exec.engine import CampaignEngine, CampaignError
-from repro.experiments.scenario import ScenarioConfig
-from repro.mobility import StaticPlacement
+from repro.experiments.scenario import ConfigSerializationError, ScenarioConfig
 
 
 def _configs(n=3, **overrides):
@@ -105,14 +105,15 @@ def test_per_trial_timeout_is_a_failure():
     assert "timed out" in result.trials[0].error
 
 
-def test_unserializable_config_runs_in_process_uncached(tmp_path):
-    placement = StaticPlacement({i: (100.0 * i, 0.0) for i in range(4)})
-    config = ScenarioConfig(num_nodes=4, num_flows=1, duration=4.0,
-                            mobility=placement)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unserializable_config_is_refused(tmp_path, jobs):
+    """A config without a trial key is refused before anything runs."""
+    configs = _configs(2)
+    configs.append(configs[0].replaced(
+        protocol_config=LdrConfig(link_cost=lambda a: 1.0)))
     cache = ResultCache(tmp_path)
-    result = CampaignEngine(jobs=2, cache=cache).run([config])
-    assert result.trials[0].ok
-    assert result.trials[0].key is None
+    with pytest.raises(ConfigSerializationError, match="link_cost"):
+        CampaignEngine(jobs=jobs, cache=cache).run(configs)
     assert cache.stats()["entries"] == 0
 
 

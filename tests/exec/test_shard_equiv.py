@@ -6,7 +6,15 @@ set of the same campaign run unsharded.  The CI ``shard-equiv`` job
 replays this with a real SIGKILL across processes; this test pins the
 same property in-process using the crash signature a SIGKILL leaves
 behind (a journal cut mid-stream) so the suite stays fast and portable.
+
+The ``paper`` grid (Table 1 plus Figs. 2–7) holds to the same invariant,
+and its merged render is exactly what ``repro table1`` and ``repro
+figure`` print for the same settings.
 """
+
+import shutil
+
+import pytest
 
 from repro.exec.aggregate import merge_campaign, write_merge_output
 from repro.exec.manifest import (
@@ -15,7 +23,11 @@ from repro.exec.manifest import (
     start_campaign,
 )
 from repro.exec.shard import ShardPlan, shard_dir, start_shard
+from repro.experiments.campaigns import Campaign, run_grid, run_grid_shards
+from repro.experiments.figures import FIGURES
+from repro.experiments.grids import GRIDS
 from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.tables import format_table1, table1
 
 
 def _grid(n=6):
@@ -67,7 +79,7 @@ def test_crashed_and_resumed_shards_merge_byte_identical(tmp_path):
     # -- unsharded reference, traces on --------------------------------
     plain_root = tmp_path / "plain"
     manifest, engine = start_campaign(
-        plain_root, configs, name="equiv",
+        plain_root, configs, name="churn",
         meta={"labels": [list(label) for label in labels]}, trace=True)
     engine.run(configs)
     manifest.close()
@@ -79,7 +91,7 @@ def test_crashed_and_resumed_shards_merge_byte_identical(tmp_path):
     crash_index = max(sizes)[1]  # needs >= 2 trials to crash between
     for index in range(plan.shards):
         manifest, engine, subset = start_shard(
-            shard_root, configs, plan, index, name="equiv",
+            shard_root, configs, plan, index, name="churn",
             labels=labels, trace=True)
         engine.run([config for _, config in subset])
         manifest.close()
@@ -111,3 +123,129 @@ def test_crashed_and_resumed_shards_merge_byte_identical(tmp_path):
     for name in plain_traces:
         assert (plain_out["traces"] / name).read_bytes() == \
             (shard_out["traces"] / name).read_bytes()
+
+
+# -- the paper grid ------------------------------------------------------
+
+#: The paper grid at 50/100 nodes, 4 s runs, one trial: 60 trials.
+PAPER = dict(duration=4.0, trials=1)
+
+
+@pytest.fixture(scope="module")
+def paper(tmp_path_factory):
+    """The paper grid run once unsharded and once as 3 shards."""
+    root = tmp_path_factory.mktemp("paper")
+    campaign = Campaign(journal=root / "plain", jobs=2, **PAPER)
+    labels, configs = GRIDS["paper"].build(campaign)
+    assert len(configs) == 60
+    _, result, manifest = run_grid(campaign, "paper", labels, configs)
+    manifest.close()
+    assert result.coverage == 1.0
+    sharded = Campaign(journal=root / "sharded", jobs=2, **PAPER)
+    for index in range(3):
+        _, sessions = run_grid_shards(sharded, "paper", labels, configs, 3,
+                                      shard_index=index)
+        sessions[0][2].close()
+    return root, labels, configs
+
+
+def _merge_out(root, out):
+    written = write_merge_output(merge_campaign(root), out)
+    return {name: written[name].read_bytes()
+            for name in ("table", "rows", "cdf")}
+
+
+def test_paper_shards_crashed_and_resumed_merge_byte_identical(paper,
+                                                               tmp_path):
+    root, labels, configs = paper
+    sharded = tmp_path / "sharded"
+    shutil.copytree(root / "sharded", sharded)
+    crash_index = max((len(bucket), index) for index, bucket
+                      in enumerate(ShardPlan(3).assign(configs)))[1]
+    assert _crash_after_first_done(shard_dir(sharded, crash_index)) > 0
+
+    # Re-running the same grid command resumes the crashed shard.
+    campaign = Campaign(journal=sharded, **PAPER)
+    _, sessions = run_grid_shards(campaign, "paper", labels, configs, 3,
+                                  shard_index=crash_index)
+    (_, resumed, manifest), = sessions
+    manifest.close()
+    assert resumed.executed > 0 and resumed.coverage == 1.0
+
+    plain = _merge_out(root / "plain", tmp_path / "out-plain")
+    assert _merge_out(sharded, tmp_path / "out-sharded") == plain
+    header = plain["rows"].decode().splitlines()[0]
+    assert header.startswith("index,block,nodes,flows,pause,protocol,seed,")
+
+
+def test_paper_render_is_table1_and_figures(paper, capsys):
+    """The merged render equals the table1/figure commands' output at the
+    same settings (served from the grid run's cache: same trial keys), and
+    ``campaign resume`` prints it too."""
+    from repro.__main__ import main
+
+    root, _, _ = paper
+    campaign = Campaign(use_cache=True, cache_dir=root / "plain" / "cache",
+                        **PAPER)
+    blocks = [format_table1(table1(flows, campaign=campaign), flows)
+              for flows in (10, 30)]
+    blocks += [FIGURES[name].render(FIGURES[name].run(campaign))
+               for name in ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7")]
+    expected = "\n\n".join(blocks)
+    assert merge_campaign(root / "plain").render_table() == expected
+
+    assert main(["campaign", "resume", str(root / "plain")]) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_paper_partial_merge_prints_dashes_for_empty_cells(paper, tmp_path,
+                                                           capsys):
+    from repro.__main__ import main
+
+    root, labels, configs = paper
+    partial = tmp_path / "partial"
+    shutil.copytree(root / "sharded", partial)
+    missing = 1
+    shutil.rmtree(shard_dir(partial, missing))
+    lost = {index for index, _ in ShardPlan(3).assign(configs)[missing]}
+    assert 0 < len(lost) < len(configs)
+
+    assert main(["campaign", "merge", str(partial)]) == 4
+    capsys.readouterr()
+    assert main(["campaign", "merge", str(partial), "--partial"]) == 0
+    captured = capsys.readouterr()
+    assert "NOT a certified" in captured.err
+    blocks = captured.out.rstrip("\n").split("\n\n")
+    assert len(blocks) == 2 + len(FIGURES)
+
+    # Table 1: a protocol row pools six trials (2 N x 3 pauses).
+    for flows, block in zip((10, 30), blocks):
+        rows = {line.split()[0]: line.split()
+                for line in block.splitlines()[3:]}
+        for protocol in ("ldr", "aodv", "dsr", "olsr"):
+            cell = [index for index, label in enumerate(labels)
+                    if label[0] == "table1" and label[2] == flows
+                    and label[4] == protocol]
+            done = len([index for index in cell if index not in lost])
+            row = rows[protocol.upper()]
+            assert row[-1] == "%d/%d" % (done, len(cell))
+            if done == 0:
+                assert row[1:-1] == ["--"] * 6
+            else:
+                assert "--" not in row
+
+    # Figures: one trial per point, so a point is empty iff it was lost.
+    for figure, block in zip(FIGURES.values(), blocks[2:]):
+        printed = {}
+        for line in block.splitlines()[2:]:
+            if line.startswith("  series: "):
+                series = line[len("  series: "):]
+            else:
+                pause, value = line.split(" | ")
+                printed[(series, int(pause))] = value
+        expected = {figure.cell(tuple(label)): index in lost
+                    for index, label in enumerate(labels)
+                    if figure.cell(tuple(label)) is not None}
+        assert set(printed) == set(expected)
+        for point, empty in expected.items():
+            assert (printed[point] == "--") == empty, (figure.name, point)

@@ -1,12 +1,8 @@
 """Unit tests for the table/figure generators (tiny campaigns)."""
 
+from repro.analysis import Aggregate
 from repro.experiments.campaigns import Campaign
-from repro.experiments.figures import (
-    figure_delivery,
-    figure_qualnet_crosscheck,
-    figure_seqno,
-    format_series,
-)
+from repro.experiments.figures import FIGURES
 from repro.experiments.tables import TABLE1_METRICS, format_table1, table1
 
 
@@ -36,29 +32,52 @@ def test_format_table1_renders_all_rows():
 
 
 def test_figure_delivery_series_shape():
-    campaign = _tiny_campaign()
-    series = figure_delivery(12, 2, campaign=campaign, protocols=("ldr",))
+    campaign = Campaign(duration=6.0, trials=1)
+    series = FIGURES["fig2"].run(campaign)
     points = series["ldr"]
     assert [p[0] for p in points] == campaign.pauses()
-    for _, mean, ci in points:
+    for _, mean, ci, completed, planned in points:
         assert 0.0 <= mean <= 1.0
         assert ci >= 0.0
+        assert completed == planned == 1
 
 
 def test_figure_seqno_has_four_series():
     campaign = Campaign(duration=6.0, trials=1)
-    series = figure_seqno(campaign=campaign, num_nodes=12)
+    series = FIGURES["fig7"].run(campaign)
     assert set(series) == {"ldr-low", "ldr-high", "aodv-low", "aodv-high"}
 
 
 def test_figure_qualnet_uses_dsr7():
     campaign = Campaign(duration=6.0, trials=1, num_nodes_small=12)
-    series = figure_qualnet_crosscheck(campaign=campaign)
+    series = FIGURES["fig6"].run(campaign)
     assert "dsr7" in series and "dsr" not in series
 
 
 def test_format_series_renders():
-    text = format_series({"ldr": [(0, 0.95, 0.01)]}, "Title", ylabel="y")
-    assert "Title" in text
-    assert "ldr" in text
+    text = FIGURES["fig7"].render({"ldr-low": [(0, 0.95, 0.01, 1, 1)]})
+    assert FIGURES["fig7"].title in text
+    assert "mean destination seqno" in text
+    assert "ldr-low" in text
     assert "0.9500" in text
+
+
+def test_partial_cells_print_dashes_and_coverage():
+    text = FIGURES["fig2"].render({"ldr": [
+        (0, 0.95, 0.01, 2, 2), (11, 0.9, 0.0, 1, 2), (45, None, None, 0, 2),
+    ]})
+    lines = text.splitlines()
+    assert lines[0] == FIGURES["fig2"].title
+    assert lines[3:] == ["           0 | 0.9500 ± 0.0100",
+                         "          11 | 0.9000 ± 0.0000  (1/2 trials)",
+                         "          45 | --"]
+
+    metrics = [key for key, _ in TABLE1_METRICS]
+    results = {"ldr": {key: Aggregate([0.5, 0.7]) for key in metrics}}
+    assert format_table1(results, 10, {"ldr": 2}) == \
+        format_table1(results, 10)
+    results["aodv"] = {key: Aggregate([]) for key in metrics}
+    lines = format_table1(results, 10, {"ldr": 3, "aodv": 2}).splitlines()
+    assert lines[1].endswith("cov")
+    assert lines[3].endswith("2/3")
+    assert lines[4].split() == ["AODV"] + ["--"] * 6 + ["0/2"]

@@ -54,6 +54,13 @@ def test_pause_sweep_scaled_and_paper():
     assert paper == [0, 30, 60, 120, 300, 600, 900]
 
 
+def test_paper_pause_sweep_stays_inside_a_short_run():
+    """Every pause >= the run length is the same static placement, so a
+    shorter paper-scale run sweeps the paper's fractions of its length."""
+    assert pause_sweep(100.0, paper_scale=True) == [0, 3, 7, 13, 33, 67, 100]
+    assert Campaign(paper_scale=True, duration=100.0).pauses()[-1] == 100
+
+
 def test_campaign_defaults():
     scaled = Campaign()
     assert scaled.duration < 900

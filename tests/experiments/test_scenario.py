@@ -45,10 +45,13 @@ def test_full_pause_uses_static_placement():
     assert isinstance(scenario.mobility, StaticPlacement)
 
 
-def test_custom_mobility_honoured():
-    placement = StaticPlacement.line(10, 150.0)
-    scenario = build_scenario(_tiny(mobility=placement))
-    assert scenario.mobility is placement
+def test_placements_pin_every_node():
+    positions = [(150.0 * i, 20.0 * (i % 3)) for i in range(10)]
+    scenario = build_scenario(_tiny(placements=positions))
+    assert isinstance(scenario.mobility, StaticPlacement)
+    for node, position in enumerate(positions):
+        for when in (0.0, 5.0, 10.0):
+            assert scenario.mobility.position(node, when) == position
 
 
 def test_run_returns_report_with_traffic():

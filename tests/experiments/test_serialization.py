@@ -8,7 +8,6 @@ from repro.experiments.scenario import (
     ConfigSerializationError,
     ScenarioConfig,
 )
-from repro.mobility import StaticPlacement
 from repro.net import MacConfig
 from repro.protocols import DsrConfig
 
@@ -51,12 +50,6 @@ def test_to_dict_is_json_serializable():
     config = ScenarioConfig(protocol="dsr", protocol_config=DsrConfig())
     dumped = json.dumps(config.to_dict(), sort_keys=True)
     assert ScenarioConfig.from_dict(json.loads(dumped)).to_dict() == config.to_dict()
-
-
-def test_to_dict_rejects_live_mobility():
-    config = ScenarioConfig(mobility=StaticPlacement({0: (0.0, 0.0)}))
-    with pytest.raises(ConfigSerializationError):
-        config.to_dict()
 
 
 def test_to_dict_rejects_callable_config_fields():

@@ -3,10 +3,11 @@
 from repro.experiments.campaigns import (
     CHURN_PROTOCOLS,
     Campaign,
+    aggregate_churn,
     churn_grid,
     churn_plans,
-    churn_table,
     format_churn,
+    run_grid,
 )
 
 
@@ -52,7 +53,9 @@ def test_churn_grid_covers_every_cell_with_monitor_on():
 
 def test_churn_table_aggregates_and_renders():
     campaign = _tiny_campaign()
-    table = churn_table(campaign, protocols=("ldr", "aodv"))
+    labels, configs = churn_grid(campaign, protocols=("ldr", "aodv"))
+    labels, result, _ = run_grid(campaign, "churn", labels, configs)
+    table = aggregate_churn(labels, result.trials)
     assert len(table) == 5 * 2  # five plans x two protocols
     for row in table:
         assert 0.0 <= row["delivery_ratio"] <= 1.0

@@ -34,7 +34,6 @@ def test_model_checking_runs(capsys):
     "quickstart.py",
     "protocol_shootout.py",
     "loop_freedom_audit.py",
-    "paper_tables.py",
     "coordination_cost.py",
 ])
 def test_examples_compile(script):
