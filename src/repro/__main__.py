@@ -156,14 +156,7 @@ def cmd_run(args):
         print(config.fault_plan.describe(), file=sys.stderr)
     report = scenario.run()
     if args.trace:
-        from repro.obs import trace_header, write_trace
-
-        count = write_trace(
-            args.trace, scenario.trace,
-            header=trace_header(
-                config=config,
-                destinations=sorted(scenario.traffic.destinations_used()),
-            ))
+        count = scenario.write_trace(args.trace)
         print("trace: %d event(s) -> %s" % (count, args.trace),
               file=sys.stderr)
     if args.profile:

@@ -2,8 +2,10 @@
 
 Implements Procedures 1–4 of the paper plus RERR handling and the Section-4
 optimizations.  One instance runs per node; it talks to the MAC through the
-:class:`~repro.routing.base.RoutingProtocol` helpers and keeps all state in
-:mod:`repro.core.state` objects.
+:class:`~repro.routing.base.RoutingProtocol` helpers and keeps its routing
+state in :mod:`repro.core.state` objects.  Procedure 1's buffer, retry and
+flush are the shared :class:`~repro.routing.base.RouteDiscovery`; LDR
+supplies its ring and its RREQ.
 """
 
 from repro.core.conditions import (
@@ -14,29 +16,23 @@ from repro.core.conditions import (
 )
 from repro.core.config import LdrConfig
 from repro.core.messages import INFINITY, LdrRerr, LdrRrep, LdrRreq
-from repro.core.state import Computation, LdrRouteEntry, RreqCacheEntry
+from repro.core.state import LdrRouteEntry, RreqCacheEntry
 from repro.net.packet import DataPacket
-from repro.routing.base import PacketBuffer, RoutingProtocol
+from repro.routing.base import RouteDiscovery, ring_ttl
 from repro.routing.seqnum import LabeledSeq
-from repro.sim.timers import Timer
 
 LINK_COST = 1  # hop-count metric; Section 2 assumes positive symmetric costs
 
 
-class LdrProtocol(RoutingProtocol):
+class LdrProtocol(RouteDiscovery):
     """Labeled Distance Routing on one node."""
 
     name = "ldr"
 
     def __init__(self, sim, node, config=None, metrics=None):
-        super().__init__(sim, node, metrics)
-        self.config = config or LdrConfig()
+        super().__init__(sim, node, config or LdrConfig(), metrics)
         self.table = {}  # dst -> LdrRouteEntry
         self.rreq_cache = {}  # (origin, rreqid) -> RreqCacheEntry
-        self.computations = {}  # dst -> Computation
-        self.buffer = PacketBuffer(
-            sim, self.config.buffer_capacity, self.config.buffer_max_age
-        )
         # Destination-controlled sequence number for *this* node.  The
         # paper's (timestamp, counter) label; only we may increment it.
         # The timestamp is taken from the clock at (re)boot — Section 3's
@@ -63,20 +59,11 @@ class LdrProtocol(RoutingProtocol):
         if dst == self.node_id:
             self.deliver_local(packet)
             return
-        entry = self.table.get(dst)
-        if entry is not None and entry.is_active(self.sim.now):
-            self._forward_data(packet, entry)
-            return
-        if not self.buffer.push(dst, packet):
-            self.drop_data(packet, "buffer_full")
-        self._ensure_discovery(dst)
-
-    def stop(self):
-        """Node crash: cancel discovery timers so the instance goes quiet."""
-        super().stop()
-        for comp in self.computations.values():
-            comp.timer.cancel()
-        self.computations.clear()
+        entry = self._route(dst)
+        if entry is not None:
+            self._forward(packet, entry)
+        else:
+            self._buffer_and_discover(packet)
 
     def on_packet(self, packet, from_id):
         if isinstance(packet, DataPacket):
@@ -118,7 +105,13 @@ class LdrProtocol(RoutingProtocol):
     # ==================================================================
     # data plane
     # ==================================================================
-    def _forward_data(self, packet, entry):
+    def _route(self, dst):
+        entry = self.table.get(dst)
+        if entry is not None and entry.is_active(self.sim.now):
+            return entry
+        return None
+
+    def _forward(self, packet, entry):
         now = self.sim.now
         # Recent use keeps the route (and usually the reverse route) fresh.
         entry.expiry = max(entry.expiry, now + self.config.active_route_timeout)
@@ -130,16 +123,11 @@ class LdrProtocol(RoutingProtocol):
         self.unicast(packet, entry.next_hop, on_fail=self._on_data_link_failure)
 
     def _on_data(self, packet, from_id):
-        packet.hops += 1  # one link traversed, even when we are the sink
-        if packet.dst == self.node_id:
-            self.deliver_local(packet)
-            return
-        if packet.hops > self.config.data_hop_limit:
-            self.drop_data(packet, "hop_limit")
+        if not self._transit(packet):
             return
         entry = self.table.get(packet.dst)
         if entry is not None and entry.is_active(self.sim.now):
-            self._forward_data(packet, entry)
+            self._forward(packet, entry)
             return
         # No usable route mid-path: report the error toward the previous
         # hop so upstream routes through us are torn down.
@@ -155,14 +143,7 @@ class LdrProtocol(RoutingProtocol):
                 LdrRerr([(d, self.table[d].seqno) for d in broken]), initiated=True
             )
         if isinstance(packet, DataPacket):
-            if packet.src == self.node_id:
-                # We originated it: buffer and re-discover.
-                if self.buffer.push(packet.dst, packet):
-                    self._ensure_discovery(packet.dst)
-                else:
-                    self.drop_data(packet, "buffer_full")
-            else:
-                self.drop_data(packet, "link_break")
+            self._on_data_give_up(packet)
 
     def _invalidate_via(self, next_hop):
         """Invalidate all valid routes using ``next_hop``; returns the dsts.
@@ -202,30 +183,15 @@ class LdrProtocol(RoutingProtocol):
         return True
 
     # ==================================================================
-    # Procedure 1 — initiate solicitation
+    # Procedure 1 — initiate solicitation (the lifecycle is RouteDiscovery's)
     # ==================================================================
-    def _ensure_discovery(self, dst):
-        if dst in self.computations:
-            return
-        self._start_attempt(dst, attempt=0)
-
-    def _start_attempt(self, dst, attempt):
-        self._next_rreqid += 1
-        rreqid = self._next_rreqid
-        entry = self.table.get(dst)
-        ttl = self._initial_ttl(entry, attempt)
-        timer = Timer(self.sim, lambda d=dst: self._on_discovery_timeout(d))
-        comp = Computation(dst, rreqid, ttl, timer)
-        comp.attempt = attempt
-        self.computations[dst] = comp
-        timer.start(self.config.ring_timeout(ttl))
-        self._send_rreq(dst, comp)
+    def _ring(self, dst, attempt):
+        ttl = self._initial_ttl(self.table.get(dst), attempt)
+        return ttl, self.config.ring_timeout(ttl)
 
     def _initial_ttl(self, entry, attempt):
         cfg = self.config
-        if attempt >= cfg.rreq_retries:
-            return cfg.net_diameter
-        base = cfg.ttl_start
+        start = cfg.ttl_start
         if (
             cfg.optimal_ttl
             and entry is not None
@@ -233,51 +199,29 @@ class LdrProtocol(RoutingProtocol):
             and entry.fd != INFINITY
         ):
             afd = cfg.answering_distance(entry.fd)
-            base = max(1, int(entry.dist - afd) + cfg.local_add_ttl)
-        ttl = base + attempt * cfg.ttl_increment
-        if ttl > cfg.ttl_threshold:
-            ttl = cfg.net_diameter
-        return ttl
+            start = max(1, int(entry.dist - afd) + cfg.local_add_ttl)
+        return ring_ttl(cfg, attempt, start)
 
-    def _send_rreq(self, dst, comp):
+    def _solicit(self, discovery):
+        self._next_rreqid += 1
+        dst = discovery.dst
         entry = self.table.get(dst)
         sn = entry.seqno if entry is not None else None
         fd = entry.fd if entry is not None else INFINITY
         rreq = LdrRreq(
             dst=dst,
             sn_dst=sn,
-            rreqid=comp.rreqid,
+            rreqid=self._next_rreqid,
             src=self.node_id,
             # Nodes do not increase their own number when issuing a RREQ
             # (Section 2.2) — firm control stays with the owner.
             sn_src=self.own_seq,
             fd=fd,
             dist=0,
-            ttl=comp.ttl,
+            ttl=discovery.ttl,
             answering_fd=self.config.answering_distance(fd),
         )
         self.broadcast(rreq, initiated=True)
-
-    def _on_discovery_timeout(self, dst):
-        comp = self.computations.pop(dst, None)
-        if comp is None:
-            return
-        if comp.attempt < self.config.rreq_retries:
-            self._start_attempt(dst, comp.attempt + 1)
-            return
-        # Final attempt failed: inform packet origins and drop the queue.
-        for packet in self.buffer.drop_all(dst):
-            self.drop_data(packet, "no_route_found")
-
-    def _complete_discovery(self, dst):
-        comp = self.computations.pop(dst, None)
-        if comp is not None:
-            comp.timer.cancel()
-        entry = self.table.get(dst)
-        if entry is None or not entry.is_active(self.sim.now):
-            return
-        for packet in self.buffer.pop_all(dst):
-            self._forward_data(packet, entry)
 
     # ==================================================================
     # Procedure 2 — relay solicitation
@@ -308,7 +252,7 @@ class LdrProtocol(RoutingProtocol):
                 rreq.src, rreq.sn_src, rreq.dist, from_id,
                 self.config.reverse_route_life,
             )
-            if not built and not self._has_active(rreq.src):
+            if not built and self._route(rreq.src) is None:
                 rreq.n_bit = True
 
         if self.config.request_as_error:
@@ -533,7 +477,7 @@ class LdrProtocol(RoutingProtocol):
 
         if rrep.src == self.node_id:
             # Terminus: our computation for rrep.dst ends in success.
-            if usable or self._has_active(rrep.dst):
+            if usable or self._route(rrep.dst) is not None:
                 self._complete_discovery(rrep.dst)
             if rrep.n_bit and self.config.n_bit_probe:
                 self._handle_n_bit(rrep.dst)
@@ -625,10 +569,6 @@ class LdrProtocol(RoutingProtocol):
     # ==================================================================
     # misc helpers
     # ==================================================================
-    def _has_active(self, dst):
-        entry = self.table.get(dst)
-        return entry is not None and entry.is_active(self.sim.now)
-
     def _purge_rreq_cache(self):
         # The size guard is duplicated at the _on_rreq call site so the
         # per-RREQ hot path pays no call when the cache is small.

@@ -1,5 +1,6 @@
-"""LDR per-node state: routing table entries, the RREQ cache (engagement
-records + reverse paths), and active route computations."""
+"""LDR per-node state: routing table entries and the RREQ cache (engagement
+records + reverse paths).  An origin's route computations are
+:class:`~repro.routing.base.Discovery` records."""
 
 from repro.core.messages import INFINITY
 
@@ -86,21 +87,3 @@ class RreqCacheEntry:
     def record_forwarded(self, sn, dist):
         self.replied_sn = sn
         self.replied_dist = dist
-
-
-class Computation:
-    """An origin's active route computation (Procedure 1).
-
-    One per destination at most; terminates on the first feasible
-    advertisement or on timer expiry, after which the origin may retry with
-    a wider ring (a fresh rreqid per attempt).
-    """
-
-    __slots__ = ("dst", "rreqid", "attempt", "ttl", "timer")
-
-    def __init__(self, dst, rreqid, ttl, timer):
-        self.dst = dst
-        self.rreqid = rreqid
-        self.attempt = 0
-        self.ttl = ttl
-        self.timer = timer

@@ -44,18 +44,9 @@ def run_trial_payload(payload):
         trace_path = payload.get("trace")
         if trace_path is None:
             return {"row": run_scenario(config).as_dict()}
-        from repro.obs import trace_header, write_trace
-
         scenario = build_scenario(config.replaced(trace=True))
         row = scenario.run().as_dict()
-        # destinations = the traffic sinks the end-of-run audit sweep
-        # covered; offline replay (repro.verify) sweeps exactly these.
-        write_trace(trace_path, scenario.trace,
-                    header=trace_header(
-                        config=scenario.config,
-                        destinations=sorted(
-                            scenario.traffic.destinations_used()),
-                    ))
+        scenario.write_trace(trace_path)
         return {"row": row, "trace": trace_path}
 
     outcome = call_with_deadline(trial, payload.get("timeout"))

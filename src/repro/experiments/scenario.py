@@ -12,7 +12,7 @@ from repro.metrics import MetricsCollector, RunReport
 from repro.mobility import RandomWaypoint, StaticPlacement
 from repro.net import GridIndex, MacConfig, Node, WirelessChannel
 from repro.net.packet import reset_packet_uids
-from repro.obs import TraceRecorder
+from repro.obs import TraceRecorder, trace_header, write_trace
 from repro.protocols import (
     AodvConfig,
     AodvProtocol,
@@ -474,6 +474,18 @@ class Scenario:
         if self.monitor is not None:
             self.monitor.check_all(self.traffic.destinations_used())
         return RunReport(self.metrics, profile=profiler)
+
+    def write_trace(self, path):
+        """Write the recorded trace to ``path``; returns the event count.
+
+        The header names the config and the traffic destinations: the
+        end-of-run audit swept those, and offline replay
+        (:mod:`repro.verify`) sweeps exactly them.
+        """
+        return write_trace(path, self.trace, header=trace_header(
+            config=self.config,
+            destinations=sorted(self.traffic.destinations_used()),
+        ))
 
 
 def build_scenario(config):

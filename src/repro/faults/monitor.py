@@ -233,10 +233,4 @@ class InvariantMonitor:
 
     def _discovery_in_flight(self, src, dst):
         protocol = self.protocols.get(src)
-        if protocol is None:
-            return False
-        for attr in ("computations", "_discoveries"):
-            pending = getattr(protocol, attr, None)
-            if pending is not None and dst in pending:
-                return True
-        return False
+        return dst in getattr(protocol, "discoveries", ())

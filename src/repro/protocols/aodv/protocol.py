@@ -13,9 +13,8 @@ configuration the paper's GloMoSim runs used.
 
 from repro.net.packet import DataPacket
 from repro.protocols.aodv.messages import AodvHello, AodvRerr, AodvRrep, AodvRreq
-from repro.routing.base import PacketBuffer, RoutingProtocol
+from repro.routing.base import RouteDiscovery, ring_ttl
 from repro.routing.seqnum import circular_geq, circular_greater
-from repro.sim.timers import Timer
 
 
 class AodvConfig:
@@ -87,32 +86,17 @@ class AodvRouteEntry:
         )
 
 
-class _Discovery:
-    __slots__ = ("dst", "attempt", "ttl", "timer")
-
-    def __init__(self, dst, ttl, timer):
-        self.dst = dst
-        self.attempt = 0
-        self.ttl = ttl
-        self.timer = timer
-
-
-class AodvProtocol(RoutingProtocol):
+class AodvProtocol(RouteDiscovery):
     """AODV on one node."""
 
     name = "aodv"
 
     def __init__(self, sim, node, config=None, metrics=None):
-        super().__init__(sim, node, metrics)
-        self.config = config or AodvConfig()
+        super().__init__(sim, node, config or AodvConfig(), metrics)
         self.table = {}  # dst -> AodvRouteEntry
-        self.buffer = PacketBuffer(
-            sim, self.config.buffer_capacity, self.config.buffer_max_age
-        )
         self.own_seq = 0
         self._rreq_id = 0
         self._seen = {}  # (src, rreq_id) -> expiry
-        self._discoveries = {}  # dst -> _Discovery
         self._hello_heard = {}  # neighbor -> last heard (hello mode)
 
     # ------------------------------------------------------------------
@@ -165,13 +149,11 @@ class AodvProtocol(RoutingProtocol):
         if dst == self.node_id:
             self.deliver_local(packet)
             return
-        entry = self.table.get(dst)
-        if entry is not None and entry.is_active(self.sim.now):
-            self._forward_data(packet, entry)
-            return
-        if not self.buffer.push(dst, packet):
-            self.drop_data(packet, "buffer_full")
-        self._ensure_discovery(dst)
+        entry = self._route(dst)
+        if entry is not None:
+            self._forward(packet, entry)
+        else:
+            self._buffer_and_discover(packet)
 
     def on_packet(self, packet, from_id):
         if isinstance(packet, DataPacket):
@@ -213,7 +195,13 @@ class AodvProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
-    def _forward_data(self, packet, entry):
+    def _route(self, dst):
+        entry = self.table.get(dst)
+        if entry is not None and entry.is_active(self.sim.now):
+            return entry
+        return None
+
+    def _forward(self, packet, entry):
         now = self.sim.now
         entry.expiry = max(entry.expiry, now + self.config.active_route_timeout)
         src_entry = self.table.get(packet.src)
@@ -224,16 +212,11 @@ class AodvProtocol(RoutingProtocol):
         self.unicast(packet, entry.next_hop, on_fail=self._on_data_link_failure)
 
     def _on_data(self, packet, from_id):
-        packet.hops += 1  # one link traversed, even when we are the sink
-        if packet.dst == self.node_id:
-            self.deliver_local(packet)
-            return
-        if packet.hops > self.config.data_hop_limit:
-            self.drop_data(packet, "hop_limit")
+        if not self._transit(packet):
             return
         entry = self.table.get(packet.dst)
         if entry is not None and entry.is_active(self.sim.now):
-            self._forward_data(packet, entry)
+            self._forward(packet, entry)
             return
         self.drop_data(packet, "no_route")
         seq = self._bump_broken_seq(packet.dst)
@@ -253,13 +236,7 @@ class AodvProtocol(RoutingProtocol):
         if broken:
             self.broadcast(AodvRerr(broken), initiated=True)
         if isinstance(packet, DataPacket):
-            if packet.src == self.node_id:
-                if self.buffer.push(packet.dst, packet):
-                    self._ensure_discovery(packet.dst)
-                else:
-                    self.drop_data(packet, "buffer_full")
-            else:
-                self.drop_data(packet, "link_break")
+            self._on_data_give_up(packet)
 
     def _bump_broken_seq(self, dst):
         entry = self.table.get(dst)
@@ -275,36 +252,17 @@ class AodvProtocol(RoutingProtocol):
         return entry.seq
 
     # ------------------------------------------------------------------
-    # route discovery
+    # route discovery (the lifecycle is RouteDiscovery's)
     # ------------------------------------------------------------------
-    def stop(self):
-        """Node crash: cancel discovery timers so the instance goes quiet."""
-        super().stop()
-        for disc in self._discoveries.values():
-            disc.timer.cancel()
-        self._discoveries.clear()
+    def _ring(self, dst, attempt):
+        ttl = ring_ttl(self.config, attempt, self.config.ttl_start)
+        return ttl, self.config.ring_timeout(ttl)
 
-    def _ensure_discovery(self, dst):
-        if dst in self._discoveries:
-            return
-        self._start_attempt(dst, attempt=0)
-
-    def _start_attempt(self, dst, attempt):
-        cfg = self.config
-        if attempt >= cfg.rreq_retries:
-            ttl = cfg.net_diameter
-        else:
-            ttl = cfg.ttl_start + attempt * cfg.ttl_increment
-            if ttl > cfg.ttl_threshold:
-                ttl = cfg.net_diameter
-        timer = Timer(self.sim, lambda d=dst: self._on_timeout(d))
-        disc = _Discovery(dst, ttl, timer)
-        disc.attempt = attempt
-        self._discoveries[dst] = disc
-        timer.start(cfg.ring_timeout(ttl))
+    def _solicit(self, discovery):
         # §6.1: increment own sequence number before originating discovery.
         self.own_seq += 1
         self._rreq_id += 1
+        dst = discovery.dst
         entry = self.table.get(dst)
         if entry is not None and entry.seq_valid:
             dst_seq, unknown = entry.seq, False
@@ -312,30 +270,11 @@ class AodvProtocol(RoutingProtocol):
             dst_seq, unknown = 0, True
         rreq = AodvRreq(
             src=self.node_id, src_seq=self.own_seq, rreq_id=self._rreq_id,
-            dst=dst, dst_seq=dst_seq, unknown_seq=unknown, hop_count=0, ttl=ttl,
+            dst=dst, dst_seq=dst_seq, unknown_seq=unknown, hop_count=0,
+            ttl=discovery.ttl,
         )
         self._seen[(self.node_id, self._rreq_id)] = self.sim.now + self.config.seen_timeout
         self.broadcast(rreq, initiated=True)
-
-    def _on_timeout(self, dst):
-        disc = self._discoveries.pop(dst, None)
-        if disc is None:
-            return
-        if disc.attempt < self.config.rreq_retries:
-            self._start_attempt(dst, disc.attempt + 1)
-            return
-        for packet in self.buffer.drop_all(dst):
-            self.drop_data(packet, "no_route_found")
-
-    def _complete_discovery(self, dst):
-        disc = self._discoveries.pop(dst, None)
-        if disc is not None:
-            disc.timer.cancel()
-        entry = self.table.get(dst)
-        if entry is None or not entry.is_active(self.sim.now):
-            return
-        for packet in self.buffer.pop_all(dst):
-            self._forward_data(packet, entry)
 
     # ------------------------------------------------------------------
     # RREQ handling

@@ -11,8 +11,7 @@ detects a broken link sends a RERR to the packet's originator and may
 from repro.net.packet import DataPacket
 from repro.protocols.dsr.cache import RouteCache
 from repro.protocols.dsr.messages import DsrRerr, DsrRrep, DsrRreq
-from repro.routing.base import PacketBuffer, RoutingProtocol
-from repro.sim.timers import Timer
+from repro.routing.base import RouteDiscovery
 
 
 class DsrConfig:
@@ -51,31 +50,17 @@ class DsrConfig:
         self.gratuitous_rrep_holdoff = gratuitous_rrep_holdoff
 
 
-class _Discovery:
-    __slots__ = ("dst", "attempt", "timer")
-
-    def __init__(self, dst, timer):
-        self.dst = dst
-        self.attempt = 0
-        self.timer = timer
-
-
-class DsrProtocol(RoutingProtocol):
+class DsrProtocol(RouteDiscovery):
     """Dynamic Source Routing on one node."""
 
     name = "dsr"
 
     def __init__(self, sim, node, config=None, metrics=None):
-        super().__init__(sim, node, metrics)
-        self.config = config or DsrConfig()
+        super().__init__(sim, node, config or DsrConfig(), metrics)
         self.cache = RouteCache(sim, self.node_id,
                                 lifetime=self.config.cache_lifetime)
-        self.buffer = PacketBuffer(
-            sim, self.config.buffer_capacity, self.config.buffer_max_age
-        )
         self._rreq_id = 0
         self._seen = {}  # (src, rreq_id) -> expiry
-        self._discoveries = {}
         self._gratuitous_sent = {}  # shortening key -> last sent time
 
     # ------------------------------------------------------------------
@@ -137,13 +122,11 @@ class DsrProtocol(RoutingProtocol):
         if dst == self.node_id:
             self.deliver_local(packet)
             return
-        route = self.cache.lookup(dst)
+        route = self._route(dst)
         if route is not None:
-            self._send_along(packet, route, position=0)
-            return
-        if not self.buffer.push(dst, packet):
-            self.drop_data(packet, "buffer_full")
-        self._ensure_discovery(dst)
+            self._forward(packet, route)
+        else:
+            self._buffer_and_discover(packet)
 
     def on_packet(self, packet, from_id):
         if isinstance(packet, DataPacket):
@@ -178,13 +161,15 @@ class DsrProtocol(RoutingProtocol):
     # ------------------------------------------------------------------
     # data plane (source routing)
     # ------------------------------------------------------------------
-    def _send_along(self, packet, route, position):
-        """Forward ``packet`` along ``route``; we are ``route[position]``."""
+    def _route(self, dst):
+        return self.cache.lookup(dst)
+
+    def _forward(self, packet, route):
+        """Source-route ``packet`` along ``route``, which starts at us."""
         packet.source_route = list(route)
-        packet.route_position = position
+        packet.route_position = 0
         packet.salvage_count = getattr(packet, "salvage_count", 0)
-        next_hop = route[position + 1]
-        self.unicast(packet, next_hop, on_fail=self._on_data_link_failure)
+        self.unicast(packet, route[1], on_fail=self._on_data_link_failure)
 
     def _on_data(self, packet, from_id):
         packet.hops += 1  # one link traversed, even when we are the sink
@@ -223,15 +208,9 @@ class DsrProtocol(RoutingProtocol):
         alternate = self.cache.lookup(packet.dst)
         if alternate is not None and salvage < self.config.max_salvage_count:
             packet.salvage_count = salvage + 1
-            self._send_along(packet, alternate, position=0)
+            self._forward(packet, alternate)
             return
-        if packet.src == self.node_id:
-            if self.buffer.push(packet.dst, packet):
-                self._ensure_discovery(packet.dst)
-            else:
-                self.drop_data(packet, "buffer_full")
-        else:
-            self.drop_data(packet, "link_break")
+        self._on_data_give_up(packet)
 
     def _forward_source_routed(self, ctrl, reply_path):
         """Send a control packet along ``reply_path`` (we are path[0])."""
@@ -243,63 +222,40 @@ class DsrProtocol(RoutingProtocol):
         self.cache.remove_link(self.node_id, next_hop)
 
     # ------------------------------------------------------------------
-    # route discovery
+    # route discovery (the lifecycle is RouteDiscovery's)
     # ------------------------------------------------------------------
-    def stop(self):
-        """Node crash: cancel discovery timers so the instance goes quiet."""
-        super().stop()
-        for disc in self._discoveries.values():
-            disc.timer.cancel()
-        self._discoveries.clear()
-
-    def _ensure_discovery(self, dst):
-        if dst in self._discoveries:
-            return
-        self._start_attempt(dst, attempt=0)
-
-    def _start_attempt(self, dst, attempt):
+    def _ring(self, dst, attempt):
         cfg = self.config
-        timer = Timer(self.sim, lambda d=dst: self._on_timeout(d))
-        disc = _Discovery(dst, timer)
-        disc.attempt = attempt
-        self._discoveries[dst] = disc
-        timeout = min(
-            cfg.discovery_timeout * (2 ** attempt), cfg.max_discovery_timeout
-        )
-        timer.start(timeout)
-        self._rreq_id += 1
         # First attempt is a non-propagating request (TTL 1) to exploit
         # neighbors' caches; later attempts flood the network.
         ttl = cfg.non_propagating_ttl if attempt == 0 else cfg.network_ttl
-        rreq = DsrRreq(self.node_id, self._rreq_id, dst, [self.node_id], ttl=ttl)
+        timeout = min(
+            cfg.discovery_timeout * (2 ** attempt), cfg.max_discovery_timeout
+        )
+        return ttl, timeout
+
+    def _solicit(self, discovery):
+        self._rreq_id += 1
+        rreq = self._new_rreq(discovery.dst, discovery.ttl)
         self._seen[(self.node_id, self._rreq_id)] = (
             self.sim.now + self.config.seen_timeout
         )
         self.broadcast(rreq, initiated=True)
 
-    def _on_timeout(self, dst):
-        disc = self._discoveries.pop(dst, None)
-        if disc is None:
-            return
-        if disc.attempt < self.config.rreq_retries:
-            self._start_attempt(dst, disc.attempt + 1)
-            return
-        for packet in self.buffer.drop_all(dst):
-            self.drop_data(packet, "no_route_found")
-
-    def _complete_discovery(self, dst):
-        disc = self._discoveries.pop(dst, None)
-        if disc is not None:
-            disc.timer.cancel()
-        route = self.cache.lookup(dst)
-        if route is None:
-            return
-        for packet in self.buffer.pop_all(dst):
-            self._send_along(packet, route, position=0)
-
     # ------------------------------------------------------------------
-    # RREQ / RREP
+    # RREQ / RREP (NSR overrides only how the three messages are built)
     # ------------------------------------------------------------------
+    def _new_rreq(self, dst, ttl):
+        return DsrRreq(self.node_id, self._rreq_id, dst, [self.node_id],
+                       ttl=ttl)
+
+    def _relayed_rreq(self, rreq, route):
+        return DsrRreq(rreq.src, rreq.rreq_id, rreq.target, route,
+                       ttl=rreq.ttl - 1)
+
+    def _new_rrep(self, rreq, full_route, reply_path):
+        return DsrRrep(full_route, reply_path)
+
     def _on_rreq(self, rreq, from_id):
         if rreq.src == self.node_id or self.node_id in rreq.route:
             return
@@ -313,27 +269,24 @@ class DsrProtocol(RoutingProtocol):
 
         route_so_far = rreq.route + [self.node_id]
         if rreq.target == self.node_id:
-            self._reply(route_so_far, route_so_far)
+            self._reply(rreq, route_so_far, route_so_far)
             return
         # Cache reply: we know a suffix from here to the target.
         cached = self.cache.lookup(rreq.target)
         if cached is not None:
             full = route_so_far + cached[1:]
             if len(set(full)) == len(full):  # no node repeated -> loop-free
-                self._reply(full, route_so_far)
+                self._reply(rreq, full, route_so_far)
                 return
         if rreq.ttl <= 1:
             return
-        out = rreq.copy()
-        out.route = route_so_far
-        out.ttl = rreq.ttl - 1
-        out.size_bytes = 16 + 4 * len(out.route)
-        self.broadcast(out, jitter=self.config.rebroadcast_jitter)
+        self.broadcast(self._relayed_rreq(rreq, route_so_far),
+                       jitter=self.config.rebroadcast_jitter)
 
-    def _reply(self, full_route, path_to_here):
+    def _reply(self, rreq, full_route, path_to_here):
         """Send a RREP containing ``full_route`` back to its origin."""
         reply_path = list(reversed(path_to_here))
-        rrep = DsrRrep(full_route, reply_path)
+        rrep = self._new_rrep(rreq, full_route, reply_path)
         self.cache.add(list(reversed(path_to_here)))  # route back to origin
         if self.metrics is not None:
             self.metrics.on_control_initiated(self.node_id, rrep)

@@ -156,14 +156,8 @@ class DualProtocol(RoutingProtocol):
     # data plane
     # ------------------------------------------------------------------
     def _on_data(self, packet, from_id):
-        packet.hops += 1
-        if packet.dst == self.node_id:
-            self.deliver_local(packet)
-            return
-        if packet.hops > self.config.data_hop_limit:
-            self.drop_data(packet, "hop_limit")
-            return
-        self.send_data(packet)
+        if self._transit(packet):
+            self.send_data(packet)
 
     def _on_data_link_failure(self, packet, next_hop):
         self._neighbor_lost(next_hop)

@@ -1,7 +1,7 @@
 """NSR protocol engine: DSR plus two-hop neighborhood awareness.
 
 Implementation strategy: NSR *is* source routing (the DSR engine is
-reused), with three additions:
+reused, route discovery included), with three additions:
 
 1. every node tracks its one-hop neighborhood passively (any reception —
    including promiscuous ones — proves a neighbor);
@@ -14,7 +14,8 @@ reused), with three additions:
    no new discovery, no salvage-from-cache.
 
 The patch is NSR's contribution over DSR (paper Section 1); everything
-else — caches, RREQ/RREP mechanics, RERRs — is inherited.
+else — caches, RREQ/RREP mechanics, RERRs — is inherited.  For discovery
+NSR overrides only how its request, relayed request and reply are built.
 """
 
 from repro.net.packet import DataPacket
@@ -122,66 +123,20 @@ class NsrProtocol(DsrProtocol):
         return out
 
     # ------------------------------------------------------------------
-    # discovery: same flow as DSR, with neighborhood piggybacking
+    # discovery: DSR's flow; the messages piggyback neighborhoods
     # ------------------------------------------------------------------
-    def _start_attempt(self, dst, attempt):
-        # Reuse DSR's ring/timer logic by temporarily intercepting the
-        # broadcast to swap the message class would be fragile; instead we
-        # duplicate the small amount of logic with the NSR message.
-        from repro.sim.timers import Timer
-        from repro.protocols.dsr.protocol import _Discovery
-
-        cfg = self.config
-        timer = Timer(self.sim, lambda d=dst: self._on_timeout(d))
-        disc = _Discovery(dst, timer)
-        disc.attempt = attempt
-        self._discoveries[dst] = disc
-        timeout = min(cfg.discovery_timeout * (2 ** attempt),
-                      cfg.max_discovery_timeout)
-        timer.start(timeout)
-        self._rreq_id += 1
-        ttl = cfg.non_propagating_ttl if attempt == 0 else cfg.network_ttl
-        rreq = NsrRreq(self.node_id, self._rreq_id, dst, [self.node_id],
+    def _new_rreq(self, dst, ttl):
+        return NsrRreq(self.node_id, self._rreq_id, dst, [self.node_id],
                        ttl=ttl, neighborhoods=self._piggyback({}))
-        self._seen[(self.node_id, self._rreq_id)] = (
-            self.sim.now + cfg.seen_timeout)
-        self.broadcast(rreq, initiated=True)
 
-    def _on_rreq(self, rreq, from_id):
-        if rreq.src == self.node_id or self.node_id in rreq.route:
-            return
-        key = (rreq.src, rreq.rreq_id)
-        now = self.sim.now
-        if key in self._seen and self._seen[key] > now:
-            return
-        self._seen[key] = now + self.config.seen_timeout
+    def _relayed_rreq(self, rreq, route):
+        return NsrRreq(rreq.src, rreq.rreq_id, rreq.target, route,
+                       ttl=rreq.ttl - 1,
+                       neighborhoods=self._piggyback(rreq.neighborhoods))
 
-        route_so_far = rreq.route + [self.node_id]
-        neighborhoods = getattr(rreq, "neighborhoods", {})
-        if rreq.target == self.node_id:
-            self._nsr_reply(route_so_far, route_so_far, neighborhoods)
-            return
-        cached = self.cache.lookup(rreq.target)
-        if cached is not None:
-            full = route_so_far + cached[1:]
-            if len(set(full)) == len(full):
-                self._nsr_reply(full, route_so_far, neighborhoods)
-                return
-        if rreq.ttl <= 1:
-            return
-        out = NsrRreq(rreq.src, rreq.rreq_id, rreq.target, route_so_far,
-                      ttl=rreq.ttl - 1,
-                      neighborhoods=self._piggyback(neighborhoods))
-        self.broadcast(out, jitter=self.config.rebroadcast_jitter)
-
-    def _nsr_reply(self, full_route, path_to_here, neighborhoods):
-        reply_path = list(reversed(path_to_here))
-        rrep = NsrRrep(full_route, reply_path,
-                       neighborhoods=self._piggyback(neighborhoods))
-        self.cache.add(list(reversed(path_to_here)))
-        if self.metrics is not None:
-            self.metrics.on_control_initiated(self.node_id, rrep)
-        self._forward_source_routed(rrep, reply_path)
+    def _new_rrep(self, rreq, full_route, reply_path):
+        return NsrRrep(full_route, reply_path,
+                       neighborhoods=self._piggyback(rreq.neighborhoods))
 
     # ------------------------------------------------------------------
     # the NSR patch: local repair before DSR's salvage

@@ -198,12 +198,7 @@ class OlsrProtocol(RoutingProtocol):
         return None
 
     def _on_data(self, packet, from_id):
-        packet.hops += 1  # one link traversed, even when we are the sink
-        if packet.dst == self.node_id:
-            self.deliver_local(packet)
-            return
-        if packet.hops > self.config.data_hop_limit:
-            self.drop_data(packet, "hop_limit")
+        if not self._transit(packet):
             return
         route = self.routes.get(packet.dst)
         if route is None:

@@ -43,16 +43,8 @@ class OracleProtocol(RoutingProtocol):
         self.unicast(packet, nxt, on_fail=self._on_data_link_failure)
 
     def on_packet(self, packet, from_id):
-        if not isinstance(packet, DataPacket):
-            return
-        packet.hops += 1
-        if packet.dst == self.node_id:
-            self.deliver_local(packet)
-            return
-        if packet.hops > self.config.data_hop_limit:
-            self.drop_data(packet, "hop_limit")
-            return
-        self.send_data(packet)
+        if isinstance(packet, DataPacket) and self._transit(packet):
+            self.send_data(packet)
 
     def successor(self, dst):
         return self._next_hop(dst)

@@ -224,12 +224,7 @@ class RoamProtocol(RoutingProtocol):
     # data plane
     # ------------------------------------------------------------------
     def _on_data(self, packet, from_id):
-        packet.hops += 1
-        if packet.dst == self.node_id:
-            self.deliver_local(packet)
-            return
-        if packet.hops > self.config.data_hop_limit:
-            self.drop_data(packet, "hop_limit")
+        if not self._transit(packet):
             return
         state = self._state(packet.dst)
         if (state.dist < INFINITY and state.successor in self.neighbors
@@ -266,7 +261,7 @@ class RoamProtocol(RoutingProtocol):
         state = self._state(dst)
         if state.active or state.dist == INFINITY:
             return
-        for packet in self.buffer.pop_all(dst):
+        for packet in self.buffer.pop_all(dst, self.drop_data):
             self.unicast(packet, state.successor,
                          on_fail=self._on_data_link_failure)
 

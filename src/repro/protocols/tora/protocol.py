@@ -331,7 +331,7 @@ class ToraProtocol(RoutingProtocol):
         entry_state = self.dests[dst]
         nxt = self._downstream(dst, entry_state)
         if nxt is not None:
-            for packet in self.buffer.pop_all(dst):
+            for packet in self.buffer.pop_all(dst, self.drop_data):
                 self.unicast(packet, nxt, on_fail=self._on_data_link_failure)
 
     # ------------------------------------------------------------------
@@ -353,14 +353,8 @@ class ToraProtocol(RoutingProtocol):
     # data plane
     # ------------------------------------------------------------------
     def _on_data(self, packet, from_id):
-        packet.hops += 1
-        if packet.dst == self.node_id:
-            self.deliver_local(packet)
-            return
-        if packet.hops > self.config.data_hop_limit:
-            self.drop_data(packet, "hop_limit")
-            return
-        self.send_data(packet)
+        if self._transit(packet):
+            self.send_data(packet)
 
     def _on_data_link_failure(self, packet, next_hop):
         self._neighbor_lost(next_hop)
@@ -383,7 +377,7 @@ class ToraProtocol(RoutingProtocol):
         if nxt is None:
             self._require_route(dst, state)
             return
-        for packet in self.buffer.pop_all(dst):
+        for packet in self.buffer.pop_all(dst, self.drop_data):
             self.unicast(packet, nxt, on_fail=self._on_data_link_failure)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Routing-protocol infrastructure shared by all four protocols.
+"""Routing-protocol infrastructure shared by every registered protocol.
 
 * :class:`~repro.routing.base.RoutingProtocol` — the API a protocol exposes
-  to the node/MAC (send data, receive packet, link-failure feedback).
+  to the node/MAC (send data, receive packet, link-failure feedback) and
+  the hop-by-hop data prologue.
+* :class:`~repro.routing.base.RouteDiscovery` — the paper's Procedure 1
+  (buffer, expanding-ring retry, give up, flush), written once for the
+  on-demand protocols LDR, AODV, DSR and NSR.
 * :class:`~repro.routing.base.PacketBuffer` — per-destination buffering of
   data packets while route discovery runs.
+* :mod:`repro.routing.costs` — LDR's pluggable link-cost models.
 * :mod:`repro.routing.seqnum` — LDR's (timestamp, counter) labels and
   AODV's circular 32-bit sequence-number comparison.
 * :mod:`repro.routing.loopcheck` — the one instant-by-instant

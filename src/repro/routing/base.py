@@ -1,6 +1,8 @@
-"""Base routing-protocol API and route-discovery packet buffering."""
+"""Base routing-protocol API and the on-demand route discovery (Procedure 1)."""
 
 from collections import defaultdict, deque
+
+from repro.sim.timers import Timer
 
 
 class RoutingProtocol:
@@ -9,7 +11,9 @@ class RoutingProtocol:
     Subclasses implement :meth:`send_data` (route or buffer + discover) and
     :meth:`on_packet` (dispatch on control-packet type).  The helpers here
     standardize transmission accounting so the paper's "initiated" vs
-    "transmitted" metric distinction is applied uniformly.
+    "transmitted" metric distinction is applied uniformly, and
+    :meth:`_transit` is the one hop-by-hop data prologue (a subclass that
+    uses it carries ``config.data_hop_limit``).
     """
 
     name = "base"
@@ -101,6 +105,22 @@ class RoutingProtocol:
         if self.metrics is not None:
             self.metrics.on_data_dropped(self.node_id, packet, reason)
 
+    def _transit(self, packet):
+        """A data packet crossed one link to us: True when it travels on.
+
+        Counts the hop, delivers the packet when we are its sink, and
+        drops it once it has crossed more than ``config.data_hop_limit``
+        links.
+        """
+        packet.hops += 1  # one link traversed, even when we are the sink
+        if packet.dst == self.node_id:
+            self.deliver_local(packet)
+            return False
+        if packet.hops > self.config.data_hop_limit:
+            self.drop_data(packet, "hop_limit")
+            return False
+        return True
+
     def _notify_table_change(self, dst):
         if self.table_change_hook is not None:
             self.table_change_hook(self, dst)
@@ -129,11 +149,24 @@ class PacketBuffer:
         buf.append((self.sim.now, packet))
         return True
 
-    def pop_all(self, dst):
-        """Remove and return the fresh packets waiting for ``dst``."""
+    def pop_all(self, dst, drop):
+        """Remove and return the fresh packets waiting for ``dst``.
+
+        Each packet older than ``max_age`` goes to ``drop(packet,
+        "buffer_expired")`` instead, so every buffered packet is either
+        returned or counted.  Callers pass their protocol's ``drop_data``
+        at call time: the trace recorder rebinds that attribute after the
+        buffer is built.
+        """
         buf = self._buffers.pop(dst, ())
         cutoff = self.sim.now - self.max_age
-        return [pkt for (when, pkt) in buf if when >= cutoff]
+        fresh = []
+        for when, pkt in buf:
+            if when >= cutoff:
+                fresh.append(pkt)
+            else:
+                drop(pkt, "buffer_expired")
+        return fresh
 
     def drop_all(self, dst):
         """Discard everything waiting for ``dst`` (discovery failed)."""
@@ -145,3 +178,121 @@ class PacketBuffer:
 
     def destinations(self):
         return list(self._buffers)
+
+
+class Discovery:
+    """One destination's route discovery in progress (Procedure 1).
+
+    At most one per destination.  It ends on the first usable reply, or
+    its timer fires and the origin retries with a wider ring (a fresh
+    request per attempt) until the last attempt fails.
+    """
+
+    __slots__ = ("dst", "attempt", "ttl", "timer")
+
+    def __init__(self, dst, attempt, ttl, timer):
+        self.dst = dst
+        self.attempt = attempt
+        self.ttl = ttl
+        self.timer = timer
+
+
+def ring_ttl(config, attempt, start):
+    """Expanding-ring TTL of ``attempt`` (0-based) for a first ring ``start``.
+
+    Widens by ``config.ttl_increment`` per retry; past
+    ``config.ttl_threshold``, and on the last attempt, the request floods
+    the network diameter (AODV's ring, which LDR adopts).
+    """
+    if attempt >= config.rreq_retries:
+        return config.net_diameter
+    ttl = start + attempt * config.ttl_increment
+    if ttl > config.ttl_threshold:
+        return config.net_diameter
+    return ttl
+
+
+class RouteDiscovery(RoutingProtocol):
+    """Procedure 1 for the on-demand protocols (LDR, AODV, DSR and NSR).
+
+    Owns the packet buffer and the per-destination :class:`Discovery`
+    records: buffer a packet and discover, retry on timeout or drop the
+    queue after the last attempt, flush the queue once a route exists,
+    re-buffer the originator's packets after a MAC give-up, and cancel
+    the timers when the node crashes.  A subclass supplies the rest:
+
+    * ``_ring(dst, attempt)`` -> ``(ttl, timeout)`` of an attempt;
+    * ``_solicit(discovery)`` floods that attempt's request;
+    * ``_route(dst)`` -> a usable route to ``dst`` or None;
+    * ``_forward(packet, route)`` sends a data packet along it.
+
+    ``config`` carries ``buffer_capacity``, ``buffer_max_age`` and
+    ``rreq_retries``.
+    """
+
+    def __init__(self, sim, node, config, metrics=None):
+        super().__init__(sim, node, metrics)
+        self.config = config
+        self.buffer = PacketBuffer(
+            sim, config.buffer_capacity, config.buffer_max_age
+        )
+        self.discoveries = {}  # dst -> Discovery
+
+    def stop(self):
+        """Node crash: cancel discovery timers so the instance goes quiet."""
+        super().stop()
+        for discovery in self.discoveries.values():
+            discovery.timer.cancel()
+        self.discoveries.clear()
+
+    def _buffer_and_discover(self, packet):
+        """No route for a packet we send: queue it and discover one."""
+        if not self.buffer.push(packet.dst, packet):
+            self.drop_data(packet, "buffer_full")
+        self._ensure_discovery(packet.dst)
+
+    def _on_data_give_up(self, packet):
+        """The MAC gave up on data ``packet``: its originator queues it and
+        rediscovers; a forwarder drops it."""
+        if packet.src != self.node_id:
+            self.drop_data(packet, "link_break")
+        elif self.buffer.push(packet.dst, packet):
+            self._ensure_discovery(packet.dst)
+        else:
+            self.drop_data(packet, "buffer_full")
+
+    def _ensure_discovery(self, dst):
+        if dst not in self.discoveries:
+            self._start_attempt(dst, 0)
+
+    def _start_attempt(self, dst, attempt):
+        ttl, timeout = self._ring(dst, attempt)
+        timer = Timer(self.sim, lambda d=dst: self._on_discovery_timeout(d))
+        discovery = Discovery(dst, attempt, ttl, timer)
+        self.discoveries[dst] = discovery
+        # The timer reserves its tie-break sequence number before the
+        # request is broadcast; swapping the two would reorder events.
+        timer.start(timeout)
+        self._solicit(discovery)
+
+    def _on_discovery_timeout(self, dst):
+        discovery = self.discoveries.pop(dst, None)
+        if discovery is None:
+            return
+        if discovery.attempt < self.config.rreq_retries:
+            self._start_attempt(dst, discovery.attempt + 1)
+            return
+        # Final attempt failed: inform packet origins and drop the queue.
+        for packet in self.buffer.drop_all(dst):
+            self.drop_data(packet, "no_route_found")
+
+    def _complete_discovery(self, dst):
+        """A reply reached us: end the discovery and flush the queue."""
+        discovery = self.discoveries.pop(dst, None)
+        if discovery is not None:
+            discovery.timer.cancel()
+        route = self._route(dst)
+        if route is None:
+            return
+        for packet in self.buffer.pop_all(dst, self.drop_data):
+            self._forward(packet, route)

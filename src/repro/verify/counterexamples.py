@@ -195,14 +195,7 @@ def run_counterexample(counterexample, protocol, trace_path=None):
     breakdown = scenario.monitor.summary()
     violations = list(scenario.monitor.violations)
     if trace_path is not None:
-        from repro.obs import trace_header, write_trace
-
-        write_trace(
-            trace_path, scenario.trace,
-            header=trace_header(
-                config=config,
-                destinations=sorted(scenario.traffic.destinations_used()),
-            ))
+        scenario.write_trace(trace_path)
     return CounterexampleRun(
         counterexample, protocol,
         verdict=verdict_from_breakdown(breakdown),

@@ -42,9 +42,9 @@ def test_originator_buffers_and_rediscovers_after_link_failure():
     # buffered or eventually dropped, never silently lost).
     protocol = net.protocols[0]
     assert (protocol.buffer.pending(2) > 0
-            or net.metrics.data_dropped.get("discovery_failed", 0) > 0
+            or net.metrics.data_dropped.get("no_route_found", 0) > 0
             or net.metrics.data_dropped.get("buffer_full", 0) > 0)
-    assert 2 in protocol.computations or protocol.buffer.pending(2) == 0
+    assert 2 in protocol.discoveries or protocol.buffer.pending(2) == 0
 
 
 def test_forwarder_drops_with_link_break_reason():

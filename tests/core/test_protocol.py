@@ -58,7 +58,7 @@ def test_no_route_to_partitioned_destination():
     assert net.delivered_to(2) == []
     assert net.metrics.data_dropped["no_route_found"] == 1
     # Discovery gave up: no active computation left.
-    assert net.protocols[0].computations == {}
+    assert net.protocols[0].discoveries == {}
 
 
 def test_expanding_ring_widens_ttl():

@@ -75,7 +75,7 @@ class LdrMachine(RuleBasedStateMachine):
         if not hasattr(self, "net"):
             return
         for protocol in self.net.protocols.values():
-            for dst, comp in protocol.computations.items():
+            for dst, comp in protocol.discoveries.items():
                 assert comp.dst == dst
                 assert dst != protocol.node_id
 

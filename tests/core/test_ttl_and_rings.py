@@ -33,7 +33,7 @@ def test_discovery_timer_cleared_on_success():
     net.send(0, 2)
     net.run(3.0)
     protocol = net.protocols[0]
-    assert protocol.computations == {}
+    assert protocol.discoveries == {}
     # No stray timers: draining the queue fires nothing new for dst 2.
     rreqs = net.metrics.control_initiated.get("rreq", 0)
     net.run(10.0)
@@ -45,19 +45,19 @@ def test_concurrent_discoveries_to_different_destinations():
     net.send(0, 8)
     net.send(0, 6)
     net.send(0, 2)
-    assert len(net.protocols[0].computations) == 3
+    assert len(net.protocols[0].discoveries) == 3
     net.run(5.0)
     assert len(net.delivered_to(8)) == 1
     assert len(net.delivered_to(6)) == 1
     assert len(net.delivered_to(2)) == 1
-    assert net.protocols[0].computations == {}
+    assert net.protocols[0].discoveries == {}
 
 
 def test_duplicate_send_does_not_start_second_computation():
     net = Network(LdrProtocol, StaticPlacement.line(3, 200.0))
     net.send(0, 2)
-    comp = net.protocols[0].computations[2]
+    comp = net.protocols[0].discoveries[2]
     net.send(0, 2)
-    assert net.protocols[0].computations[2] is comp
+    assert net.protocols[0].discoveries[2] is comp
     net.run(3.0)
     assert len(net.delivered_to(2)) == 2  # both buffered packets flushed

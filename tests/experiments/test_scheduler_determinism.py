@@ -6,9 +6,12 @@ same bar the spatial index met: a fixed-seed churn scenario (crash +
 reboot + blackout faults over RandomWaypoint motion, invariant monitor
 on) must produce byte-identical metric rows — and byte-identical trace
 artifacts — on the default :class:`~repro.sim.events.CalendarScheduler`
-and on the reference :class:`~repro.sim.events.EventScheduler`.
+and on the reference :class:`~repro.sim.events.EventScheduler`.  Each
+row is also pinned to a digest, so a change to any protocol's behaviour
+shows up here even when both backends agree.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -17,7 +20,6 @@ import pytest
 from repro.exec.worker import run_trial_payload
 from repro.experiments.scenario import PROTOCOLS, Scenario, ScenarioConfig
 from repro.faults import FaultPlan, LinkBlackout, NodeCrash, NodeReboot
-from repro.obs import trace_header, write_trace
 from repro.sim import CalendarScheduler, EventScheduler
 
 
@@ -43,10 +45,28 @@ def _row(config, scheduler):
     return json.dumps(report.as_dict(), sort_keys=True)
 
 
+#: sha256 of each protocol's calendar row (written by CPython 3.11).
+ROW_SHA256 = {
+    "aodv": "f0d8db9a1d12f4d0c84d8b8f1b52474d258e2d611c7c3cffc0bb199a8ae80301",
+    "dsr": "46894340cc8ea4230168537754273fb7b1c40831eb98d857523dfff60e29ed5d",
+    "dsr7": "46894340cc8ea4230168537754273fb7b1c40831eb98d857523dfff60e29ed5d",
+    "dual": "52b96c40807a0cc65bad44531769fb07d9a19b9c2fb22fd1e651c1ad46f45c93",
+    "ldr": "8b2afa208d10e5e29cbff88ec9041b425562d6e57cc75fefd7cec5a5d8696516",
+    "nsr": "2620c11866c013b374c350d7f36410c94b05d55303de7767b578457b9e64ad45",
+    "olsr": "79ce00a16d0d893f23e9fd8fc82f959536f8f52630c011bf0c0383279010fe7e",
+    "oracle": "d35eaca29a63b5c449b8d249f1f6736df25a82d16496636018c0f9221d9d17f3",
+    "roam": "70221de73054b5de9df7020b483993c443f41fbffa58421652c0a21ad67b2936",
+    "tora": "c22bfe93221af78e74f805a730a578fe67319a5af869e0aaf4889d51c733fce2",
+}
+
+
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_heap_and_calendar_rows_byte_identical(protocol):
     config = _config(protocol)
-    assert _row(config, EventScheduler) == _row(config, CalendarScheduler)
+    calendar = _row(config, CalendarScheduler)
+    assert _row(config, EventScheduler) == calendar
+    digest = hashlib.sha256(calendar.encode()).hexdigest()
+    assert digest == ROW_SHA256[protocol]
 
 
 def test_trace_artifacts_byte_identical_across_backends(tmp_path):
@@ -65,7 +85,5 @@ def test_trace_artifacts_byte_identical_across_backends(tmp_path):
                         scheduler=EventScheduler)
     scenario.run()
     heap_path = tmp_path / "heap.trace.jsonl"
-    write_trace(heap_path, scenario.trace, header=trace_header(
-        config=scenario.config,
-        destinations=sorted(scenario.traffic.destinations_used())))
+    scenario.write_trace(heap_path)
     assert heap_path.read_bytes() == calendar

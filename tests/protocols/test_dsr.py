@@ -119,4 +119,4 @@ def test_stale_cache_is_dsr_weakness():
     net.run(0.05)
     # The packet went straight out on the stale source route (no discovery
     # started yet).
-    assert net.protocols[0]._discoveries == {}
+    assert net.protocols[0].discoveries == {}
