@@ -26,10 +26,12 @@ def mobile_audit(seed):
     scenario = build_scenario(ScenarioConfig(
         protocol="ldr", num_nodes=20, width=1000.0, height=300.0,
         num_flows=5, duration=30.0, pause_time=0.0, max_speed=25.0,
-        seed=seed, loop_check=True,
+        seed=seed,
     ))
+    checker = LoopChecker(scenario.protocols.values(), check_ordering=True)
+    checker.install()
     scenario.run()
-    return scenario.loop_checker.checks_run
+    return checker.checks_run
 
 
 def teleport_audit(seed):

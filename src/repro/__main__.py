@@ -77,7 +77,7 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.grids import GRIDS
 from repro.experiments.tables import format_table1, table1
 from repro.faults import FaultPlan
-from repro.routing import LoopError
+from repro.routing import LoopChecker, LoopError
 
 
 def _add_scenario_args(parser):
@@ -487,15 +487,18 @@ def cmd_connectivity(args):
 
 
 def cmd_audit(args):
-    config = _scenario_from(args).replaced(loop_check=True)
+    config = _scenario_from(args)
     scenario = build_scenario(config)
+    checker = LoopChecker(
+        scenario.protocols.values(),
+        check_ordering=(config.protocol == "ldr"),
+    ).install()
     try:
         scenario.run()
     except LoopError as err:
         # The checker recorded the breach before raising; the run stops
         # at the first one.
         print("breach           : %s" % err)
-    checker = scenario.loop_checker
     print("table audits run : %d" % checker.checks_run)
     print("violations       : %d" % len(checker.violations))
     print("%-16s : %s" % (config.protocol.upper() + " loop-free",

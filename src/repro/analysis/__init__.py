@@ -7,15 +7,12 @@ from repro.analysis.connectivity import (
     topology_graph,
 )
 from repro.analysis.stats import Aggregate, mean_confidence_interval
-from repro.analysis.visualize import ascii_topology, route_string
 
 __all__ = [
     "Aggregate",
-    "ascii_topology",
     "connectivity_ratio",
     "mean_confidence_interval",
     "pair_connected",
     "partition_events",
-    "route_string",
     "topology_graph",
 ]

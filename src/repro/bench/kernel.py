@@ -10,8 +10,8 @@ Four benchmark families.  Two time the wireless channel on the fast
   once per distinct time instant.  Per-op nanoseconds, where an op is one
   ``neighbors_of`` call.
 * ``transmit`` — one broadcast frame put on the air per op, the MAC's
-  actual call pattern (coverage scan + CSMA NAV + gray-zone distances at
-  one instant); the event queue is drained between ops, unmeasured.
+  actual call pattern (coverage scan + CSMA NAV at one instant); the
+  event queue is drained between ops, unmeasured.
 
 One times the event kernel, the fast
 :class:`~repro.sim.events.CalendarScheduler` against the reference

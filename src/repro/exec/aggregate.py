@@ -37,12 +37,8 @@ from repro.exec.manifest import (
 )
 from repro.exec.shard import SHARD_SCHEMA, campaign_fingerprint, shards_root
 from repro.experiments.grids import GRIDS
+from repro.metrics.report import ROW_FIELDS
 
-#: Metric columns of the merged rows CSV, after the identity columns.
-#: Values are JSON-rendered so repeated merges emit byte-identical files.
-METRIC_COLUMNS = ("delivery_ratio", "mean_latency", "network_load",
-                  "control_transmissions", "loop_violations",
-                  "invariant_violations")
 
 #: CDF percentiles rendered on the terminal status line.
 _PERCENTILES = (10, 50, 90)
@@ -251,9 +247,11 @@ class MergedCampaign:
 
     @property
     def columns(self):
-        """The rows CSV's columns (label coordinates after the index)."""
+        """The rows CSV's columns: the index, label coordinates and
+        identity, then every scalar row field (values are JSON-rendered so
+        repeated merges emit byte-identical files)."""
         return (("index",) + self.coordinates + ("seed", "key", "state")
-                + METRIC_COLUMNS)
+                + ROW_FIELDS)
 
     def csv_rows(self):
         """Every registered trial as a CSV line dict, in global order."""
@@ -266,7 +264,7 @@ class MergedCampaign:
             line = dict(zip(self.coordinates, label))
             line.update(index=trial.index, seed=config.get("seed", ""),
                         key=trial.key, state=trial.state)
-            for column in METRIC_COLUMNS:
+            for column in ROW_FIELDS:
                 line[column] = row.get(column, "")
             rows.append(line)
         return rows

@@ -45,7 +45,9 @@ import repro
 #:    are Scenario keywords that only tests and the kernel bench set, so
 #:    they are no longer trial identity.  Rows are unchanged, but every
 #:    serialized config (and so every key) changed.
-CACHE_SCHEMA = 7
+#: 8: configs lost gray_zone and loop_check (no experiment set either);
+#:    rows are unchanged, but every serialized config changed shape.
+CACHE_SCHEMA = 8
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -216,18 +218,21 @@ class ResultCache:
         return removed
 
     def describe_entry(self, doc):
-        """One human line for ``repro cache --list``."""
-        from repro.experiments.scenario import ScenarioConfig
+        """One human line for ``repro cache --list``.
 
+        Reads the six fields it prints straight from the stored config,
+        so an entry written under an older schema, whose config no longer
+        rebuilds, is still described.
+        """
         key = doc.get("key", "?")[:12]
         config = doc.get("config")
         if config:
             try:
-                cfg = ScenarioConfig.from_dict(config)
                 return "%s  %-6s n=%-3d flows=%-2d pause=%-5g dur=%-5g seed=%d" % (
-                    key, cfg.protocol, cfg.num_nodes, cfg.num_flows,
-                    cfg.pause_time, cfg.duration, cfg.seed,
+                    key, config["protocol"], config["num_nodes"],
+                    config["num_flows"], config["pause_time"],
+                    config["duration"], config["seed"],
                 )
-            except (ValueError, TypeError):
+            except (KeyError, TypeError):
                 pass
         return "%s  (no config recorded)" % key

@@ -37,7 +37,9 @@ from repro.exec.cache import trial_key
 #: 2: trial configs lost ``channel_index`` and ``scheduler``, and the
 #:    header's engine options lost the backoff cap and the stall-budget
 #:    override.  A schema-1 journal is refused, not migrated.
-MANIFEST_SCHEMA = 2
+#: 3: trial configs lost ``gray_zone`` and ``loop_check``.  A schema-2
+#:    journal is refused, not migrated.
+MANIFEST_SCHEMA = 3
 
 #: File name of the journal inside a campaign directory.
 MANIFEST_NAME = "manifest.jsonl"

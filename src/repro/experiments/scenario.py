@@ -20,8 +20,6 @@ from repro.protocols import (
     DsrProtocol,
     DualConfig,
     DualProtocol,
-    NsrConfig,
-    NsrProtocol,
     OlsrConfig,
     OlsrProtocol,
     OracleConfig,
@@ -31,7 +29,6 @@ from repro.protocols import (
     ToraConfig,
     ToraProtocol,
 )
-from repro.routing import LoopChecker
 from repro.sim import CalendarScheduler, Simulator
 from repro.traffic import TrafficGenerator
 from repro.traffic.cbr import reset_flow_ids
@@ -58,7 +55,6 @@ CONFIG_CLASSES = {
         AodvConfig,
         DsrConfig,
         DualConfig,
-        NsrConfig,
         OlsrConfig,
         OracleConfig,
         RoamConfig,
@@ -119,7 +115,6 @@ PROTOCOLS = {
     "dual": (DualProtocol, DualConfig),
     "tora": (ToraProtocol, ToraConfig),
     "roam": (RoamProtocol, RoamConfig),
-    "nsr": (NsrProtocol, NsrConfig),
     "oracle": (OracleProtocol, OracleConfig),
 }
 
@@ -142,11 +137,9 @@ class ScenarioConfig:
         min_speed=1.0,
         max_speed=20.0,
         transmission_range=275.0,
-        gray_zone=0.0,
         seed=1,
         protocol_config=None,
         mac_config=None,
-        loop_check=False,
         warmup=5.0,
         fault_plan=None,
         invariant_check=False,
@@ -172,11 +165,9 @@ class ScenarioConfig:
         self.min_speed = min_speed
         self.max_speed = max_speed
         self.transmission_range = transmission_range
-        self.gray_zone = gray_zone
         self.seed = seed
         self.protocol_config = protocol_config
         self.mac_config = mac_config
-        self.loop_check = loop_check
         self.warmup = warmup
         if fault_plan is not None and not isinstance(fault_plan, FaultPlan):
             raise TypeError(
@@ -256,9 +247,7 @@ class ScenarioConfig:
         "min_speed",
         "max_speed",
         "transmission_range",
-        "gray_zone",
         "seed",
-        "loop_check",
         "warmup",
         "invariant_check",
         # Tracing never changes rows (the recorder is passive), but it
@@ -379,7 +368,6 @@ class Scenario:
         self.channel = WirelessChannel(
             self.sim, self.mobility,
             transmission_range=config.transmission_range,
-            gray_zone=config.gray_zone,
             index=index,
         )
         protocol_cls, default_config = PROTOCOLS[config.protocol]
@@ -404,10 +392,8 @@ class Scenario:
             self.protocols[node_id] = protocol
 
         # An explicit invariant_check, or any fault plan, installs the
-        # fault-aware monitor; it subsumes the plain loop checker (both
-        # claim the table_change_hook, so only one can be wired).
+        # fault-aware monitor.
         self.monitor = None
-        self.loop_checker = None
         if config.invariant_check or config.fault_plan is not None:
             bound = (config.fault_plan.reconvergence_bound
                      if config.fault_plan is not None else None)
@@ -419,11 +405,6 @@ class Scenario:
                 reconvergence_bound=bound,
                 demand_fn=self._active_demands,
             ).install()
-        elif config.loop_check:
-            self.loop_checker = LoopChecker(
-                list(self.protocols.values()),
-                check_ordering=(config.protocol == "ldr"),
-            ).install()
 
         self.injector = None
         if config.fault_plan is not None:
@@ -433,7 +414,7 @@ class Scenario:
             ).install()
 
         # Opt-in observability: the recorder installs last so its hooks
-        # chain in front of (and preserve) the monitor's / checker's, and
+        # chain in front of (and preserve) the monitor's, and
         # so injector reboots re-instrument fresh protocol instances.
         self.trace = None
         if config.trace:
@@ -470,7 +451,7 @@ class Scenario:
                     dst, protocol.own_sequence_value()
                 )
         # End-of-run audit sweep; the monitor streams its counts into the
-        # collector (a plain loop checker raises instead).
+        # collector.
         if self.monitor is not None:
             self.monitor.check_all(self.traffic.destinations_used())
         return RunReport(self.metrics, profile=profiler)

@@ -60,7 +60,6 @@ CONFORMANCE_LAYERS: FrozenSet[str] = frozenset({"protocols", "core"})
 STREAM_LAYERS: Mapping[str, Tuple[str, ...]] = {
     "mobility": ("mobility",),
     "traffic": ("traffic",),
-    "channel.gray": ("net",),
     "mac.": ("net",),
     "proto.": ("routing", "protocols", "core"),
     "olsr.": ("protocols",),

@@ -47,7 +47,8 @@ class RequireSuccessor(ConformanceRule):
     ``successor(dst)`` chains after every table change; a protocol that
     inherits the base stub (always ``None``) presents an empty successor
     graph and passes every audit vacuously.  Defining it in a base class
-    that is itself analysed (e.g. ``NsrProtocol(DsrProtocol)``) counts.
+    that is itself analysed (a protocol subclassing another protocol)
+    counts.
     """
 
     id = "RL101"

@@ -7,7 +7,7 @@ gate can run anywhere the test-suite runs.  A run has three phases:
    :class:`~repro.lint.program.ProgramModel`: each module's import
    bindings and exports, and the class hierarchy keyed by
    module-qualified name, so conformance rules reason about inheritance
-   across files (``NsrProtocol(DsrProtocol)`` conforms through its base).
+   across files (a protocol subclassing another conforms through its base).
    The call graph inside it is built only if a program rule asks.
 2. **Check** — each rule visits each file through a :class:`FileContext`
    that carries the file's layer (top-level directory under the lint

@@ -1,5 +1,25 @@
 """Summaries of one run, matching the paper's six metrics."""
 
+#: The scalar fields of a result row, in row order.  ``as_dict`` adds one
+#: more, ``invariant_breakdown``: a per-kind dict whose total is
+#: ``invariant_violations``.  Exports of every scalar (a merge's
+#: ``rows.csv``) read this list, so a new row field is one edit here.
+ROW_FIELDS = (
+    "delivery_ratio",
+    "mean_latency",
+    "mean_hops",
+    "network_load",
+    "rreq_load",
+    "rrep_init_per_rreq",
+    "rrep_recv_per_rreq",
+    "mean_destination_seqno",
+    "data_originated",
+    "data_delivered",
+    "control_transmissions",
+    "loop_violations",
+    "invariant_violations",
+)
+
 
 class RunReport:
     """Derived metrics computed from a :class:`MetricsCollector`.
@@ -26,6 +46,14 @@ class RunReport:
         if self.profile is None:
             return {}
         return self.profile.snapshot()
+
+    @property
+    def data_originated(self):
+        return self.c.data_originated
+
+    @property
+    def data_delivered(self):
+        return self.c.data_delivered
 
     @property
     def delivery_ratio(self):
@@ -106,24 +134,11 @@ class RunReport:
 
     def as_dict(self):
         """All metrics as a plain dict (used by the experiment runner)."""
-        return {
-            "delivery_ratio": self.delivery_ratio,
-            "mean_latency": self.mean_latency,
-            "mean_hops": self.mean_hops,
-            "network_load": self.network_load,
-            "rreq_load": self.rreq_load,
-            "rrep_init_per_rreq": self.rrep_init_per_rreq,
-            "rrep_recv_per_rreq": self.rrep_recv_per_rreq,
-            "mean_destination_seqno": self.mean_destination_seqno,
-            "data_originated": self.c.data_originated,
-            "data_delivered": self.c.data_delivered,
-            "control_transmissions": self.control_transmissions,
-            "loop_violations": self.loop_violations,
-            "invariant_violations": self.invariant_violations,
-            "invariant_breakdown": dict(
-                sorted(self.c.invariant_violations.items())
-            ),
-        }
+        row = {name: getattr(self, name) for name in ROW_FIELDS}
+        row["invariant_breakdown"] = dict(
+            sorted(self.c.invariant_violations.items())
+        )
+        return row
 
     def __repr__(self):
         return (

@@ -20,10 +20,9 @@ kernel bench pass the brute-force reference
 :class:`~repro.net.spatial.ScanIndex`.  The two are observationally
 identical — same neighbor sets in the same order, same RNG draw order,
 byte-identical metrics for any (seed, plan) — the grid is purely a fast
-path.  One position snapshot per event-time serves the sender-coverage,
-virtual-CTS and gray-zone distance queries of a ``transmit``, so the
-mobility model is consulted exactly once per node per transmission
-instead of 2–3 times.
+path.  One position snapshot per event-time serves the sender-coverage
+and virtual-CTS queries of a ``transmit``, so the mobility model is
+consulted exactly once per node per transmission instead of twice.
 
 The channel is also where the fault layer (:mod:`repro.faults`) plugs in:
 
@@ -68,7 +67,7 @@ class WirelessChannel:
     """Connects node MACs through the shared medium."""
 
     def __init__(self, sim, mobility, transmission_range=275.0,
-                 gray_zone=0.0, index=GridIndex):
+                 index=GridIndex):
         self.sim = sim
         self.mobility = mobility
         self.range = float(transmission_range)
@@ -81,12 +80,6 @@ class WirelessChannel:
         # identical by construction and by the equivalence suite
         # (tests/net/test_spatial_equivalence.py).
         self.index = index(sim, mobility, self.range)
-        # Fraction of the range that is a lossy "gray zone": a reception
-        # whose distance falls in the outer ``gray_zone`` band fails with
-        # probability growing linearly to 50% at the edge.  0 = the
-        # paper's crisp unit disk (default).
-        self.gray_zone = float(gray_zone)
-        self._gray_rng = sim.stream("channel.gray")
         self.nodes = {}
         # receiver id -> list of in-flight Reception records
         self._receptions = {}
@@ -179,9 +172,9 @@ class WirelessChannel:
         end = now + duration
         sender_id = frame.sender
         # All geometry below (coverage here, the virtual CTS's receiver
-        # neighborhood, per-receiver gray-zone distances) is asked at the
-        # same (event, time), so the grid index serves it from a single
-        # position snapshot: one mobility lookup per node per transmit.
+        # neighborhood) is asked at the same (event, time), so the grid
+        # index serves it from a single position snapshot: one mobility
+        # lookup per node per transmit.
         receiver_ids = self.neighbors_of(sender_id)
         if self._prof is not None:
             self._prof.count("channel.transmits")
@@ -214,15 +207,12 @@ class WirelessChannel:
         batch = []
         nodes = self.nodes
         receptions = self._receptions
-        gray_zone = self.gray_zone
         fuzz_fn = self.fuzz_fn
         schedule = self.sim.schedule
         for rid in receiver_ids:
             # CSMA carrier (everyone in range defers until the frame
             # ends) fused with the half-duplex check.
             corrupted = nodes[rid].mac.sense_carrier(end, now)
-            if not corrupted and gray_zone > 0.0:
-                corrupted = self._gray_zone_loss(sender_id, rid, now)
             ongoing = receptions[rid]
             for other in ongoing:
                 if other.end > now:  # overlap -> mutual corruption
@@ -273,17 +263,6 @@ class WirelessChannel:
                 unicast_result,
             )
         return receiver_ids
-
-    def _gray_zone_loss(self, a, b, t):
-        """Random loss in the outer band of the transmission range."""
-        ax, ay = self.index.position(a, t)
-        bx, by = self.index.position(b, t)
-        distance = ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
-        inner = self.range * (1.0 - self.gray_zone)
-        if distance <= inner:
-            return False
-        frac = (distance - inner) / max(self.range - inner, 1e-9)
-        return self._gray_rng.random() < 0.5 * frac
 
     def _complete_batch(self, batch, unicast_result):
         """Complete every on-time reception of one frame, in the order

@@ -1,9 +1,9 @@
 """Spatial indexing for the wireless channel's neighbor queries.
 
 ``WirelessChannel.neighbors_of`` / ``in_range`` dominate every trial: each
-``transmit`` needs the sender's coverage set, the receiver's neighborhood
-(virtual CTS) and per-receiver distances (gray zone), which with the naive
-scan is O(N) per query and O(N²) per broadcast flood.  Two index classes
+``transmit`` needs the sender's coverage set and the receiver's
+neighborhood (virtual CTS), which with the naive scan is O(N) per query
+and O(N²) per broadcast flood.  Two index classes
 share the :class:`NeighborIndex` interface:
 
 * :class:`GridIndex` — drift-tolerant position snapshots with per-node
@@ -34,8 +34,8 @@ computes it, later queries reuse it.
   mid-run (``StaticPlacement.move`` in tests) cannot serve stale
   positions to a later event;
 * the **query time** covers repeated queries inside one event (a
-  ``transmit`` computes coverage + CTS + gray-zone distances from one
-  memo — at most one ``mobility.position`` call per node per transmit);
+  ``transmit`` computes coverage and CTS from one memo — at most one
+  ``mobility.position`` call per node per transmit);
 * the **mobility version** (:attr:`~repro.mobility.base.MobilityModel.
   version`) covers same-event mutation: models that move nodes outside
   their pure ``position(node_id, t)`` contract bump it.
@@ -223,9 +223,8 @@ class GridIndex(NeighborIndex):
         return self._pos
 
     def position(self, node_id, t):
-        # Never builds snapshots: point lookups (in_range, gray zone)
-        # cost one mobility call at most, memoized for the rest of the
-        # event.
+        # Never builds snapshots: point lookups (in_range) cost one
+        # mobility call at most, memoized for the rest of the event.
         pos = self._pos_at(t)
         xy = pos.get(node_id)
         if xy is None:

@@ -80,14 +80,12 @@ class DsrProtocol(RouteDiscovery):
         our own predecessor proves the intermediate hops are unnecessary:
         a gratuitous RREP tells the source the shorter route).
         """
-        from repro.net.packet import DataPacket as _Data
-
         if isinstance(packet, DsrRrep):
             if self.config.promiscuous_learning and self.node_id in packet.route:
                 idx = packet.route.index(self.node_id)
                 self.cache.add(packet.route[idx:])
             return
-        if not isinstance(packet, _Data) or not packet.source_route:
+        if not isinstance(packet, DataPacket) or not packet.source_route:
             return
         route = packet.source_route
         if self.config.promiscuous_learning and self.node_id in route:
@@ -236,26 +234,16 @@ class DsrProtocol(RouteDiscovery):
 
     def _solicit(self, discovery):
         self._rreq_id += 1
-        rreq = self._new_rreq(discovery.dst, discovery.ttl)
+        rreq = DsrRreq(self.node_id, self._rreq_id, discovery.dst,
+                       [self.node_id], ttl=discovery.ttl)
         self._seen[(self.node_id, self._rreq_id)] = (
             self.sim.now + self.config.seen_timeout
         )
         self.broadcast(rreq, initiated=True)
 
     # ------------------------------------------------------------------
-    # RREQ / RREP (NSR overrides only how the three messages are built)
+    # RREQ / RREP
     # ------------------------------------------------------------------
-    def _new_rreq(self, dst, ttl):
-        return DsrRreq(self.node_id, self._rreq_id, dst, [self.node_id],
-                       ttl=ttl)
-
-    def _relayed_rreq(self, rreq, route):
-        return DsrRreq(rreq.src, rreq.rreq_id, rreq.target, route,
-                       ttl=rreq.ttl - 1)
-
-    def _new_rrep(self, rreq, full_route, reply_path):
-        return DsrRrep(full_route, reply_path)
-
     def _on_rreq(self, rreq, from_id):
         if rreq.src == self.node_id or self.node_id in rreq.route:
             return
@@ -269,24 +257,25 @@ class DsrProtocol(RouteDiscovery):
 
         route_so_far = rreq.route + [self.node_id]
         if rreq.target == self.node_id:
-            self._reply(rreq, route_so_far, route_so_far)
+            self._reply(route_so_far, route_so_far)
             return
         # Cache reply: we know a suffix from here to the target.
         cached = self.cache.lookup(rreq.target)
         if cached is not None:
             full = route_so_far + cached[1:]
             if len(set(full)) == len(full):  # no node repeated -> loop-free
-                self._reply(rreq, full, route_so_far)
+                self._reply(full, route_so_far)
                 return
         if rreq.ttl <= 1:
             return
-        self.broadcast(self._relayed_rreq(rreq, route_so_far),
-                       jitter=self.config.rebroadcast_jitter)
+        relayed = DsrRreq(rreq.src, rreq.rreq_id, rreq.target, route_so_far,
+                          ttl=rreq.ttl - 1)
+        self.broadcast(relayed, jitter=self.config.rebroadcast_jitter)
 
-    def _reply(self, rreq, full_route, path_to_here):
+    def _reply(self, full_route, path_to_here):
         """Send a RREP containing ``full_route`` back to its origin."""
         reply_path = list(reversed(path_to_here))
-        rrep = self._new_rrep(rreq, full_route, reply_path)
+        rrep = DsrRrep(full_route, reply_path)
         self.cache.add(list(reversed(path_to_here)))  # route back to origin
         if self.metrics is not None:
             self.metrics.on_control_initiated(self.node_id, rrep)

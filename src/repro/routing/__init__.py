@@ -5,7 +5,7 @@
   the hop-by-hop data prologue.
 * :class:`~repro.routing.base.RouteDiscovery` — the paper's Procedure 1
   (buffer, expanding-ring retry, give up, flush), written once for the
-  on-demand protocols LDR, AODV, DSR and NSR.
+  on-demand protocols LDR, AODV and DSR.
 * :class:`~repro.routing.base.PacketBuffer` — per-destination buffering of
   data packets while route discovery runs.
 * :mod:`repro.routing.costs` — LDR's pluggable link-cost models.

@@ -213,7 +213,7 @@ def ring_ttl(config, attempt, start):
 
 
 class RouteDiscovery(RoutingProtocol):
-    """Procedure 1 for the on-demand protocols (LDR, AODV, DSR and NSR).
+    """Procedure 1 for the on-demand protocols (LDR, AODV and DSR).
 
     Owns the packet buffer and the per-destination :class:`Discovery`
     records: buffer a packet and discover, retry on timeout or drop the

@@ -12,7 +12,6 @@ Registered stream names
 
 ``mobility``        waypoint draws and static placements
 ``traffic``         CBR flow endpoints, start staggers, lifetimes
-``channel.gray``    gray-zone reception losses
 ``mac.<node>``      per-node CSMA backoff
 ``faults``          every draw of the fault injector (packet-fuzz
                     corrupt/duplicate/delay decisions) — isolating it here

@@ -24,11 +24,13 @@ def test_property_mobile_scenario_never_loops(seed):
     scenario = build_scenario(ScenarioConfig(
         protocol="ldr", num_nodes=14, width=900.0, height=300.0,
         num_flows=4, duration=12.0, pause_time=0.0, max_speed=25.0,
-        seed=seed, loop_check=True,
+        seed=seed,
     ))
+    checker = LoopChecker(scenario.protocols.values(),
+                          check_ordering=True).install()
     scenario.run()  # LoopChecker raises on any violation
-    assert scenario.loop_checker.checks_run > 0
-    assert scenario.loop_checker.violations == []
+    assert checker.checks_run > 0
+    assert checker.violations == []
 
 
 @settings(max_examples=10, deadline=None)

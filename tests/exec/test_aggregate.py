@@ -14,9 +14,11 @@ from repro.exec.aggregate import (
     watch_campaign,
     write_merge_output,
 )
+from repro.exec.cache import ResultCache
 from repro.exec.manifest import MANIFEST_NAME, start_campaign
 from repro.exec.shard import ShardPlan, shard_dir, start_shard
 from repro.experiments.scenario import ScenarioConfig
+from repro.metrics.report import ROW_FIELDS
 
 
 def _grid(n=6):
@@ -93,6 +95,24 @@ def test_merge_output_is_idempotent(tmp_path):
         else:  # traces/ directory
             assert sorted(p.name for p in a.iterdir()) == \
                 sorted(p.name for p in b.iterdir())
+
+
+def test_rows_csv_carries_every_scalar_row_field(tmp_path):
+    labels, configs = _grid(4)
+    _run_plain(tmp_path / "camp", configs, labels)
+    merged = merge_campaign(tmp_path / "camp")
+    out = write_merge_output(merged, tmp_path / "out")
+    header, *lines = out["rows"].read_text().splitlines()
+    columns = header.split(",")
+    assert columns[-len(ROW_FIELDS):] == list(ROW_FIELDS)
+    assert len(lines) == len(configs)
+    cache = ResultCache(tmp_path / "camp" / "cache")
+    for line in lines:
+        cells = dict(zip(columns, line.split(",")))
+        assert cells["state"] == "done"
+        row = cache.get(cells["key"])
+        assert {field: json.loads(cells[field]) for field in ROW_FIELDS} \
+            == {field: row[field] for field in ROW_FIELDS}
 
 
 # -- certification: gaps, unfinished, overlap --------------------------

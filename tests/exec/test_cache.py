@@ -91,6 +91,12 @@ def test_iter_entries_and_describe(tmp_path):
     assert len(docs) == 1
     line = cache.describe_entry(docs[0])
     assert "ldr" in line and "n=8" in line
+    # An entry cached before a field was removed no longer rebuilds as a
+    # ScenarioConfig; --list still shows what it holds.
+    docs[0]["config"].update(channel_index="grid", gray_zone=0.0,
+                             loop_check=False)
+    assert cache.describe_entry(docs[0]) == line
+    assert "no config recorded" in cache.describe_entry({"key": "k"})
 
 
 def test_put_is_atomic_json(tmp_path):

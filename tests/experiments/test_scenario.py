@@ -75,13 +75,6 @@ def test_different_protocols_share_workload():
     assert ldr.mobility.position(3, 5.0) == aodv.mobility.position(3, 5.0)
 
 
-def test_loop_check_flag_installs_checker():
-    scenario = build_scenario(_tiny(loop_check=True))
-    assert scenario.loop_checker is not None
-    scenario.run()
-    assert scenario.loop_checker.checks_run > 0
-
-
 def test_protocol_config_passed_through():
     config = LdrConfig(ttl_start=9)
     scenario = build_scenario(_tiny(protocol_config=config))
@@ -91,10 +84,3 @@ def test_protocol_config_passed_through():
 def test_seqno_observed_for_destinations():
     report = run_scenario(_tiny(protocol="aodv"))
     assert report.c.seqno_final  # every used destination observed
-
-
-def test_gray_zone_passed_to_channel():
-    scenario = build_scenario(_tiny(gray_zone=0.25))
-    assert scenario.channel.gray_zone == 0.25
-    crisp = build_scenario(_tiny())
-    assert crisp.channel.gray_zone == 0.0

@@ -52,12 +52,17 @@ ROW_SHA256 = {
     "dsr7": "46894340cc8ea4230168537754273fb7b1c40831eb98d857523dfff60e29ed5d",
     "dual": "52b96c40807a0cc65bad44531769fb07d9a19b9c2fb22fd1e651c1ad46f45c93",
     "ldr": "8b2afa208d10e5e29cbff88ec9041b425562d6e57cc75fefd7cec5a5d8696516",
-    "nsr": "2620c11866c013b374c350d7f36410c94b05d55303de7767b578457b9e64ad45",
     "olsr": "79ce00a16d0d893f23e9fd8fc82f959536f8f52630c011bf0c0383279010fe7e",
     "oracle": "d35eaca29a63b5c449b8d249f1f6736df25a82d16496636018c0f9221d9d17f3",
     "roam": "70221de73054b5de9df7020b483993c443f41fbffa58421652c0a21ad67b2936",
     "tora": "c22bfe93221af78e74f805a730a578fe67319a5af869e0aaf4889d51c733fce2",
 }
+
+
+def test_pins_match_the_registry():
+    # A protocol added without a pin, or removed with its pin left
+    # behind, fails here rather than going unchecked.
+    assert set(ROW_SHA256) == set(PROTOCOLS)
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))

@@ -23,8 +23,8 @@ def test_roundtrip_preserves_every_scalar_field():
         protocol="aodv", num_nodes=24, width=1000.0, height=400.0,
         num_flows=5, rate=2.0, packet_size=256, mean_flow_length=50.0,
         duration=120.0, pause_time=30.0, min_speed=0.5, max_speed=10.0,
-        transmission_range=250.0, gray_zone=25.0, seed=42,
-        loop_check=True, warmup=2.0,
+        transmission_range=250.0, seed=42, warmup=2.0,
+        invariant_check=True, trace=True,
     )
     clone = ScenarioConfig.from_dict(config.to_dict())
     for field in ScenarioConfig.SCALAR_FIELDS:
@@ -64,11 +64,19 @@ def test_to_dict_rejects_callable_config_fields():
 
 
 def test_from_dict_rejects_unknown_fields():
-    data = ScenarioConfig().to_dict()
-    data["bogus"] = 1
+    # Fields (and protocols) the tree no longer has are refused, not
+    # silently dropped: a config written before their removal has no
+    # faithful rebuild.
+    for field, value in (("bogus", 1), ("gray_zone", 0.0),
+                         ("loop_check", False)):
+        data = ScenarioConfig().to_dict()
+        data[field] = value
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig.from_dict(data)
+        assert field in str(err.value)
     with pytest.raises(ValueError) as err:
-        ScenarioConfig.from_dict(data)
-    assert "bogus" in str(err.value)
+        ScenarioConfig(protocol="nsr")
+    assert "'nsr'" in str(err.value)
 
 
 def test_from_dict_rejects_unknown_config_type():

@@ -65,7 +65,7 @@ def test_rl102_wrong_tuple_shape(lint_tree):
 
 
 def test_conformance_via_inherited_base(lint_tree):
-    # NsrProtocol-style: deriving from an analysed conforming class counts.
+    # Deriving from an analysed conforming class counts.
     derived = (
         "from repro.protocols.goodmod import GoodProtocol\n\n\n"
         "class Derived(GoodProtocol):\n"

@@ -168,10 +168,10 @@ def test_rl203_registered_prefix_names_are_silent(lint_tree):
             "    def start(self):\n"
             "        self.rng = self.sim.stream('mac.%d' % self.nid)\n"
         ),
-        "net/channel.py": (
-            "class Channel:\n"
+        "faults/injector.py": (
+            "class Injector:\n"
             "    def start(self):\n"
-            "        self.rng = self.sim.stream('channel.gray')\n"
+            "        self.rng = self.sim.stream('faults')\n"
         ),
     }
     assert _run(lint_tree, files, UnregisteredStreamName) == []

@@ -46,6 +46,12 @@ def test_neighbors_within_range():
 def test_boundary_distance_is_in_range():
     _, channel, _, _ = _build({0: (0, 0), 1: (275.0, 0)})
     assert channel.in_range(0, 1)
+    # The disk is crisp: no loss band near the edge, every frame decodes.
+    sim, channel, _, sinks = _build({0: (0, 0), 1: (274.0, 0)})
+    for _ in range(20):
+        channel.transmit(Frame(Packet(), 0, None), duration=1e-4)
+        sim.run(until=sim.now + 0.01)
+    assert len(sinks[1].received) == 20
 
 
 def test_broadcast_reaches_all_in_range():

@@ -19,12 +19,11 @@ INDEXES = [pytest.param(ScanIndex, id="scan"),
            pytest.param(GridIndex, id="grid")]
 
 
-def _world(placement, index=GridIndex, transmission_range=275.0,
-           gray_zone=0.0):
+def _world(placement, index=GridIndex, transmission_range=275.0):
     sim = Simulator(seed=3)
     channel = WirelessChannel(sim, placement,
                               transmission_range=transmission_range,
-                              gray_zone=gray_zone, index=index)
+                              index=index)
     nodes = {nid: Node(sim, nid, channel) for nid in placement.node_ids()}
     return sim, channel, nodes
 
@@ -367,7 +366,7 @@ def _transmit_world(index_cls, num_nodes=24):
     inner = RandomWaypoint(num_nodes, 900.0, 500.0, pause_time=0.0,
                            duration=30.0, rng=sim.stream("mobility"))
     mobility = CountingMobility(inner)
-    channel = WirelessChannel(sim, mobility, gray_zone=0.2, index=index_cls)
+    channel = WirelessChannel(sim, mobility, index=index_cls)
     nodes = [Node(sim, nid, channel) for nid in mobility.node_ids()]
     sim.run(until=1.0)
     return sim, channel, mobility, nodes

@@ -2,13 +2,17 @@
 
 from repro.experiments import ScenarioConfig, build_scenario
 from repro.obs import TraceRecorder
+from repro.routing import LoopChecker
 
 
-def _traced_scenario(**overrides):
-    base = dict(protocol="ldr", num_nodes=10, width=800.0, height=300.0,
-                num_flows=2, duration=8.0, pause_time=0.0, seed=4)
-    base.update(overrides)
-    scenario = build_scenario(ScenarioConfig(**base))
+def _scenario():
+    return build_scenario(ScenarioConfig(
+        protocol="ldr", num_nodes=10, width=800.0, height=300.0,
+        num_flows=2, duration=8.0, pause_time=0.0, seed=4))
+
+
+def _traced_scenario():
+    scenario = _scenario()
     trace = TraceRecorder(scenario.sim).install(scenario)
     return scenario, trace
 
@@ -63,8 +67,10 @@ def test_max_events_truncates():
 
 def test_loop_checker_still_runs_when_traced():
     """The recorder chains, not replaces, existing table-change hooks."""
-    scenario, trace = _traced_scenario(loop_check=True)
-    # install() ran after the loop checker; chaining must preserve it.
+    scenario = _scenario()
+    checker = LoopChecker(scenario.protocols.values()).install()
+    # The recorder installs after the checker; chaining must preserve it.
+    trace = TraceRecorder(scenario.sim).install(scenario)
     scenario.run()
-    assert scenario.loop_checker.checks_run > 0
+    assert checker.checks_run > 0
     assert trace.select(kind="route")
