@@ -495,8 +495,12 @@ def cmd_audit(args):
     ).install()
     try:
         scenario.run()
+        # End-of-run sweep over the traffic destinations, as the invariant
+        # monitor does: protocols that never fire table_change_hook
+        # (DSR, the oracle) are audited here or not at all.
+        checker.check_all(sorted(scenario.traffic.destinations_used()))
     except LoopError as err:
-        # The checker recorded the breach before raising; the run stops
+        # The checker recorded the breach before raising; the audit stops
         # at the first one.
         print("breach           : %s" % err)
     print("table audits run : %d" % checker.checks_run)
@@ -646,7 +650,8 @@ def main(argv=None):
     p.add_argument("--timeout", type=float, default=None,
                    help="per-trial wall-clock deadline in seconds, "
                         "enforced inside the worker; it also sets the "
-                        "stall budget after which a silent pool worker is "
+                        "stall budget, counted from when a trial starts on "
+                        "a pool worker, after which that worker is "
                         "presumed wedged and the pool is recycled")
     p.add_argument("--quarantine-after", type=int, default=None,
                    metavar="N",

@@ -5,6 +5,13 @@ pool, serves repeats from the on-disk :class:`ResultCache`, retries
 failed workers under a supervised backoff/quarantine policy, and reports
 live progress.
 
+One dispatch loop runs every trial: it keeps at most ``jobs`` attempts
+in flight and starts an attempt — its attempt count, its ``running``
+journal record, its stall clock — only when a slot is free.  With
+``jobs == 1`` the attempt runs inline and yields an already-finished
+future; otherwise it runs on the pool.  A failed attempt waits out its
+backoff outside the slots and rejoins the ready queue when it is due.
+
 Because every trial is a pure function of its config (all randomness
 flows from the seeded simulator), results are **bit-identical** however
 they are executed — serially, on N workers, replayed from cache, or
@@ -23,10 +30,10 @@ Robustness model (the campaign-fabric contract):
   crash at any instant loses at most the in-flight attempts (which are
   refunded on resume).
 * **Supervision**: per-trial deadlines are enforced inside the worker
-  (:mod:`repro.exec.deadline`); an in-flight future that outlives its
-  stall budget means the worker is wedged and the pool is force-recycled;
-  a broken pool is respawned (bounded) before degrading to in-process
-  execution.
+  (:mod:`repro.exec.deadline`); an attempt that outlives its stall
+  budget, counted from when it was handed to a worker, means the worker
+  is wedged and the pool is force-recycled; a broken pool is respawned
+  (bounded) before degrading to in-process execution.
 * **Retry policy**: failures back off exponentially with jitter from the
   dedicated ``'exec'`` RNG stream (:mod:`repro.exec.supervise`), and a
   poison trial is quarantined after its attempt ceiling instead of
@@ -36,13 +43,12 @@ Robustness model (the campaign-fabric contract):
   result reports the resume command instead of losing completed work.
 """
 
-import multiprocessing
 import pathlib
 import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.exec import worker as _worker
@@ -191,15 +197,13 @@ class CampaignEngine:
         Per-trial wall-clock budget in seconds (enforced portably inside
         the worker, see :mod:`repro.exec.deadline`), or None.  It also
         sets the stall budget (:func:`~repro.exec.supervise.stall_budget`):
-        an in-flight pool future older than that is presumed wedged and
-        the pool is force-recycled.  Without a timeout stall detection is
-        off.
+        a pooled attempt still unresolved that long after it was handed
+        to a worker is presumed wedged and the pool is force-recycled.
+        Queued trials are not in flight, so their wait never counts.
+        Without a timeout stall detection is off.
     progress:
         Callable receiving a :class:`~repro.exec.progress.Progress`
         snapshot after every settled trial.
-    mp_context:
-        ``multiprocessing`` start-method name or context for the pool
-        (default: the platform default).
     trace_dir:
         Directory for per-trial JSONL trace artifacts
         (``<key>.trace.jsonl``, see :mod:`repro.obs`), or None (default)
@@ -231,15 +235,13 @@ class CampaignEngine:
     """
 
     def __init__(self, jobs=1, cache=None, retries=1, timeout=None,
-                 progress=None, mp_context=None, trace_dir=None,
-                 trace_gzip=False, manifest=None, quarantine_after=None,
-                 backoff_base=0.05):
+                 progress=None, trace_dir=None, trace_gzip=False,
+                 manifest=None, quarantine_after=None, backoff_base=0.05):
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.retries = max(0, int(retries))
         self.timeout = timeout
         self.progress = progress
-        self.mp_context = mp_context
         self.trace_dir = (
             pathlib.Path(trace_dir) if trace_dir is not None else None
         )
@@ -291,13 +293,7 @@ class CampaignEngine:
 
         previous = self._install_signals()
         try:
-            if self.jobs > 1:
-                self._run_pool(pending, trials)
-            else:
-                for trial in pending:
-                    if self._interrupted:
-                        break
-                    self._run_local(trial, trials)
+            self._dispatch(pending, trials)
         finally:
             self._restore_signals(previous)
         if self._interrupted and self.manifest is not None:
@@ -374,149 +370,113 @@ class CampaignEngine:
             payload["trace"] = str(trace)
         return payload
 
-    def _backoff(self, trial):
-        """Sleep the policy's pre-retry delay; False when interrupted."""
-        delay = self.policy.delay_before(trial.key, trial.attempts + 1)
-        deadline = time.monotonic() + delay
-        while delay > 0 and not self._interrupted:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            time.sleep(min(_POLL, remaining))
-        return not self._interrupted
+    def _dispatch(self, pending, trials):
+        """Run ``pending`` with at most ``jobs`` attempts in flight.
 
-    def _run_local(self, trial, trials):
-        if trial.row is not None or trial.error is not None or trial.quarantined:
-            return
-        while True:
-            if trial.attempts and not self._backoff(trial):
-                return  # interrupted mid-backoff; journal state stands
-            if self._interrupted:
-                return
-            trial.attempts += 1
-            self._record(trial, RUNNING)
-            outcome = _worker.run_trial_payload(self._payload(trial))
-            if outcome.get("warning"):
-                self._warn(trials, outcome["warning"])
-            if outcome["ok"]:
-                trial.row = outcome["row"]
-                trial.worker = outcome.get("worker")
-                break
-            trial.error = outcome["error"]
-            if self.policy.exhausted(trial.attempts):
-                trial.quarantined = self.policy.quarantines
-                break
-            self._record(trial, FAILED, error=trial.error)
-            trial.error = None
-        # Terminal after real execution (row, exhaustion, or quarantine):
-        # this settlement consumed wall-clock, so it advances the ETA
-        # denominator — unlike cache hits and journal-absorbed states.
-        self._work_done += 1
-        self._settle(trial, trials)
-
-    def _run_pool(self, poolable, trials):
-        if not poolable:
-            return
-        ctx = self.mp_context
-        if isinstance(ctx, str):
-            ctx = multiprocessing.get_context(ctx)
-        pending = list(poolable)
+        An attempt starts only when a slot is free: inline with one job,
+        on the pool otherwise.  A failed attempt waits out its backoff in
+        ``waiting`` and rejoins the front of ``ready`` once it is due.  A
+        broken pool is rebuilt up to :data:`POOL_RESPAWNS` times; after
+        that the remaining trials run inline.
+        """
+        ready = list(pending)
+        waiting = []  # (monotonic time the retry is due, trial)
+        inflight = {}  # future -> (trial, monotonic start of the attempt)
+        slots = self.jobs
         respawns = POOL_RESPAWNS
-        while pending and not self._interrupted:
-            survivors, breakdown = self._pool_round(pending, trials, ctx)
-            if breakdown is None:
-                return
-            if respawns > 0:
-                respawns -= 1
-                self._warn(trials,
-                           "worker pool broke (%s); respawning pool for %d "
-                           "trial(s)" % (breakdown, len(survivors)))
-                pending = survivors
-                continue
-            self._warn(trials,
-                       "worker pool broke (%s); finishing %d trial(s) "
-                       "in-process" % (breakdown, len(survivors)))
-            for trial in survivors:
-                if self._interrupted:
-                    return
-                self._run_local(trial, trials)
-            return
-
-    def _pool_round(self, pending, trials, ctx):
-        """One pool lifetime.  Returns ``(unsettled, breakdown-or-None)``."""
-        workers = min(self.jobs, len(pending))
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-        futures = {}
-        started = {}
-        waiting = []  # (ready-monotonic, trial) backoff queue
-
-        def submit(trial):
-            trial.attempts += 1
-            self._record(trial, RUNNING)
-            future = pool.submit(_worker.run_trial_payload,
-                                 self._payload(trial))
-            futures[future] = trial
-            started[future] = time.monotonic()
-
-        def unsettled():
-            return [t for t in pending
-                    if t.row is None and t.error is None and not t.quarantined]
-
+        pool = None
         try:
-            try:
-                for trial in pending:
-                    submit(trial)
-                while futures or waiting:
-                    if self._interrupted:
-                        # Checkpoint-and-exit: discard (and refund) the
-                        # in-flight attempts; the journal already shows
-                        # them as running, and resume refunds running
-                        # state the same way.
-                        for future, trial in futures.items():
-                            future.cancel()
-                            trial.attempts = max(0, trial.attempts - 1)
-                        self._kill_pool_workers(pool)
-                        break
-                    now = time.monotonic()
-                    for item in list(waiting):
-                        ready, trial = item
-                        if ready <= now:
-                            waiting.remove(item)
-                            submit(trial)
-                    if not futures:
-                        time.sleep(_POLL)
+            while ready or waiting or inflight:
+                if self._interrupted:
+                    # Checkpoint-and-exit: refund the in-flight attempts
+                    # (resume refunds their ``running`` records the same
+                    # way) and kill the workers.  Nothing is cancel()ed: the
+                    # manager thread could not fail a cancelled future.
+                    for trial, _ in inflight.values():
+                        trial.attempts -= 1
+                    self._kill_pool_workers(pool)
+                    return
+                now = time.monotonic()
+                ready[:0] = [trial for due, trial in waiting if due <= now]
+                waiting[:] = [item for item in waiting if item[0] > now]
+                while ready and len(inflight) < slots \
+                        and not self._interrupted:
+                    if slots > 1 and pool is None:
+                        pool = ProcessPoolExecutor(
+                            max_workers=min(slots, len(ready) + len(waiting)))
+                    trial = ready.pop(0)
+                    future = self._attempt(trial, pool)
+                    inflight[future] = (trial, time.monotonic())
+                if not inflight:
+                    if waiting:
+                        time.sleep(min(_POLL,
+                                       min(due for due, _ in waiting) - now))
+                    continue
+                done, _ = wait(inflight, timeout=_POLL,
+                               return_when=FIRST_COMPLETED)
+                broken = None
+                for future in done:
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool as err:
+                        broken = err
                         continue
-                    done, _ = wait(list(futures), timeout=_POLL,
-                                   return_when=FIRST_COMPLETED)
-                    for future in done:
-                        trial = futures[future]
-                        try:
-                            outcome = future.result()
-                        except BrokenProcessPool:
-                            # Leave the trial in ``futures`` so the
-                            # breakdown handler refunds its attempt too.
-                            raise
-                        except Exception:
-                            outcome = {
-                                "ok": False,
-                                "error": traceback.format_exc(limit=20),
-                            }
-                        futures.pop(future)
-                        started.pop(future)
-                        self._absorb_outcome(trial, trials, outcome, waiting)
-                    self._scan_stalls(futures, started, waiting, trials, pool)
-            finally:
+                    except Exception:
+                        outcome = {"ok": False,
+                                   "error": traceback.format_exc(limit=20)}
+                    trial, _ = inflight.pop(future)
+                    self._absorb_outcome(trial, trials, outcome, waiting)
+                if broken is None:
+                    self._scan_stalls(inflight, waiting, trials, pool)
+                    continue
+                # The in-flight attempts died *with the pool*; none was
+                # observed to fail, so refund them instead of charging
+                # their retry budgets.
+                lost = [trial for trial, _ in inflight.values()]
+                for trial in lost:
+                    trial.attempts -= 1
+                ready[:0] = lost
+                inflight.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
+                pool = None
+                if self.manifest is not None:
+                    self.manifest.note("worker pool broke: %s" % broken)
+                left = len(ready) + len(waiting)
+                if respawns > 0:
+                    respawns -= 1
+                    self._warn(trials,
+                               "worker pool broke (%s); respawning pool for "
+                               "%d trial(s)" % (broken, left))
+                else:
+                    slots = 1
+                    self._warn(trials,
+                               "worker pool broke (%s); finishing %d "
+                               "trial(s) in-process" % (broken, left))
+        finally:
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
+    def _attempt(self, trial, pool):
+        """Start ``trial``'s next attempt; returns its future.
+
+        Without a pool the attempt runs here and the future comes back
+        finished.  The worker function is looked up on its module at call
+        time, so a wrapper installed there sees every attempt.
+        """
+        trial.attempts += 1
+        self._record(trial, RUNNING)
+        payload = self._payload(trial)
+        future = Future()
+        try:
+            if pool is None:
+                future.set_result(_worker.run_trial_payload(payload))
+            else:
+                future = pool.submit(_worker.run_trial_payload, payload)
         except BrokenProcessPool as err:
-            for trial in futures.values():
-                # The in-flight attempt died *with the pool*, it was never
-                # observed to fail — refund it so pool breakdown does not
-                # eat into the trial's retry budget.
-                trial.attempts = max(0, trial.attempts - 1)
-            if self.manifest is not None:
-                self.manifest.note("worker pool broke: %s" % err)
-            return unsettled(), err
-        return unsettled(), None
+            # A pool that broke since the last poll refuses the submit;
+            # the loop treats that like any other broken future.
+            future.set_exception(err)
+        return future
 
     def _absorb_outcome(self, trial, trials, outcome, waiting):
         if outcome.get("warning"):
@@ -538,18 +498,17 @@ class CampaignEngine:
         delay = self.policy.delay_before(trial.key, trial.attempts + 1)
         waiting.append((time.monotonic() + delay, trial))
 
-    def _scan_stalls(self, futures, started, waiting, trials, pool):
-        """Declare over-budget in-flight futures stalled; recycle the pool."""
-        if self.stall_timeout is None or not futures:
+    def _scan_stalls(self, inflight, waiting, trials, pool):
+        """Declare over-budget in-flight attempts stalled; recycle the pool."""
+        if self.stall_timeout is None or not inflight:
             return
         now = time.monotonic()
-        stalled = [(future, trial) for future, trial in futures.items()
-                   if now - started[future] > self.stall_timeout]
+        stalled = [future for future, (_, started) in inflight.items()
+                   if now - started > self.stall_timeout]
         if not stalled:
             return
-        for future, trial in stalled:
-            futures.pop(future)
-            started.pop(future)
+        for future in stalled:
+            trial, _ = inflight.pop(future)
             message = (
                 "trial #%d stalled: no result after %gs (worker presumed "
                 "wedged); recycling the worker pool"

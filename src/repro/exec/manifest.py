@@ -17,6 +17,11 @@ outstanding work from the journal, serves finished trials from the cache,
 and the merged :class:`~repro.exec.engine.CampaignResult` is
 byte-identical to an uninterrupted run.
 
+A ``running`` record is written when its attempt starts on a worker (or
+inline), not when the trial is queued, so ``t`` of the attempt's next
+record minus ``t`` of its ``running`` record is that attempt's host wall
+time.
+
 Every record is one JSON line, flushed and fsynced before the engine acts
 on it, so a SIGKILL at any instant leaves at worst one torn final line.
 Loading tolerates exactly that: a partial *last* line is dropped and the

@@ -13,10 +13,13 @@ Quarantine is the poison-trial policy: a trial that keeps failing after
 explicitly, coverage-reducing, but no longer campaign-fatal — instead of
 either failing the whole campaign or being retried forever.
 
-The stall budget is the heartbeat for pool futures: an in-flight trial
-older than the budget means the in-worker deadline that should have fired
-did not (worker wedged in C code, or silently dead without breaking the
-pool), and the engine force-recycles the pool.
+The stall budget is the heartbeat for pooled attempts.  The engine keeps
+at most ``jobs`` attempts in flight and starts an attempt's clock when it
+hands the attempt to a worker, so time spent waiting for a free slot
+never counts.  An attempt older than the budget means the in-worker
+deadline that should have fired did not (worker wedged in C code, or
+silently dead without breaking the pool), and the engine force-recycles
+the pool.
 """
 
 import zlib
@@ -59,7 +62,7 @@ def backoff_delay(key, attempt, base):
 
 
 def stall_budget(timeout):
-    """Age at which an in-flight pool future counts as stalled.
+    """Age at which an in-flight pooled attempt counts as stalled.
 
     The budget derives from the per-trial deadline (twice the deadline
     plus slack: the in-worker deadline must have fired well before that).

@@ -1,6 +1,8 @@
 """The chaos harness: injector pieces fast, the full self-test slow."""
 
+import pathlib
 import random
+import time
 
 import pytest
 
@@ -87,6 +89,21 @@ def test_snapshot_separates_rows_traces_quarantine(tmp_path):
     assert quarantined == set()
 
 
+def _running_with(text):
+    """Pids of live processes whose command line contains ``text``."""
+    pids = []
+    for proc in pathlib.Path("/proc").iterdir():
+        if not proc.name.isdigit():
+            continue
+        try:
+            cmdline = (proc / "cmdline").read_bytes()  # empty for zombies
+        except OSError:
+            continue
+        if text.encode() in cmdline:
+            pids.append(int(proc.name))
+    return pids
+
+
 @pytest.mark.slow
 def test_full_chaos_run_is_byte_identical(tmp_path, capsys):
     # The whole gauntlet: SIGKILL a worker and the driver, truncate the
@@ -97,3 +114,10 @@ def test_full_chaos_run_is_byte_identical(tmp_path, capsys):
     assert code == 0, out
     assert "chaos: OK" in out
     assert "quarantined" in out
+    # The killed driver ran `repro campaign resume <tmp_path>/...`, and its
+    # forked pool workers share that command line: none may outlive the
+    # harness.
+    deadline = time.monotonic() + 5.0
+    while _running_with(str(tmp_path)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _running_with(str(tmp_path)) == []

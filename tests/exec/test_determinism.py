@@ -6,11 +6,14 @@ the same ``RunReport.as_dict()`` whether the trial runs in this
 interpreter, in a forked worker, or in a freshly spawned one.
 """
 
+import functools
 import multiprocessing
 import os
 import pathlib
+from concurrent.futures import ProcessPoolExecutor
 
 import repro
+import repro.exec.engine as engine_mod
 from repro.exec import worker
 from repro.exec.engine import CampaignEngine
 from repro.experiments.scenario import ScenarioConfig, run_scenario
@@ -55,5 +58,7 @@ def test_spawned_pool_engine_matches_serial(monkeypatch):
     configs = [_config(seed=s) for s in (1, 2, 3)]
     serial = CampaignEngine().run_rows(configs)
     _src_on_pythonpath(monkeypatch)
-    spawned = CampaignEngine(jobs=2, mp_context="spawn").run_rows(configs)
+    monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    spawned = CampaignEngine(jobs=2).run_rows(configs)
     assert spawned == serial

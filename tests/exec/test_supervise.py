@@ -1,12 +1,15 @@
 """Retry policy: deterministic backoff, quarantine, retry identity."""
 
 import json
+import os
+import time
 from concurrent.futures import Future
 
 import repro.exec.engine as engine_mod
 import repro.exec.supervise as supervise
 import repro.exec.worker as worker_mod
 from repro.exec.engine import CampaignEngine
+from repro.exec.manifest import campaign_paths, start_campaign
 from repro.exec.supervise import (
     BACKOFF_CAP,
     RetryPolicy,
@@ -78,6 +81,47 @@ def test_wedged_worker_is_declared_stalled_then_fails(monkeypatch):
     assert trial.error.startswith("stalled")
     stalls = [w for w in engine.warnings if "stalled" in w]
     assert len(stalls) == 2
+
+
+def _fixed_length_trial(payload):
+    """Stand-in for ``worker.run_trial_payload`` that always takes 0.3 s.
+
+    Module level, so a forked pool worker unpickles it by name.
+    """
+    time.sleep(0.3)
+    return {"ok": True, "row": {"seed": payload["config"]["seed"]},
+            "worker": os.getpid()}
+
+
+def test_queued_trials_are_never_declared_stalled(monkeypatch):
+    # Ten 0.3 s trials on two workers take 1.5 s, past the 1 s stall
+    # budget; only the time an attempt spends on a worker may count.
+    monkeypatch.setattr(worker_mod, "run_trial_payload", _fixed_length_trial)
+    monkeypatch.setattr(supervise, "STALL_SLACK", 0.0)
+    engine = CampaignEngine(jobs=2, timeout=0.5)  # stall budget 1 s
+    result = engine.run([_config(seed) for seed in range(1, 11)])
+    assert [w for w in engine.warnings if "stalled" in w] == []
+    assert result.failed == 0
+    assert [t.attempts for t in result.trials] == [1] * 10
+
+
+def test_journal_never_shows_more_than_jobs_attempts_running(tmp_path):
+    configs = [_config(seed) for seed in range(1, 9)]
+    manifest, engine = start_campaign(tmp_path, configs, jobs=2)
+    assert engine.run(configs).coverage == 1.0
+    manifest.close()
+    running, peak = set(), 0
+    manifest_path, _, _ = campaign_paths(tmp_path)
+    for line in manifest_path.read_text().splitlines():
+        record = json.loads(line)
+        if record["type"] != "state":
+            continue
+        if record["state"] == "running":
+            running.add(record["index"])
+        else:
+            running.discard(record["index"])
+        peak = max(peak, len(running))
+    assert peak == 2
 
 
 # -- policy ------------------------------------------------------------

@@ -60,6 +60,15 @@ def test_audit_honours_protocol(capsys):
     assert "LDR" not in out
 
 
+def test_audit_sweeps_protocols_without_table_change_hooks(capsys):
+    # DSR never fires table_change_hook; only the end-of-run sweep can
+    # audit it, so a zero count would make its YES vacuous.
+    assert main(["audit", "--protocol", "dsr"] + TINY) == 0
+    out = capsys.readouterr().out
+    assert int(out.split("table audits run :")[1].split()[0]) > 0
+    assert "DSR loop-free    : YES" in out
+
+
 def test_audit_reports_breach_and_exits_nonzero(capsys, monkeypatch):
     import repro.__main__ as cli
 
