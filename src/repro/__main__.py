@@ -39,9 +39,8 @@ connectivity  physical connectivity bound of a scenario's mobility
 audit         loop-freedom audit of ``--protocol`` (default LDR) under
               the given scenario
 lint          determinism & protocol-conformance static analysis
-bench         kernel microbenchmarks (spatial index + event-scheduler
-              fast paths) with a speedup-regression gate against the
-              committed baseline
+bench         kernel microbenchmarks (spatial-index fast path) with a
+              speedup-regression gate against the committed baseline
 trace         inspect a JSONL trace artifact: summarize, filter, replay
               a destination's route timeline, or diff two traces
 verify        adversarial verification: run the published AODV loop
@@ -101,18 +100,11 @@ def _add_exec_args(parser):
                              "~/.cache/repro-ldr)")
 
 
-def _progress(args):
-    """Console progress for interactive campaign runs."""
-    if sys.stderr.isatty():
-        return console_progress(sys.stderr)
-    return None
-
-
 def _campaign_from(args):
     return Campaign(
         paper_scale=args.paper_scale, duration=args.duration,
         trials=args.trials, jobs=args.jobs, use_cache=not args.no_cache,
-        cache_dir=args.cache_dir, progress=_progress(args),
+        cache_dir=args.cache_dir, progress=console_progress(),
         trace_dir=getattr(args, "trace", None),
         trace_gzip=getattr(args, "gzip", False),
         journal=getattr(args, "journal", None),
@@ -201,7 +193,7 @@ def cmd_compare(args):
     engine = CampaignEngine(
         jobs=args.jobs,
         cache=None if args.no_cache else ResultCache(args.cache_dir),
-        progress=_progress(args),
+        progress=console_progress(),
     )
     rows = engine.run_rows(
         _scenario_from(args, protocol) for protocol in protocols
@@ -276,7 +268,7 @@ def _cmd_campaign_resume(args):
               "(the one holding manifest.jsonl)", file=sys.stderr)
         return 2
     try:
-        manifest, result = resume_campaign(args.dir, progress=_progress(args))
+        manifest, result = resume_campaign(args.dir, progress=console_progress())
     except (ManifestError, FileNotFoundError) as err:
         print("cannot resume %s: %s" % (args.dir, err), file=sys.stderr)
         return 2

@@ -1,10 +1,9 @@
 """Kernel-microbenchmark harness (``repro bench``).
 
-Times the simulation kernel's hot paths — ``Channel.neighbors_of`` and
+Times the wireless channel's hot paths — ``Channel.neighbors_of`` and
 ``Channel.transmit`` fan-out under both spatial-index backends (``grid``
-vs the brute-force ``scan`` reference), the event scheduler (calendar vs
-heap), and full protocol trials (all fast paths vs all references) —
-across node counts, and emits a machine-readable ``BENCH_kernel.json``.
+vs the brute-force ``scan`` reference) — across node counts, and emits a
+machine-readable ``BENCH_kernel.json``.
 Speedups (reference time / fast time) are dimensionless and therefore
 comparable across machines; the committed baseline
 (``benchmarks/results/BENCH_baseline.json``) stores them so CI can fail a

@@ -1,6 +1,6 @@
-"""Timing kernels for the simulator fast paths.
+"""Timing kernels for the wireless channel's fast path.
 
-Four benchmark families.  Two time the wireless channel on the fast
+Two benchmark families time the channel on the fast
 :class:`~repro.net.spatial.GridIndex` against the reference
 :class:`~repro.net.spatial.ScanIndex`:
 
@@ -9,26 +9,10 @@ Four benchmark families.  Two time the wireless channel on the fast
   of broadcast-flood bookkeeping): every node's neighbor set is asked
   once per distinct time instant.  Per-op nanoseconds, where an op is one
   ``neighbors_of`` call.
-* ``transmit`` — one broadcast frame put on the air per op, the MAC's
-  actual call pattern (coverage scan + CSMA NAV at one instant); the
-  event queue is drained between ops, unmeasured.
-
-One times the event kernel, the fast
-:class:`~repro.sim.events.CalendarScheduler` against the reference
-:class:`~repro.sim.events.EventScheduler`:
-
-* ``sched_ops`` — a synthetic schedule / cancel / timer-restart / drain
-  mix on a bare :class:`Simulator`, heap vs calendar; per-op ns where an
-  op is one loop iteration of the mix.
-
-And one times whole trials:
-
-* ``full_trial:<proto>`` — one full trial (routing + MAC + traffic) on
-  the *reference* kernel (``Scenario(config, scheduler=EventScheduler,
-  index=ScanIndex)``) vs the *fast* default one: the end-to-end speedup
-  of everything the fast path stack buys (≥3x at N = 400).  The per-seam
-  gaps are the kernels above; a whole-trial ratio per seam would only
-  repeat them.
+* ``transmit`` — one unicast frame put on the air per op, the pattern
+  every CBR data hop takes (sender coverage plus the destination's
+  neighborhood for the virtual CTS, at one instant); the event queue is
+  drained between ops, unmeasured.
 
 Node counts sweep N ∈ {25, 50, 100, 200, 400} at the paper's node density
 (a 50-node network lives on 1500 m × 300 m), so per-node degree stays
@@ -42,11 +26,10 @@ use (lint rule RL002).
 
 import time
 
-from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.mobility import RandomWaypoint
 from repro.net import GridIndex, Node, ScanIndex, WirelessChannel
 from repro.net.packet import Frame, Packet
-from repro.sim import CalendarScheduler, EventScheduler, Simulator, Timer
+from repro.sim import Simulator
 
 #: Bump when the report layout changes shape.
 #: 2: added the event-kernel families (``sched_ops`` heap-vs-calendar and
@@ -54,7 +37,11 @@ from repro.sim import CalendarScheduler, EventScheduler, Simulator, Timer
 #: 3: dropped the ``trial:<proto>`` grid-vs-scan family (and the
 #:    ``trial_sizes`` setting); ``full_trial`` is the one whole-trial
 #:    kernel.
-BENCH_SCHEMA = 3
+#: 4: dropped ``sched_ops`` and ``full_trial`` with the calendar queue
+#:    (one event queue is left, and a whole trial would only repeat the
+#:    grid-vs-scan kernels), and the ``sched_ops_events``,
+#:    ``full_trial_sizes``, ``trial_duration`` and ``protocols`` settings.
+BENCH_SCHEMA = 4
 
 #: Node counts for the query benchmarks (full mode).
 NODE_COUNTS = (25, 50, 100, 200, 400)
@@ -62,23 +49,10 @@ NODE_COUNTS = (25, 50, 100, 200, 400)
 #: 200-node point, which is the acceptance anchor for the grid speedup.
 QUICK_NODE_COUNTS = (25, 50, 100, 200)
 
-TRIAL_PROTOCOLS = ("ldr", "aodv")
-
 #: Terrain area per node: the paper's 50-node scenario (1500 m × 300 m).
 AREA_PER_NODE = 1500.0 * 300.0 / 50.0
 #: Terrain aspect ratio (width : height), as in the paper's rectangles.
 ASPECT = 5.0
-
-#: Scheduler-ops benchmark: events per run.  Same in ``--quick`` mode —
-#: the kernel is sub-second, and keeping the count (= the baseline key)
-#: identical lets the CI smoke gate it against the committed baseline.
-SCHED_OPS_EVENTS = 100_000
-
-#: Full-trial reference-vs-fast node counts.  400 is the acceptance
-#: anchor for the event-kernel speedup; 50 keeps a point the ``--quick``
-#: CI smoke also measures, so the committed baseline gates it.
-FULL_TRIAL_NODE_COUNTS = (50, 100, 400)
-QUICK_FULL_TRIAL_NODE_COUNTS = (50,)
 
 
 def terrain(num_nodes):
@@ -138,57 +112,6 @@ def _time_transmit(num_nodes, index, reps, seed):
     return total / reps
 
 
-def _noop():
-    """Do-nothing event callback for the scheduler-ops kernel."""
-
-
-def _time_scheduler_ops(scheduler, events, seed):
-    """Per-op ns for a synthetic schedule/cancel/restart/drain mix.
-
-    The mix mirrors what a trial actually does to the queue: mostly
-    schedules with short skewed delays, a third cancelled before firing,
-    a steady diet of timer restarts (MAC backoff / route lifetimes), and
-    interleaved partial drains.  The op sequence is generated by a fixed
-    LCG so both backends time *identical* programs.
-    """
-    sim = Simulator(seed=0, scheduler=scheduler)
-    timers = [Timer(sim, _noop) for _ in range(32)]
-    x = (seed * 2654435761 + 1) & 0x7FFFFFFF
-    start = time.perf_counter_ns()
-    for i in range(events):
-        x = (x * 1103515245 + 12345) & 0x7FFFFFFF
-        event = sim.schedule((x % 10_000) * 1e-4, _noop)
-        if i % 3 == 0:
-            event.cancel()
-        if i % 4 == 0:
-            timer = timers[x % 32]
-            delay = (x % 1_000) * 1e-3
-            if timer.armed:
-                timer.restart(delay)
-            else:
-                timer.start(delay)
-        if i % 64 == 63:
-            sim.run(max_events=32)
-    sim.run()
-    return (time.perf_counter_ns() - start) / events
-
-
-def _time_full_trial(protocol, num_nodes, fast, duration, seed):
-    """Wall seconds for one trial on the reference or the fast kernel."""
-    width, height = terrain(num_nodes)
-    config = ScenarioConfig(
-        protocol=protocol, num_nodes=num_nodes, width=width, height=height,
-        num_flows=max(2, min(10, num_nodes // 4)), duration=duration,
-        pause_time=0.0, warmup=1.0, seed=seed,
-    )
-    start = time.perf_counter()
-    if fast:
-        Scenario(config).run()
-    else:
-        Scenario(config, scheduler=EventScheduler, index=ScanIndex).run()
-    return time.perf_counter() - start
-
-
 def _silent(line):
     """Default no-op progress sink."""
 
@@ -198,7 +121,6 @@ def _silent(line):
 #: the classic stable estimator for "how fast can this go", which is what
 #: a dimensionless speedup ratio needs on both sides.
 NS_KERNEL_REPS = 3
-TRIAL_KERNEL_REPS = 2
 
 
 def _best_of(reps, fn):
@@ -219,12 +141,7 @@ def run_kernel_bench(
     sizes=None,
     rounds=None,
     transmit_reps=None,
-    trial_duration=None,
-    protocols=TRIAL_PROTOCOLS,
     seed=1,
-    include_trials=True,
-    sched_ops_events=None,
-    full_trial_sizes=None,
     progress=None,
 ):
     """Run every benchmark family; returns the ``BENCH_kernel.json`` dict.
@@ -239,13 +156,6 @@ def run_kernel_bench(
         rounds = 8 if quick else 20
     if transmit_reps is None:
         transmit_reps = 40 if quick else 150
-    if trial_duration is None:
-        trial_duration = 5.0 if quick else 10.0
-    if sched_ops_events is None:
-        sched_ops_events = SCHED_OPS_EVENTS
-    if full_trial_sizes is None:
-        full_trial_sizes = QUICK_FULL_TRIAL_NODE_COUNTS if quick \
-            else FULL_TRIAL_NODE_COUNTS
     say = progress or _silent
 
     results = []
@@ -271,30 +181,6 @@ def run_kernel_bench(
             "scan_ns_per_op": scan_ns, "grid_ns_per_op": grid_ns,
             "speedup": speedup,
         })
-    if sched_ops_events:
-        say("sched_ops     events=%d" % sched_ops_events)
-        heap_ns = _best_of(NS_KERNEL_REPS, lambda: _time_scheduler_ops(
-            EventScheduler, sched_ops_events, seed))
-        cal_ns = _best_of(NS_KERNEL_REPS, lambda: _time_scheduler_ops(
-            CalendarScheduler, sched_ops_events, seed))
-        results.append({
-            "bench": "sched_ops", "n": sched_ops_events,
-            "heap_ns_per_op": heap_ns, "calendar_ns_per_op": cal_ns,
-            "speedup": heap_ns / cal_ns if cal_ns > 0 else float("inf"),
-        })
-    if include_trials:
-        for protocol in protocols:
-            for n in full_trial_sizes:
-                say("full_trial:%-6s  n=%d" % (protocol, n))
-                ref_s = _best_of(TRIAL_KERNEL_REPS, lambda: _time_full_trial(
-                    protocol, n, False, trial_duration, seed))
-                fast_s = _best_of(TRIAL_KERNEL_REPS, lambda: _time_full_trial(
-                    protocol, n, True, trial_duration, seed))
-                results.append({
-                    "bench": "full_trial:%s" % protocol, "n": n,
-                    "reference_s": ref_s, "fast_s": fast_s,
-                    "speedup": ref_s / fast_s if fast_s > 0 else float("inf"),
-                })
 
     return {
         "schema": BENCH_SCHEMA,
@@ -302,13 +188,8 @@ def run_kernel_bench(
         "seed": seed,
         "settings": {
             "sizes": list(sizes),
-            "full_trial_sizes":
-                list(full_trial_sizes) if include_trials else [],
             "rounds": rounds,
             "transmit_reps": transmit_reps,
-            "sched_ops_events": sched_ops_events,
-            "trial_duration": trial_duration,
-            "protocols": list(protocols) if include_trials else [],
         },
         "created": time.time(),
         "results": results,

@@ -12,7 +12,8 @@
 The verdict is the fabric's core promise: after arbitrary crash/corrupt
 interleavings, ``resume`` yields result rows and trace artifacts
 **byte-identical** to the uninterrupted run, with the designated poison
-trial quarantined (not campaign-fatal) in both.  A final shard leg
+trial quarantined (not campaign-fatal) in both, and no pool worker of the
+killed driver left running.  A final shard leg
 re-runs the grid as two shards and asserts the merged result matches the
 clean run too — identity under partitioning, not just under crashes.
 The harness is wired into CI as a smoke gate; on failure the journal is
@@ -43,6 +44,9 @@ CHILD_PROGRESS_TIMEOUT = 120.0
 
 #: Attempt ceiling for the poison trial (quarantine_after).
 POISON_ATTEMPTS = 2
+
+#: Seconds a killed driver's pool workers get to exit on their own.
+ORPHAN_GRACE = 5.0
 
 
 class ChaosError(RuntimeError):
@@ -130,6 +134,29 @@ def _pool_worker_pids(driver_pid):
     except OSError:
         return []
     return sorted(set(pids))
+
+
+def _reap(pids, grace):
+    """Wait up to ``grace`` s for ``pids`` to exit; SIGKILL and return the
+    ones still running then (a zombie's empty cmdline counts as gone)."""
+    deadline = time.monotonic() + grace
+    alive = [pid for pid in pids if _cmdline(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if _cmdline(pid)]
+    for pid in alive:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except OSError:
+            pass  # exited meanwhile
+    return alive
+
+
+def _cmdline(pid):
+    try:
+        return pathlib.Path("/proc/%d/cmdline" % pid).read_bytes()
+    except OSError:
+        return b""
 
 
 def kill_random_worker(driver_pid, rng, deadline):
@@ -236,106 +263,102 @@ def run_chaos(root, jobs=2, seed=7, trials=2, duration=6.0, timeout=20.0,
     manifest_path, cache_dir, trace_dir = campaign_paths(chaos_root)
     floor_size = manifest_path.stat().st_size
 
-    orphans = []
+    child = subprocess.Popen(
+        [sys.executable, "-m", "repro", "campaign", "resume",
+         str(chaos_root)],
+        env=_child_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
     try:
-        child = subprocess.Popen(
-            [sys.executable, "-m", "repro", "campaign", "resume",
-             str(chaos_root)],
-            env=_child_env(), stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL)
-        try:
-            deadline = time.monotonic() + CHILD_PROGRESS_TIMEOUT
-            _wait_for_done_record(manifest_path, deadline)
-            victim = kill_random_worker(child.pid, rng, deadline)
-            if victim is None:
-                say("note: no pool worker found to kill (platform without "
-                    "/proc?); skipping worker kill")
-            else:
-                say("killed pool worker pid %d" % victim)
-            time.sleep(0.5)  # let the driver absorb (or miss) the breakage
-            # The killed driver's pool workers do not exit on their own; they
-            # run on beside the resume and are reaped when the harness ends.
-            orphans = _pool_worker_pids(child.pid)
+        deadline = time.monotonic() + CHILD_PROGRESS_TIMEOUT
+        _wait_for_done_record(manifest_path, deadline)
+        victim = kill_random_worker(child.pid, rng, deadline)
+        if victim is None:
+            say("note: no pool worker found to kill (platform without "
+                "/proc?); skipping worker kill")
+        else:
+            say("killed pool worker pid %d" % victim)
+        time.sleep(0.5)  # let the driver absorb (or miss) the breakage
+        workers = _pool_worker_pids(child.pid)
+        child.kill()
+        child.wait()
+        say("killed campaign driver pid %d" % child.pid)
+    finally:
+        if child.poll() is None:
             child.kill()
             child.wait()
-            say("killed campaign driver pid %d" % child.pid)
-        finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
+    # The killed driver's pool workers exit on their own once they see
+    # it gone (worker.exit_with_parent); one that does not is an orphan.
+    orphans = _reap(workers, ORPHAN_GRACE)
 
-        chopped = truncate_journal_tail(manifest_path, floor_size, rng)
-        say("truncated %d byte(s) off the journal tail" % chopped)
-        corrupted = corrupt_cache_entry(cache_dir, rng)
-        say("corrupted cache entry: %s" % (corrupted.name if corrupted else
-                                           "(none present)"))
-        torn = corrupt_trace_artifact(trace_dir, rng)
-        say("tore trace artifact: %s" % (torn.name if torn else
-                                         "(none present)"))
+    chopped = truncate_journal_tail(manifest_path, floor_size, rng)
+    say("truncated %d byte(s) off the journal tail" % chopped)
+    corrupted = corrupt_cache_entry(cache_dir, rng)
+    say("corrupted cache entry: %s" % (corrupted.name if corrupted else
+                                       "(none present)"))
+    torn = corrupt_trace_artifact(trace_dir, rng)
+    say("tore trace artifact: %s" % (torn.name if torn else
+                                     "(none present)"))
 
-        # -- resume and compare --------------------------------------------
-        manifest, chaos_result = resume_campaign(chaos_root)
-        manifest.close()
-        chaos_rows, chaos_traces, chaos_quarantined = _snapshot(
-            chaos_result, trace_dir)
-        say("resumed run: %d/%d rows, %d quarantined"
-            % (len(chaos_rows), len(configs), len(chaos_quarantined)))
+    # -- resume and compare --------------------------------------------
+    manifest, chaos_result = resume_campaign(chaos_root)
+    manifest.close()
+    chaos_rows, chaos_traces, chaos_quarantined = _snapshot(
+        chaos_result, trace_dir)
+    say("resumed run: %d/%d rows, %d quarantined"
+        % (len(chaos_rows), len(configs), len(chaos_quarantined)))
 
-        problems = []
-        if chaos_result.interrupted:
-            problems.append("resumed run reports interruption: %s"
-                            % chaos_result.interrupted)
-        if chaos_rows.keys() != clean_rows.keys():
-            problems.append(
-                "row coverage differs: clean=%s chaos=%s"
-                % (sorted(clean_rows), sorted(chaos_rows)))
-        for index in sorted(clean_rows.keys() & chaos_rows.keys()):
-            if clean_rows[index] != chaos_rows[index]:
-                problems.append("row #%d differs between clean and chaos runs"
-                                % index)
-        if chaos_traces.keys() != clean_traces.keys():
-            problems.append(
-                "trace coverage differs: clean=%d chaos=%d artifact(s)"
-                % (len(clean_traces), len(chaos_traces)))
-        for key in sorted(clean_traces.keys() & chaos_traces.keys()):
-            if clean_traces[key] != chaos_traces[key]:
-                problems.append("trace artifact %s differs" % key[:12])
-        if chaos_quarantined != clean_quarantined:
-            problems.append(
-                "quarantine sets differ: clean=%s chaos=%s"
-                % (sorted(clean_quarantined), sorted(chaos_quarantined)))
-        if poison_index not in chaos_quarantined:
-            problems.append("poison trial #%d not quarantined after resume"
-                            % poison_index)
+    problems = []
+    if orphans:
+        problems.append("pool worker(s) %s outlived the killed driver by "
+                        "%gs" % (orphans, ORPHAN_GRACE))
+    if chaos_result.interrupted:
+        problems.append("resumed run reports interruption: %s"
+                        % chaos_result.interrupted)
+    if chaos_rows.keys() != clean_rows.keys():
+        problems.append(
+            "row coverage differs: clean=%s chaos=%s"
+            % (sorted(clean_rows), sorted(chaos_rows)))
+    for index in sorted(clean_rows.keys() & chaos_rows.keys()):
+        if clean_rows[index] != chaos_rows[index]:
+            problems.append("row #%d differs between clean and chaos runs"
+                            % index)
+    if chaos_traces.keys() != clean_traces.keys():
+        problems.append(
+            "trace coverage differs: clean=%d chaos=%d artifact(s)"
+            % (len(clean_traces), len(chaos_traces)))
+    for key in sorted(clean_traces.keys() & chaos_traces.keys()):
+        if clean_traces[key] != chaos_traces[key]:
+            problems.append("trace artifact %s differs" % key[:12])
+    if chaos_quarantined != clean_quarantined:
+        problems.append(
+            "quarantine sets differ: clean=%s chaos=%s"
+            % (sorted(clean_quarantined), sorted(chaos_quarantined)))
+    if poison_index not in chaos_quarantined:
+        problems.append("poison trial #%d not quarantined after resume"
+                        % poison_index)
 
-        if problems:
-            for problem in problems:
-                say("FAIL: " + problem)
-            say("chaos: FAILED (%d problem(s)); journal: %s"
-                % (len(problems), manifest_path))
-            return 1
+    if problems:
+        for problem in problems:
+            say("FAIL: " + problem)
+        say("chaos: FAILED (%d problem(s)); journal: %s"
+            % (len(problems), manifest_path))
+        return 1
 
-        # -- shard leg: partition, run both shards, merge, compare ---------
-        problems = _shard_leg(root, configs, clean_rows, clean_quarantined,
-                              jobs=jobs, timeout=timeout, say=say)
-        if problems:
-            for problem in problems:
-                say("FAIL: " + problem)
-            say("chaos: FAILED (%d problem(s) in the shard leg)"
-                % len(problems))
-            return 1
+    # -- shard leg: partition, run both shards, merge, compare ---------
+    problems = _shard_leg(root, configs, clean_rows, clean_quarantined,
+                          jobs=jobs, timeout=timeout, say=say)
+    if problems:
+        for problem in problems:
+            say("FAIL: " + problem)
+        say("chaos: FAILED (%d problem(s) in the shard leg)"
+            % len(problems))
+        return 1
 
-        say("chaos: OK — %d row(s) and %d trace artifact(s) byte-identical "
-            "after crash+corrupt+resume; poison trial quarantined in both "
-            "runs; 2-shard merge matches the clean run"
-            % (len(clean_rows), len(clean_traces)))
-        return 0
-    finally:
-        for pid in orphans:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass  # already gone
+    say("chaos: OK — %d row(s) and %d trace artifact(s) byte-identical "
+        "after crash+corrupt+resume; poison trial quarantined in both "
+        "runs; 2-shard merge matches the clean run"
+        % (len(clean_rows), len(clean_traces)))
+    return 0
 
 
 def _shard_leg(root, configs, clean_rows, clean_quarantined, jobs, timeout,

@@ -43,6 +43,7 @@ Robustness model (the campaign-fabric contract):
   result reports the resume command instead of losing completed work.
 """
 
+import os
 import pathlib
 import signal
 import threading
@@ -403,7 +404,9 @@ class CampaignEngine:
                         and not self._interrupted:
                     if slots > 1 and pool is None:
                         pool = ProcessPoolExecutor(
-                            max_workers=min(slots, len(ready) + len(waiting)))
+                            max_workers=min(slots, len(ready) + len(waiting)),
+                            initializer=_worker.exit_with_parent,
+                            initargs=(os.getpid(),))
                     trial = ready.pop(0)
                     future = self._attempt(trial, pool)
                     inflight[future] = (trial, time.monotonic())

@@ -86,20 +86,26 @@ def format_progress(progress):
 
 
 def console_progress(stream=None):
-    """A callback rendering progress as a carriage-return status line.
+    """A callback writing campaign progress to ``stream`` (default stderr).
 
-    Ends the line (newline) once the campaign completes, so subsequent
-    output starts clean.
+    Every :attr:`Progress.note` is written on its own ``warning: ...``
+    line, whatever the stream.  Only a terminal (``stream.isatty()``) also
+    gets the counts as a carriage-return status line, ended with a
+    newline once the campaign completes; a file or pipe keeps the
+    warnings without a run of overwritten status lines.
     """
     stream = stream if stream is not None else sys.stderr
+    tty = stream.isatty()
 
     def callback(progress):
         if progress.note:
-            # Warnings get their own full line so the next status
-            # overwrite cannot erase them.
-            stream.write("\nwarning: %s\n" % progress.note)
-        end = "\n" if progress.done == progress.total else "\r"
-        stream.write(format_progress(progress) + end)
+            # On a terminal the newline ends the status line in progress,
+            # so the next overwrite cannot erase the warning.
+            stream.write("%swarning: %s\n"
+                         % ("\n" if tty else "", progress.note))
+        if tty:
+            end = "\n" if progress.done == progress.total else "\r"
+            stream.write(format_progress(progress) + end)
         stream.flush()
 
     return callback

@@ -12,14 +12,39 @@ so the campaign journal can attribute attempts to processes.  A trial
 runs exactly the dispatched config on the default kernel: nothing in the
 worker's environment alters it, so a row is a function of its cache key
 alone.  The engine runs every trial through it, in-process or pooled.
+Pooled workers start with :func:`exit_with_parent`, so none outlives a
+killed driver.
 """
 
 import os
+import threading
+import time
 
 from repro.exec.deadline import TrialTimeout, call_with_deadline
 from repro.experiments.scenario import ScenarioConfig, run_scenario
 
-__all__ = ["TrialTimeout", "run_trial_payload"]
+__all__ = ["TrialTimeout", "exit_with_parent", "run_trial_payload"]
+
+#: Seconds between a pool worker's checks that its driver is alive.
+PARENT_POLL = 1.0
+
+
+def exit_with_parent(parent_pid):
+    """Pool initializer: end this worker once ``parent_pid`` is gone.
+
+    A SIGKILLed driver cannot shut its pool down, and its workers would
+    run on, re-parented, until killed by hand.  A daemon thread checks
+    the parent pid every :data:`PARENT_POLL` seconds and exits the
+    process as soon as it changes.
+    """
+
+    def watch():
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent",
+                     daemon=True).start()
 
 
 def run_trial_payload(payload):

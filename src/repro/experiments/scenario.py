@@ -29,7 +29,7 @@ from repro.protocols import (
     ToraConfig,
     ToraProtocol,
 )
-from repro.sim import CalendarScheduler, Simulator
+from repro.sim import Simulator
 from repro.traffic import TrafficGenerator
 from repro.traffic.cbr import reset_flow_ids
 
@@ -325,22 +325,20 @@ class ScenarioConfig:
 class Scenario:
     """A built (but not yet run) simulation.
 
-    ``scheduler`` and ``index`` are the kernel classes the trial runs on.
-    Only differential tests and the kernel bench pass the references
-    (:class:`~repro.sim.events.EventScheduler`,
-    :class:`~repro.net.spatial.ScanIndex`); rows and traces are
-    byte-identical either way, so neither is part of the config.
+    ``index`` is the spatial-index class the channel queries.  Only
+    differential tests and the kernel bench pass the reference
+    :class:`~repro.net.spatial.ScanIndex`; rows and traces are
+    byte-identical either way, so it is not part of the config.
     """
 
-    def __init__(self, config, *, scheduler=CalendarScheduler,
-                 index=GridIndex):
+    def __init__(self, config, *, index=GridIndex):
         self.config = config
         # Packet uids and flow ids restart per scenario so identifiers
         # (and with them trace files) are a pure function of the trial,
         # not of how many trials this process ran before.
         reset_packet_uids()
         reset_flow_ids()
-        self.sim = Simulator(seed=config.seed, scheduler=scheduler)
+        self.sim = Simulator(seed=config.seed)
         self.metrics = MetricsCollector(self.sim)
 
         if config.placements is not None:

@@ -1,32 +1,20 @@
 """Event scheduling primitives.
 
-Two scheduler classes share one base, :class:`SchedulerBase`:
+:class:`EventScheduler` is the one event queue every simulation runs on:
+a binary heap of ``(time, seq, event)`` tuples.  It orders events strictly
+by ``(time, seq)``: the sequence number breaks ties so that events
+scheduled for the same instant fire in the order they were scheduled
+(FIFO), which keeps simulations deterministic and makes protocol races
+reproducible across runs with the same seed.  Sequence numbers are
+unique, so tuple comparison (done in C) never reaches the event itself.
 
-* :class:`CalendarScheduler` — the scheduler every simulation runs on: a
-  calendar/ladder queue where future events land in O(1) append-only
-  buckets and only the bucket currently being drained pays heap
-  discipline, over C-compared ``(time, seq, event)`` tuples instead of
-  Python-level ``Event.__lt__`` calls.  Large simulations spend
-  double-digit percentages of their wall clock inside a global heap; this
-  class exists to take that off the table.
-* :class:`EventScheduler` — the original binary heap keyed on
-  ``(time, sequence)``.  It is the **reference**: small, obviously
-  correct, and the implementation every differential test replays
-  against.  Tests and the kernel bench pass the class to
-  :class:`~repro.sim.simulator.Simulator` (or to
-  :class:`~repro.experiments.scenario.Scenario`) to run on it.
-
-Both order events strictly by ``(time, seq)``: the sequence number breaks
-ties so that events scheduled for the same instant fire in the order they
-were scheduled (FIFO), which keeps simulations deterministic and makes
-protocol races reproducible across runs with the same seed.  The two
-are **observationally identical** — same fire order, same ``now``, same
-``epoch``, same ``pending_count`` — which the differential suite in
-``tests/sim/test_scheduler_equiv.py`` enforces with seeded random
-schedule/cancel/restart programs, and
-``tests/experiments/test_scheduler_determinism.py`` enforces end-to-end
-(byte-identical metric rows and trace artifacts for every registry
-protocol under churn faults).
+:class:`SchedulerBase` holds the clock, sequence allocation and the
+scheduling half of the API; a subclass supplies the queue itself.
+``tests/sim/test_scheduler_equiv.py`` replays seeded random
+schedule/cancel/restart programs against the heap and a plain-list model
+of the same contract, and
+``tests/experiments/test_scheduler_determinism.py`` pins every registry
+protocol's metric row and trace artifact end to end.
 """
 
 from __future__ import annotations
@@ -35,14 +23,6 @@ import heapq
 import itertools
 import math
 from typing import Any, Callable, Iterator, List, Optional, Tuple
-
-#: Calendar-queue shape: buckets per rung, the activation size beyond
-#: which a bucket is subdivided into a finer rung instead of heapified,
-#: and the bucket width below which subdivision stops (events closer
-#: together than this — including exact ties — are heap-ordered).
-_RUNG_BUCKETS = 64
-_SPLIT_THRESHOLD = 48
-_MIN_BUCKET_WIDTH = 1e-9
 
 
 class Event:
@@ -79,10 +59,7 @@ class Event:
             sched = self._sched
             if sched is not None:
                 self._sched = None
-                sched._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+                sched._live -= 1
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -92,13 +69,13 @@ class Event:
 
 
 class SchedulerBase:
-    """Clock, sequence allocation, and the scheduler API contract.
+    """Clock, sequence allocation, and the scheduling half of the API.
 
-    Subclasses implement the queue itself through three primitives —
-    :meth:`_insert`, :meth:`_ensure_head`, :meth:`_pop_head` /
-    :meth:`_head_time` — and may override :meth:`run` with a specialized
-    hot loop.  Everything observable (``now``, ``epoch``, fire order,
-    ``pending_count``) is defined here once so the backends cannot drift.
+    A subclass provides the queue: :meth:`_insert` takes every new event,
+    and ``peek_time``, ``step`` and ``run`` drain it.  A dispatch sets
+    ``now`` to the event's time, bumps ``epoch``, drops the live count,
+    clears the event's back-reference (so a late ``cancel`` cannot count
+    twice) and calls the callback.
     """
 
     def __init__(self) -> None:
@@ -129,11 +106,6 @@ class SchedulerBase:
     def pending_count(self) -> int:
         """Number of non-cancelled events still queued (O(1))."""
         return self._live
-
-    def queued_count(self) -> int:
-        """Queue entries still held, including cancelled ones (for tests:
-        pins that lazily-deleted storms do not accumulate)."""
-        raise NotImplementedError
 
     # -- scheduling ------------------------------------------------------
 
@@ -183,71 +155,12 @@ class SchedulerBase:
         self._insert(event)
         return event
 
-    # -- dispatch --------------------------------------------------------
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending (non-cancelled) event, or ``None``."""
-        if self._ensure_head():
-            return self._head_time()
-        return None
-
-    def step(self) -> bool:
-        """Run the single next event.  Returns ``False`` when none remain."""
-        if not self._ensure_head():
-            return False
-        self._dispatch(self._pop_head())
-        return True
-
-    def run(
-        self, until: Optional[float] = None, max_events: Optional[int] = None
-    ) -> None:
-        """Run events in order until the queue drains or limits are hit.
-
-        ``until`` is an absolute simulation time; events at exactly
-        ``until`` still fire.  ``max_events`` bounds the number of
-        *dispatched callbacks* — events drained because they were
-        cancelled never count toward the cap — guarding against runaway
-        event loops in tests.
-        """
-        count = 0
-        while self._ensure_head():
-            if until is not None and self._head_time() > until:
-                break
-            if max_events is not None and count >= max_events:
-                break
-            self._dispatch(self._pop_head())
-            count += 1
-        if until is not None and self._now < until:
-            self._now = until
-
-    def _dispatch(self, event: Event) -> None:
-        self._now = event.time
-        self._epoch += 1
-        self._live -= 1
-        event._sched = None
-        event.callback(*event.args)
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-
-    # -- queue primitives (backend-specific) -----------------------------
-
     def _insert(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _ensure_head(self) -> bool:
-        """Discard cancelled events until the head is live (or queue empty)."""
-        raise NotImplementedError
-
-    def _head_time(self) -> float:
-        raise NotImplementedError
-
-    def _pop_head(self) -> Event:
         raise NotImplementedError
 
 
 class EventScheduler(SchedulerBase):
-    """The deterministic binary-heap scheduler (the live reference).
+    """The deterministic binary-heap scheduler.
 
     >>> sched = EventScheduler()
     >>> fired = []
@@ -260,226 +173,56 @@ class EventScheduler(SchedulerBase):
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
 
     def queued_count(self) -> int:
+        """Queue entries still held, including cancelled ones (for tests:
+        pins that lazily-deleted storms do not accumulate)."""
         return len(self._heap)
 
     def _insert(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (event.time, event.seq, event))
 
-    def _ensure_head(self) -> bool:
+    def peek_time(self) -> Optional[float]:
+        """Time of the next pending (non-cancelled) event, or ``None``."""
         heap = self._heap
-        while heap:
-            if heap[0].cancelled:
-                heapq.heappop(heap)
-                continue
-            return True
-        return False
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
-    def _head_time(self) -> float:
-        return self._heap[0].time
-
-    def _pop_head(self) -> Event:
-        return heapq.heappop(self._heap)
-
-
-class _Rung:
-    """One ladder rung: equal-width buckets over a contiguous span.
-
-    ``idx`` is the next bucket to activate; everything before it has
-    already been drained into finer structure.  Buckets are plain lists of
-    ``(time, seq, event)`` tuples — insertion is an O(1) append, and order
-    inside a bucket is only established when the bucket is activated.
-    """
-
-    __slots__ = ("start", "width", "buckets", "idx")
-
-    def __init__(self, start: float, width: float) -> None:
-        self.start = start
-        self.width = width
-        self.buckets: List[List[Tuple[float, int, Event]]] = [
-            [] for _ in range(_RUNG_BUCKETS)
-        ]
-        self.idx = 0
-
-    @property
-    def limit(self) -> float:
-        return self.start + _RUNG_BUCKETS * self.width
-
-    def place(self, tup: Tuple[float, int, Event]) -> None:
-        i = int((tup[0] - self.start) / self.width)
-        # Clamp against float rounding at bucket boundaries: an event that
-        # belongs at an already-activated edge goes into the next bucket
-        # to activate (it is still correctly ordered there — activation
-        # heap-orders bucket contents), never into a drained one.
-        if i < self.idx:
-            i = self.idx
-        elif i >= _RUNG_BUCKETS:
-            i = _RUNG_BUCKETS - 1
-        self.buckets[i].append(tup)
-
-
-class CalendarScheduler(SchedulerBase):
-    """Calendar/ladder-queue scheduler: bucketed future, heap-ordered now.
-
-    Three tiers, nearest first:
-
-    * ``_near`` — a small heap of ``(time, seq, event)`` tuples holding
-      every queued event with ``time < _near_hi``.  All dispatching pops
-      from here; tuple comparison keeps it at C speed.
-    * ``_rungs`` — a stack of :class:`_Rung` bucket arrays over the
-      not-yet-reached future, finest (soonest) rung last.  Scheduling into
-      a rung is an O(1) list append.  Activating an over-full bucket
-      pushes a finer rung subdividing just that bucket's span, so dense
-      regions (MAC backoff microseconds) and sparse regions (route
-      lifetimes) each get buckets matched to their density.
-    * ``_overflow`` — an unsorted list for events beyond every rung; it is
-      re-bucketed into a fresh rung when the ladder drains down to it.
-
-    The heap only ever holds one activated bucket's worth of events, so
-    the per-event cost stays near O(1) regardless of how many hundreds of
-    thousands of events are queued behind it.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._near: List[Tuple[float, int, Event]] = []
-        self._near_hi = 0.0
-        self._rungs: List[_Rung] = []
-        self._overflow: List[Tuple[float, int, Event]] = []
-        self._queued = 0
-
-    def queued_count(self) -> int:
-        return self._queued
-
-    # -- queue primitives ------------------------------------------------
-
-    def _insert(self, event: Event) -> None:
-        tup = (event.time, event.seq, event)
-        self._queued += 1
-        t = event.time
-        if t < self._near_hi:
-            heapq.heappush(self._near, tup)
-            return
-        for rung in reversed(self._rungs):
-            if t < rung.limit:
-                rung.place(tup)
-                return
-        self._overflow.append(tup)
-
-    def _ensure_head(self) -> bool:
-        near = self._near
-        while True:
-            while near:
-                if near[0][2].cancelled:
-                    heapq.heappop(near)
-                    self._queued -= 1
-                    continue
-                return True
-            if not self._advance():
-                return False
-
-    def _head_time(self) -> float:
-        return self._near[0][0]
-
-    def _pop_head(self) -> Event:
-        self._queued -= 1
-        return heapq.heappop(self._near)[2]
-
-    # -- ladder machinery ------------------------------------------------
-
-    def _advance(self) -> bool:
-        """Move the next non-empty region of the future into ``_near``.
-
-        Called only when ``_near`` is empty.  Returns ``False`` when no
-        events remain anywhere.
-        """
-        near = self._near
-        rungs = self._rungs
-        while True:
-            while rungs:
-                rung = rungs[-1]
-                idx = rung.idx
-                buckets = rung.buckets
-                while idx < _RUNG_BUCKETS and not buckets[idx]:
-                    idx += 1
-                if idx >= _RUNG_BUCKETS:
-                    rungs.pop()
-                    continue
-                bucket = buckets[idx]
-                buckets[idx] = []
-                rung.idx = idx + 1
-                live = [tup for tup in bucket if not tup[2].cancelled]
-                self._queued -= len(bucket) - len(live)
-                lo = rung.start + idx * rung.width
-                width = rung.width / _RUNG_BUCKETS
-                if (
-                    len(live) > _SPLIT_THRESHOLD
-                    and width > _MIN_BUCKET_WIDTH
-                    and live[0][0] != max(tup[0] for tup in live)
-                ):
-                    finer = _Rung(lo, width)
-                    for tup in live:
-                        finer.place(tup)
-                    rungs.append(finer)
-                    continue
-                self._near_hi = lo + rung.width
-                if live:
-                    near.extend(live)
-                    heapq.heapify(near)
-                    return True
-            overflow = self._overflow
-            if not overflow:
-                return False
-            live = [tup for tup in overflow if not tup[2].cancelled]
-            self._queued -= len(overflow) - len(live)
-            self._overflow = []
-            if not live:
-                return False
-            lo = min(tup[0] for tup in live)
-            hi = max(tup[0] for tup in live)
-            if hi - lo <= _MIN_BUCKET_WIDTH:
-                # Degenerate span (ties, or nanosecond-close): heap-order
-                # directly.  nextafter keeps later same-instant inserts
-                # routed into the near heap rather than cycling through
-                # the (now empty) overflow list.
-                near.extend(live)
-                heapq.heapify(near)
-                self._near_hi = math.nextafter(hi, math.inf)
-                return True
-            rung = _Rung(lo, (hi - lo) / (_RUNG_BUCKETS - 1))
-            for tup in live:
-                rung.place(tup)
-            rungs.append(rung)
-
-    # -- specialized hot loop --------------------------------------------
+    def step(self) -> bool:
+        """Run the single next event.  Returns ``False`` when none remain."""
+        epoch = self._epoch
+        self.run(max_events=1)
+        return self._epoch != epoch
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> None:
-        """Same contract as :meth:`SchedulerBase.run`, with the head
-        pruning and dispatch inlined (this loop is the simulation's
-        single hottest path)."""
-        near = self._near
+        """Run events in order until the queue drains or limits are hit.
+
+        ``until`` is an absolute simulation time; events at exactly
+        ``until`` still fire, and a clock left behind ``until`` is then
+        advanced to it.  ``max_events`` bounds the number of
+        *dispatched callbacks* — events drained because they were
+        cancelled never count toward the cap — guarding against runaway
+        event loops in tests.  Head pruning and dispatch are inlined: this
+        loop is the simulation's single hottest path.
+        """
+        heap = self._heap
         heappop = heapq.heappop
+        horizon = math.inf if until is None else until
         count = 0
-        while True:
-            if not near and not self._advance():
-                break
-            head = near[0]
-            event = head[2]
+        while heap:
+            time, _, event = heap[0]
             if event.cancelled:
-                heappop(near)
-                self._queued -= 1
+                heappop(heap)
                 continue
-            time = head[0]
-            if until is not None and time > until:
+            if time > horizon:
                 break
             if max_events is not None and count >= max_events:
                 break
-            heappop(near)
-            self._queued -= 1
+            heappop(heap)
             self._now = time
             self._epoch += 1
             self._live -= 1
@@ -488,4 +231,3 @@ class CalendarScheduler(SchedulerBase):
             count += 1
         if until is not None and self._now < until:
             self._now = until
-

@@ -8,10 +8,10 @@ kernel stays protocol-agnostic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Type
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.obs.profile import Profiler
-from repro.sim.events import CalendarScheduler, Event, SchedulerBase
+from repro.sim.events import Event, EventScheduler
 from repro.sim.rng import RngStreams
 
 if TYPE_CHECKING:
@@ -21,16 +21,13 @@ if TYPE_CHECKING:
 class Simulator:
     """Owns the event loop and randomness for one simulation run.
 
-    ``scheduler`` is the event-queue class: the calendar queue by
-    default.  Differential tests and the kernel bench pass
-    :class:`~repro.sim.events.EventScheduler`, the reference binary
-    heap; ``tests/sim/test_scheduler_equiv.py`` holds the two to the same
-    fire order, clock, and epoch.
+    ``scheduler`` is the run's :class:`~repro.sim.events.EventScheduler`;
+    components queue work through :attr:`schedule` / :attr:`schedule_at`
+    and read the clock through :attr:`now`.
     """
 
-    def __init__(self, seed: int = 0,
-                 scheduler: Type[SchedulerBase] = CalendarScheduler) -> None:
-        self.scheduler = scheduler()
+    def __init__(self, seed: int = 0) -> None:
+        self.scheduler = EventScheduler()
         self.rng = RngStreams(seed)
         self.seed = seed
         # Always-on counter/timer registry (repro.obs).  Hot-path
@@ -46,7 +43,7 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
-        # Reads the backend's clock field directly rather than its ``now``
+        # Reads the scheduler's clock field directly rather than its ``now``
         # property: this accessor is hit hundreds of thousands of times
         # per trial and the double property hop was measurable.
         return self.scheduler._now
@@ -59,7 +56,7 @@ class Simulator:
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
     ) -> None:
-        """Drive the event loop; see :meth:`SchedulerBase.run`.
+        """Drive the event loop; see :meth:`EventScheduler.run`.
 
         Dispatched-event counts accumulate in ``profiler`` (the epoch
         delta, so nested/partial runs attribute their own work).

@@ -14,7 +14,8 @@ the true deadline.  The tie-break sequence number is still reserved at
 restart time (exactly where the old cancel-and-reschedule allocated one),
 so the eventual expiry event carries the same ``(time, seq)`` key the
 eager implementation would have produced and fire order is byte-identical
-— the property ``tests/sim/test_scheduler_equiv.py`` fuzzes for.
+— ``tests/sim/test_scheduler_equiv.py`` fuzzes timer restarts against a
+list-model queue, and the row pins hold it end to end.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ from repro.bench.cli import main
 
 
 def _tiny_report(**kw):
-    defaults = dict(sizes=(6,), rounds=1, transmit_reps=2,
-                    include_trials=False, sched_ops_events=500, seed=3)
+    defaults = dict(sizes=(6,), rounds=1, transmit_reps=2, seed=3)
     defaults.update(kw)
     return run_kernel_bench(**defaults)
 
@@ -33,17 +32,11 @@ def test_report_shape_and_row_fields():
     report = _tiny_report()
     assert report["schema"] == BENCH_SCHEMA
     assert report["seed"] == 3
-    assert report["settings"]["sizes"] == [6]
+    assert report["settings"] == {"sizes": [6], "rounds": 1,
+                                  "transmit_reps": 2}
     benches = {row["bench"] for row in report["results"]}
-    assert benches == {"neighbors_of", "transmit", "sched_ops"}
+    assert benches == {"neighbors_of", "transmit"}
     for row in report["results"]:
-        if row["bench"] == "sched_ops":
-            assert row["n"] == 500
-            assert row["heap_ns_per_op"] > 0
-            assert row["calendar_ns_per_op"] > 0
-            assert row["speedup"] == pytest.approx(
-                row["heap_ns_per_op"] / row["calendar_ns_per_op"])
-            continue
         assert row["n"] == 6
         assert row["scan_ns_per_op"] > 0
         assert row["grid_ns_per_op"] > 0
@@ -52,36 +45,11 @@ def test_report_shape_and_row_fields():
     assert json.loads(json.dumps(report)) == report  # JSON-able throughout
 
 
-def test_sched_ops_zero_disables_kernel():
-    report = _tiny_report(sched_ops_events=0)
-    assert {row["bench"] for row in report["results"]} \
-        == {"neighbors_of", "transmit"}
-
-
-def test_trial_rows_present_when_enabled():
-    report = run_kernel_bench(sizes=(6,), rounds=1, transmit_reps=1,
-                              trial_duration=1.0, protocols=("ldr",), seed=2,
-                              sched_ops_events=0, full_trial_sizes=(8,))
-    # full_trial is the one whole-trial kernel: the grid-vs-scan-only
-    # trial family it subsumed is gone from reports and settings.
-    trial_rows = [r for r in report["results"]
-                  if r["bench"].startswith("trial")
-                  or r["bench"].startswith("full_trial")]
-    assert [r["bench"] for r in trial_rows] == ["full_trial:ldr"]
-    row = trial_rows[0]
-    assert row["reference_s"] > 0 and row["fast_s"] > 0
-    assert row["speedup"] == pytest.approx(
-        row["reference_s"] / row["fast_s"])
-    assert report["settings"]["full_trial_sizes"] == [8]
-    assert "trial_sizes" not in report["settings"]
-
-
 def test_progress_callback_sees_every_stage():
     lines = []
     _tiny_report(progress=lines.append)
     assert any("neighbors_of" in line for line in lines)
     assert any("transmit" in line for line in lines)
-    assert any("sched_ops" in line for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +106,7 @@ def test_compare_handles_empty_baseline():
 def _cli(tmp_path, *extra):
     out = tmp_path / "BENCH_kernel.json"
     argv = ["--sizes", "6", "--rounds", "1", "--transmit-reps", "1",
-            "--no-trials", "--sched-ops-events", "500", "--out", str(out)]
+            "--out", str(out)]
     argv.extend(extra)
     return main(argv), out
 
@@ -158,8 +126,7 @@ def test_cli_explicit_missing_baseline_is_usage_error(tmp_path):
 
 
 def test_cli_bad_sizes_is_usage_error(tmp_path):
-    assert main(["--sizes", "ten", "--no-trials",
-                 "--out", str(tmp_path / "r.json")]) == 2
+    assert main(["--sizes", "ten", "--out", str(tmp_path / "r.json")]) == 2
 
 
 def test_cli_update_baseline_then_gate_passes(tmp_path):

@@ -7,19 +7,21 @@ reporter and ``engine.warnings`` — that it degraded, and (c) not charge
 the lost in-flight attempts against any trial's retry budget.
 """
 
+import io
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import repro.exec.engine as engine_mod
 from repro.exec import worker
 from repro.exec.engine import CampaignEngine
+from repro.exec.progress import Progress, console_progress, format_progress
 from repro.experiments.scenario import ScenarioConfig
 
 
 class _ExplodingPool:
     """Mimics a ProcessPoolExecutor whose workers all died at once."""
 
-    def __init__(self, max_workers=None, mp_context=None):
+    def __init__(self, max_workers=None, mp_context=None, **kwargs):
         self.max_workers = max_workers
 
     def __enter__(self):
@@ -92,14 +94,32 @@ def test_lost_pool_attempts_do_not_consume_retry_budget(monkeypatch):
         assert trial.attempts == 2
 
 
+class _Terminal(io.StringIO):
+    """A stream that says it is a terminal."""
+
+    def isatty(self):
+        return True
+
+
 def test_console_progress_renders_note_on_own_line():
-    import io
-
-    from repro.exec.progress import Progress, console_progress
-
     stream = io.StringIO()
     callback = console_progress(stream)
     callback(Progress(total=3, done=1, executed=1, cached=0, failed=0,
                       elapsed=1.0, note="worker pool broke; degrading"))
-    text = stream.getvalue()
-    assert "warning: worker pool broke; degrading\n" in text
+    assert stream.getvalue() == "warning: worker pool broke; degrading\n"
+
+
+def test_console_progress_draws_status_line_only_on_a_terminal():
+    snapshot = Progress(total=3, done=1, executed=1, cached=0, failed=0,
+                        elapsed=1.0)
+    terminal, pipe = _Terminal(), io.StringIO()
+    console_progress(terminal)(snapshot)
+    console_progress(pipe)(snapshot)
+    assert terminal.getvalue() == format_progress(snapshot) + "\r"
+    assert pipe.getvalue() == ""
+    noted = Progress(total=3, done=3, executed=3, cached=0, failed=0,
+                     elapsed=2.0, note="trial #2 stalled")
+    terminal = _Terminal()
+    console_progress(terminal)(noted)
+    assert terminal.getvalue() == ("\nwarning: trial #2 stalled\n"
+                                   + format_progress(noted) + "\n")

@@ -2,6 +2,8 @@
 
 import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -121,3 +123,30 @@ def test_full_chaos_run_is_byte_identical(tmp_path, capsys):
     while _running_with(str(tmp_path)) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert _running_with(str(tmp_path)) == []
+
+
+@pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(),
+                    reason="finds pool workers through /proc")
+def test_pool_workers_exit_when_the_driver_is_killed(tmp_path):
+    journal = tmp_path / "journal"
+    manifest_path, _, _ = campaign_paths(journal)
+    driver = subprocess.Popen(
+        [sys.executable, "-m", "repro", "campaign", "churn", "--journal",
+         str(journal), "--duration", "8", "--trials", "1", "--jobs", "2",
+         "--no-cache"],
+        env=chaos._child_env(), stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not workers and time.monotonic() < deadline:
+            time.sleep(0.05)
+            if manifest_path.is_file() and \
+                    b'"state":"running"' in manifest_path.read_bytes():
+                workers = chaos._pool_worker_pids(driver.pid)
+    finally:
+        driver.kill()
+        driver.wait()
+    assert workers, "the driver started no pool worker"
+    # Survivors after 5 s are SIGKILLed and returned.
+    assert chaos._reap(workers, 5.0) == []

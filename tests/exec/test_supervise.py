@@ -60,7 +60,7 @@ class _WedgedPool:
     """A ProcessPoolExecutor stand-in whose futures never resolve, as if
     every worker hung where the in-worker deadline cannot reach it."""
 
-    def __init__(self, max_workers=None, mp_context=None):
+    def __init__(self, max_workers=None, mp_context=None, **kwargs):
         self.max_workers = max_workers
 
     def shutdown(self, wait=True, cancel_futures=False):

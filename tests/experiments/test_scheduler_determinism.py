@@ -1,14 +1,15 @@
-"""Acceptance: the scheduler is observationally inert, for every protocol
-in the registry.
+"""Acceptance: the event queue is observationally inert, for every
+protocol in the registry.
 
-Sibling of ``test_index_determinism.py``, holding the event kernel to the
-same bar the spatial index met: a fixed-seed churn scenario (crash +
-reboot + blackout faults over RandomWaypoint motion, invariant monitor
-on) must produce byte-identical metric rows — and byte-identical trace
-artifacts — on the default :class:`~repro.sim.events.CalendarScheduler`
-and on the reference :class:`~repro.sim.events.EventScheduler`.  Each
-row is also pinned to a digest, so a change to any protocol's behaviour
-shows up here even when both backends agree.
+Sibling of ``test_index_determinism.py``: a fixed-seed churn scenario
+(crash + reboot + blackout faults over RandomWaypoint motion, invariant
+monitor on) must reproduce, byte for byte, the metric row pinned for each
+protocol below.  The pins were written on the calendar queue the binary
+heap (:class:`~repro.sim.events.EventScheduler`) replaced, so they hold
+the heap to the rows of the queue before it; a change to any protocol's
+behaviour shows up here too.  Trace artifacts extend the check to the
+full event stream: a campaign worker's artifact must equal an in-process
+one.
 """
 
 import hashlib
@@ -20,7 +21,6 @@ import pytest
 from repro.exec.worker import run_trial_payload
 from repro.experiments.scenario import PROTOCOLS, Scenario, ScenarioConfig
 from repro.faults import FaultPlan, LinkBlackout, NodeCrash, NodeReboot
-from repro.sim import CalendarScheduler, EventScheduler
 
 
 def _churn_plan():
@@ -40,8 +40,8 @@ def _config(protocol, seed=7):
     )
 
 
-def _row(config, scheduler):
-    report = Scenario(config, scheduler=scheduler).run()
+def _row(config):
+    report = Scenario(config).run()
     return json.dumps(report.as_dict(), sort_keys=True)
 
 
@@ -67,28 +67,25 @@ def test_pins_match_the_registry():
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 def test_heap_and_calendar_rows_byte_identical(protocol):
-    config = _config(protocol)
-    calendar = _row(config, CalendarScheduler)
-    assert _row(config, EventScheduler) == calendar
-    digest = hashlib.sha256(calendar.encode()).hexdigest()
+    # The heap's row hashes to the digest of the calendar's row.
+    digest = hashlib.sha256(_row(_config(protocol)).encode()).hexdigest()
     assert digest == ROW_SHA256[protocol]
 
 
 def test_trace_artifacts_byte_identical_across_backends(tmp_path):
     # Trace files are deterministic (repro.obs.writer), so they extend
     # row identity down to the full event stream.  The artifact a
-    # campaign worker writes (default kernel) must equal, header
-    # included, the one the reference heap produces for the same config.
+    # campaign worker writes must equal, header included, the one an
+    # in-process Scenario writes for the same config.
     outcome = run_trial_payload({
         "config": _config("aodv").to_dict(),
-        "trace": str(tmp_path / "calendar.trace.jsonl"),
+        "trace": str(tmp_path / "worker.trace.jsonl"),
     })
     assert outcome["ok"], outcome.get("error")
-    calendar = pathlib.Path(outcome["trace"]).read_bytes()
+    worker = pathlib.Path(outcome["trace"]).read_bytes()
 
-    scenario = Scenario(_config("aodv").replaced(trace=True),
-                        scheduler=EventScheduler)
+    scenario = Scenario(_config("aodv").replaced(trace=True))
     scenario.run()
-    heap_path = tmp_path / "heap.trace.jsonl"
-    scenario.write_trace(heap_path)
-    assert heap_path.read_bytes() == calendar
+    local_path = tmp_path / "local.trace.jsonl"
+    scenario.write_trace(local_path)
+    assert local_path.read_bytes() == worker

@@ -106,8 +106,8 @@ def test_events_scheduled_during_run_execute():
     assert sched.now == 3.0
 
 
-def test_step_returns_false_when_empty(scheduler_cls):
-    sched = scheduler_cls()
+def test_step_returns_false_when_empty():
+    sched = EventScheduler()
     assert sched.step() is False
     sched.schedule(1.0, lambda: None)
     assert sched.step() is True
@@ -135,12 +135,12 @@ def test_max_events_bounds_execution():
     assert len(fired) == 5
 
 
-def test_max_events_counts_dispatched_not_drained(scheduler_cls):
+def test_max_events_counts_dispatched_not_drained():
     # Regression: ``run(max_events=N)`` bounds *dispatched callbacks*.
     # Cancelled events drained from the queue on the way must not eat
     # into the budget (the old loop counted every pop, so a burst of
     # cancellations could stall a bounded run before it fired anything).
-    sched = scheduler_cls()
+    sched = EventScheduler()
     fired = []
     doomed = [sched.schedule(0.5, fired.append, "dead") for _ in range(5)]
     for event in doomed:
@@ -153,8 +153,8 @@ def test_max_events_counts_dispatched_not_drained(scheduler_cls):
     assert sched.now == 2.0
 
 
-def test_max_events_zero_fires_nothing(scheduler_cls):
-    sched = scheduler_cls()
+def test_max_events_zero_fires_nothing():
+    sched = EventScheduler()
     fired = []
     sched.schedule(1.0, fired.append, "x")
     sched.run(max_events=0)

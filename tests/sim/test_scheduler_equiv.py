@@ -1,13 +1,13 @@
-"""Differential equivalence suite for the event-scheduler backends.
+"""Differential suite for the event queue against a list model.
 
-The calendar queue (:class:`~repro.sim.events.CalendarScheduler`) is a
-pure speed substitute for the reference binary heap
-(:class:`~repro.sim.events.EventScheduler`): same ``(time, seq)`` FIFO
-tie-break, same clock/epoch accounting, same cancellation semantics.
-This file holds that claim mechanically — seeded random *programs* of
-schedule / schedule-at / cancel / timer-restart / partial-run operations
-are replayed against both backends and every observable (fire order,
-``now``, ``epoch``, ``pending_count``, ``peek_time``) must agree exactly.
+:class:`~repro.sim.events.EventScheduler` keeps its events in a binary
+heap of ``(time, seq, event)`` tuples and inlines dispatch into its run
+loop.  :class:`_ListQueue` below is the same contract written the slow,
+obvious way: a plain list, and every dispatch takes the ``(time, seq)``
+minimum of the live entries.  Seeded random *programs* of schedule /
+schedule-at / cancel / timer-restart / partial-run operations are
+replayed on both, and every observable (fire order, ``now``, ``epoch``,
+``pending_count``, ``peek_time``) must agree exactly.
 
 The quick parametrization runs in tier-1; a wider sweep rides the
 ``slow`` marker.  End-to-end row/trace identity lives in
@@ -18,24 +18,67 @@ import random
 
 import pytest
 
-from repro.sim import CalendarScheduler, EventScheduler, Simulator, Timer
+from repro.sim import EventScheduler, SchedulerBase, Simulator, Timer
 
 # A coarse delay grid keeps plenty of exact ties (the FIFO tie-break is
-# the property most worth fuzzing) while still spreading events across
-# many calendar buckets and rungs.
+# the property most worth fuzzing) while still spreading events over
+# many distinct instants.
 _DELAYS = (0.0, 0.0, 0.001, 0.001, 0.01, 0.03125, 0.2, 0.2, 1.0, 3.0, 17.5)
 
 
-def _fuzz_log(scheduler_cls, seed, steps):
+class _ListQueue(SchedulerBase):
+    """The scheduler contract over an unordered list (the model)."""
+
+    def __init__(self):
+        super().__init__()
+        self._events = []
+
+    def _insert(self, event):
+        self._events.append(event)
+
+    def _head(self):
+        live = [event for event in self._events if not event.cancelled]
+        return min(live, key=lambda event: (event.time, event.seq),
+                   default=None)
+
+    def peek_time(self):
+        head = self._head()
+        return None if head is None else head.time
+
+    def run(self, until=None, max_events=None):
+        count = 0
+        while True:
+            head = self._head()
+            if head is None or (until is not None and head.time > until):
+                break
+            if max_events is not None and count >= max_events:
+                break
+            self._events.remove(head)
+            self._now = head.time
+            self._epoch += 1
+            self._live -= 1
+            head._sched = None
+            head.callback(*head.args)
+            count += 1
+        if until is not None and self._now < until:
+            self._now = until
+
+
+def _fuzz_log(seed, steps, model=False):
     """Replay one seeded random scheduler program; return its trace.
 
-    All randomness is drawn from a private ``random.Random(seed)`` in
-    program order, so two backends given the same seed see the *same*
-    program for as long as they behave identically — any divergence
-    shows up as differing logs (the assertion), never as flakiness.
+    ``model`` swaps :class:`_ListQueue` in for the simulator's heap.  All
+    randomness is drawn from a private ``random.Random(seed)`` in program
+    order, so both queues given the same seed see the *same* program for
+    as long as they behave identically — any divergence shows up as
+    differing logs (the assertion), never as flakiness.
     """
     rng = random.Random(seed)
-    sim = Simulator(seed=0, scheduler=scheduler_cls)
+    sim = Simulator(seed=0)
+    if model:
+        queue = _ListQueue()
+        sim.scheduler = queue
+        sim.schedule, sim.schedule_at = queue.schedule, queue.schedule_at
     sched = sim.scheduler
     log = []
     handles = []  # every Event ever scheduled (fired or not) — cancel fuzz
@@ -90,21 +133,19 @@ def _fuzz_log(scheduler_cls, seed, steps):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_backends_agree_on_random_programs(seed):
-    assert _fuzz_log(EventScheduler, seed, 150) == \
-        _fuzz_log(CalendarScheduler, seed, 150)
+    assert _fuzz_log(seed, 150) == _fuzz_log(seed, 150, model=True)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(8, 72))
 def test_backends_agree_wide_sweep(seed):
-    assert _fuzz_log(EventScheduler, seed, 400) == \
-        _fuzz_log(CalendarScheduler, seed, 400)
+    assert _fuzz_log(seed, 400) == _fuzz_log(seed, 400, model=True)
 
 
-def test_simultaneous_events_fire_fifo_across_rungs(scheduler_cls):
-    # 500 events at one instant overflow a single calendar bucket and
-    # force rung splits; insertion order must still be the fire order.
-    sched = scheduler_cls()
+def test_500_simultaneous_events_fire_fifo():
+    # Insertion order must be the fire order however many events share
+    # one instant.
+    sched = EventScheduler()
     fired = []
     for i in range(500):
         sched.schedule(1.0, fired.append, i)
@@ -112,10 +153,10 @@ def test_simultaneous_events_fire_fifo_across_rungs(scheduler_cls):
     assert fired == list(range(500))
 
 
-def test_interleaved_ties_preserve_global_seq_order(scheduler_cls):
+def test_interleaved_ties_preserve_global_seq_order():
     # Ties created before, during, and after partial runs still honor the
     # global sequence numbering, including events scheduled mid-dispatch.
-    sched = scheduler_cls()
+    sched = EventScheduler()
     fired = []
     sched.schedule(2.0, fired.append, "a")
     sched.schedule(2.0, lambda: (fired.append("b"),
@@ -126,24 +167,8 @@ def test_interleaved_ties_preserve_global_seq_order(scheduler_cls):
     assert fired == ["a", "b", "c", "d"]
 
 
-def test_calendar_rung_split_keeps_time_order():
-    # A dense far-future cluster inside one bucket of a wide rung forces
-    # the recursive rung *split* (distinct times, > _SPLIT_THRESHOLD
-    # entries): everything must still fire in exact (time, seq) order.
-    sched = CalendarScheduler()
-    fired = []
-    sched.schedule(0.5, fired.append, 0.5)
-    for i in range(60):
-        at = 100.0 + i * 1e-5
-        sched.schedule_at(at, fired.append, at)
-    sched.schedule_at(1000.0, fired.append, 1000.0)
-    sched.run()
-    assert fired == sorted(fired)
-    assert len(fired) == 62 and sched.pending_count() == 0
-
-
-def test_schedule_reserved_rejects_past_times(scheduler_cls):
-    sched = scheduler_cls()
+def test_schedule_reserved_rejects_past_times():
+    sched = EventScheduler()
     sched.schedule(1.0, lambda: None)
     sched.run()
     assert sched.now == 1.0

@@ -84,11 +84,11 @@ def test_negative_start_and_restart_rejected():
     assert not timer.armed
 
 
-def test_restart_storm_keeps_one_queued_entry(scheduler_cls):
+def test_restart_storm_keeps_one_queued_entry():
     # The whole point of the deferred re-arm: 10^4 deadline extensions
     # leave exactly ONE entry in the queue (the carrier), not 10^4
     # cancelled tombstones for the dispatch loop to drain later.
-    sim = Simulator(scheduler=scheduler_cls)
+    sim = Simulator()
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     timer.start(1.0)
@@ -101,8 +101,8 @@ def test_restart_storm_keeps_one_queued_entry(scheduler_cls):
     assert fired == [deadline]
 
 
-def test_restart_to_earlier_deadline_requeues(scheduler_cls):
-    sim = Simulator(scheduler=scheduler_cls)
+def test_restart_to_earlier_deadline_requeues():
+    sim = Simulator()
     fired = []
     timer = Timer(sim, lambda: fired.append(sim.now))
     timer.start(5.0)

@@ -47,6 +47,21 @@ def test_compare_rejects_unknown_protocol(capsys):
     assert main(["compare", "--protocols", "ospf"] + TINY) == 2
 
 
+def test_campaign_warnings_reach_a_non_tty_stderr(capsys, tmp_path):
+    # Off a terminal (a pipe, CI, ``2> file``) no status line is drawn,
+    # but every engine warning still gets its own line.
+    argv = ["compare", "--nodes", "10", "--duration", "4", "--flows", "2",
+            "--protocols", "ldr,aodv", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert first.err == ""
+    sorted(tmp_path.glob("??/*.json"))[0].write_text("{")
+    assert main(argv) == 0
+    second = capsys.readouterr()
+    assert "warning: corrupt cache entry" in second.err
+    assert second.out == first.out
+
+
 def test_audit_reports_loop_freedom(capsys):
     assert main(["audit"] + TINY) == 0
     out = capsys.readouterr().out
