@@ -3,21 +3,24 @@
 
     python examples/loop_freedom_audit.py [--seeds N]
 
-Installs a LoopChecker that walks the union of all routing tables after
-*every* table change, verifying (a) the successor graph is acyclic for
-every destination and (b) the ordering criterion of Theorem 2 holds:
-sequence numbers are non-decreasing and feasible distances strictly
-decreasing along successor paths.  Then runs heavily mobile scenarios and
-adversarial teleport churn.  Any violation raises immediately.
+Installs a strict invariant monitor that walks the union of all routing
+tables after *every* table change, verifying (a) the successor graph is
+acyclic for every destination, (b) the ordering criterion of Theorem 2
+holds: sequence numbers are non-decreasing and feasible distances
+strictly decreasing along successor paths, and (c) no node holds a
+sequence label its destination never issued.  Then runs heavily mobile
+scenarios and adversarial teleport churn.  Any violation raises
+immediately.
 """
 
 import argparse
 import random
 
-from repro import LoopChecker, ScenarioConfig, build_scenario
+from repro import ScenarioConfig, build_scenario
 from repro.core import LdrProtocol
-from repro.mobility import StaticPlacement
+from repro.faults import InvariantMonitor
 from repro.metrics import MetricsCollector
+from repro.mobility import StaticPlacement
 from repro.net import Node, WirelessChannel
 from repro.sim import Simulator
 
@@ -28,10 +31,10 @@ def mobile_audit(seed):
         num_flows=5, duration=30.0, pause_time=0.0, max_speed=25.0,
         seed=seed,
     ))
-    checker = LoopChecker(scenario.protocols.values(), check_ordering=True)
-    checker.install()
+    monitor = InvariantMonitor(scenario.sim, scenario.protocols,
+                               strict=True).install()
     scenario.run()
-    return checker.checks_run
+    return monitor.checks_run
 
 
 def teleport_audit(seed):
@@ -46,8 +49,7 @@ def teleport_audit(seed):
         node.install_routing(protocol)
         nodes[node_id] = node
         protocols[node_id] = protocol
-    checker = LoopChecker(list(protocols.values()), check_ordering=True)
-    checker.install()
+    monitor = InvariantMonitor(sim, protocols, strict=True).install()
 
     rng = random.Random(seed)
     pairs = [(rng.randrange(16), rng.randrange(16)) for _ in range(6)]
@@ -59,7 +61,7 @@ def teleport_audit(seed):
         victim = rng.randrange(16)
         placement.move(victim, rng.uniform(0, 800), rng.uniform(0, 600))
         sim.run(until=sim.now + 2.0)
-    return checker.checks_run
+    return monitor.checks_run
 
 
 def main():

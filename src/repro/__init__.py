@@ -45,7 +45,6 @@ from repro.protocols import (
     OlsrConfig,
     OlsrProtocol,
 )
-from repro.routing import LoopChecker, LoopError
 from repro.sim import Simulator
 
 __version__ = "1.0.0"
@@ -58,8 +57,6 @@ __all__ = [
     "DsrProtocol",
     "LdrConfig",
     "LdrProtocol",
-    "LoopChecker",
-    "LoopError",
     "MetricsCollector",
     "Node",
     "OlsrConfig",

@@ -75,8 +75,7 @@ from repro.experiments.campaigns import (
 from repro.experiments.figures import FIGURES
 from repro.experiments.grids import GRIDS
 from repro.experiments.tables import format_table1, table1
-from repro.faults import FaultPlan
-from repro.routing import LoopChecker, LoopError
+from repro.faults import FaultPlan, InvariantViolation
 
 
 def _add_scenario_args(parser):
@@ -479,27 +478,22 @@ def cmd_connectivity(args):
 
 
 def cmd_audit(args):
-    config = _scenario_from(args)
+    config = _scenario_from(args).replaced(invariant_check=True)
     scenario = build_scenario(config)
-    checker = LoopChecker(
-        scenario.protocols.values(),
-        check_ordering=(config.protocol == "ldr"),
-    ).install()
+    monitor = scenario.monitor
+    # Strict: the audit stops at the first breach.  The run ends with the
+    # monitor's sweep over the traffic destinations, so protocols that
+    # never fire table_change_hook (DSR, the oracle) are audited too.
+    monitor.strict = True
     try:
         scenario.run()
-        # End-of-run sweep over the traffic destinations, as the invariant
-        # monitor does: protocols that never fire table_change_hook
-        # (DSR, the oracle) are audited here or not at all.
-        checker.check_all(sorted(scenario.traffic.destinations_used()))
-    except LoopError as err:
-        # The checker recorded the breach before raising; the audit stops
-        # at the first one.
-        print("breach           : %s" % err)
-    print("table audits run : %d" % checker.checks_run)
-    print("violations       : %d" % len(checker.violations))
+    except InvariantViolation:
+        print("breach           : %s" % monitor.violations[-1][2])
+    print("table audits run : %d" % monitor.checks_run)
+    print("violations       : %d" % len(monitor.violations))
     print("%-16s : %s" % (config.protocol.upper() + " loop-free",
-                          "YES" if not checker.violations else "NO"))
-    return 0 if not checker.violations else 1
+                          "YES" if not monitor.violations else "NO"))
+    return 0 if not monitor.violations else 1
 
 
 def cmd_lint(args):

@@ -1,7 +1,7 @@
-"""Always-on invariant monitor for (possibly faulted) simulations.
+"""The invariant monitor: the one auditor of the paper's safety claims.
 
 Runs the :mod:`repro.routing.loopcheck` engine over the live (non-crashed)
-protocols on every table change, and adds the fault-aware checks the
+routing tables on every table change, and adds the fault-aware checks the
 paper's claims are actually about:
 
 * **loop / ordering** — Theorem 4 (instantaneous loop freedom) and the
@@ -21,11 +21,15 @@ paper's claims are actually about:
   (only flagged when the protocol has also *given up* — no route and no
   discovery in flight — for a physically connected pair).
 
-Violations accumulate in :attr:`InvariantMonitor.violations` and are
-counted into the metrics collector (``invariant_violations`` per kind),
-which is how they reach :class:`~repro.metrics.report.RunReport` rows and
-campaign tables.  ``strict=True`` additionally raises, for tests that
-want the offending update pinpointed.
+The same monitor audits a live run (:meth:`InvariantMonitor.install`
+hooks it into the protocols, nodes and channel) and a replayed trace
+(:mod:`repro.verify.replay` calls the ``on_*`` entry points from the
+trace's events and ``check_all`` at its end).  Violations accumulate in
+:attr:`InvariantMonitor.violations` and are counted into the metrics
+collector (``invariant_violations`` per kind), which is how they reach
+:class:`~repro.metrics.report.RunReport` rows and campaign tables.
+``strict=True`` additionally raises at the first violation, for tests
+and ``repro audit``, which want the offending update pinpointed.
 """
 
 from repro.routing.loopcheck import (
@@ -41,21 +45,25 @@ class InvariantViolation(AssertionError):
 
 
 class InvariantMonitor:
-    """Audits routing state and fault-layer discipline during a run.
+    """Audits routing state and fault-layer discipline, live or replayed.
 
     Parameters
     ----------
     sim:
-        The simulator (re-convergence deadlines are scheduled on it).
+        The simulator: violations are stamped with ``sim.now`` and
+        re-convergence deadlines are scheduled on it.
     protocols:
         Mapping node id -> routing protocol; kept current across reboots
         via :meth:`on_reboot`.
     nodes:
-        Optional mapping node id -> :class:`~repro.net.node.Node`; enables
-        the dead-delivery check.
+        Optional mapping node id -> :class:`~repro.net.node.Node`;
+        :meth:`install` hooks :meth:`on_deliver` (the dead-delivery
+        check) into each.
     channel:
-        Optional :class:`~repro.net.channel.WirelessChannel`; enables the
-        dead-transmit check and physical-connectivity tests.
+        Optional :class:`~repro.net.channel.WirelessChannel`;
+        :meth:`install` adds :meth:`on_transmit` (the dead-transmit
+        check) to its observers, and re-convergence asks it for
+        physical connectivity.
     metrics:
         Optional :class:`~repro.metrics.collector.MetricsCollector`;
         violations are counted into it per kind.
@@ -91,7 +99,7 @@ class InvariantMonitor:
         # Observability seam (repro.obs): fn(kind, detail) per violation,
         # called before strict-mode raises so traces keep the breach.
         self.violation_hook = None
-        self.checks_run = 0
+        self.checks_run = 0  # audits: table changes plus swept destinations
         self._crashed = set()
         self._max_issued = {}  # dst -> freshest label the destination issued
 
@@ -103,9 +111,9 @@ class InvariantMonitor:
             protocol.table_change_hook = self.on_table_change
         if self.nodes is not None:
             for node in self.nodes.values():
-                node.deliver_hook = self._on_deliver
+                node.deliver_hook = self.on_deliver
         if self.channel is not None:
-            self.channel.observers.append(self._on_transmit)
+            self.channel.observers.append(self.on_transmit)
         return self
 
     def on_crash(self, node_id):
@@ -163,7 +171,6 @@ class InvariantMonitor:
             return
         if protocol is not self.protocols.get(node_id):
             return  # stale pre-reboot instance; its state is gone
-        self.checks_run += 1
         self._audit(dst)
 
     def check_all(self, destinations):
@@ -173,6 +180,7 @@ class InvariantMonitor:
 
     def _audit(self, dst):
         """Loop/ordering, then seqnum ownership, for one destination."""
+        self.checks_run += 1
         breach = first_breach(self._live, dst, self.check_ordering)
         if breach is not None:
             self._record(breach.kind, breach.detail)
@@ -184,13 +192,15 @@ class InvariantMonitor:
                                          self._max_issued.get(dst)):
             self._record("seqnum_ownership", detail)
 
-    def _on_deliver(self, node, packet):
-        if not node.alive or node.node_id in self._crashed:
+    def on_deliver(self, node_id, packet):
+        """``node_id`` handed ``packet`` to its application."""
+        if node_id in self._crashed:
             self._record("dead_delivery",
                          "packet %r delivered to crashed node %r"
-                         % (packet, node.node_id))
+                         % (packet, node_id))
 
-    def _on_transmit(self, sender_id, frame, receiver_ids):
+    def on_transmit(self, sender_id, frame, receiver_ids=()):
+        """``sender_id`` put ``frame`` on the air (a channel observer)."""
         if sender_id in self._crashed:
             self._record("dead_transmit",
                          "crashed node %r transmitted %r"

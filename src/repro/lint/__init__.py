@@ -10,7 +10,7 @@ The reproduction rests on two machine-checkable guarantees:
 * **Protocol conformance** — every routing protocol exposes ``successor``
   and ``route_metric`` and announces routing-table changes through
   ``table_change_hook``, so the runtime
-  :class:`~repro.routing.loopcheck.LoopChecker` can audit loop freedom
+  :class:`~repro.faults.monitor.InvariantMonitor` can audit loop freedom
   instant by instant and can never be silently bypassed.
 
 Every rule reads one project-wide model (:mod:`repro.lint.program`):

@@ -86,7 +86,7 @@ FEASIBILITY_PREDICATES: FrozenSet[str] = frozenset(
 INFINITY_NAMES: FrozenSet[str] = frozenset({"INFINITY", "INF", "UNREACHABLE"})
 
 #: Methods exempt from the table-change notification rule: construction
-#: and startup run before the LoopChecker is installed.
+#: and startup run before the invariant monitor is installed.
 TABLE_EXEMPT_METHODS: FrozenSet[str] = frozenset({"__init__", "start"})
 
 #: Per-rule path allowlist.  Entries ending in "/" are directory prefixes;

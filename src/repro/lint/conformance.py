@@ -1,6 +1,6 @@
 """Protocol-conformance rules (RL101-RL103).
 
-The runtime :class:`~repro.routing.loopcheck.LoopChecker` is the
+The runtime :class:`~repro.faults.monitor.InvariantMonitor` is the
 reproduction's empirical witness for the paper's Theorem 4 (instantaneous
 loop freedom) and Theorem 2 (the sn/fd ordering along successor paths).
 It can only audit what protocols expose: ``successor(dst)`` gives it the
@@ -43,7 +43,7 @@ class ConformanceRule(Rule):
 class RequireSuccessor(ConformanceRule):
     """RL101: every RoutingProtocol subclass must implement ``successor``.
 
-    Invariant protected: *Theorem 4 auditability*.  The LoopChecker walks
+    Invariant protected: *Theorem 4 auditability*.  The monitor walks
     ``successor(dst)`` chains after every table change; a protocol that
     inherits the base stub (always ``None``) presents an empty successor
     graph and passes every audit vacuously.  Defining it in a base class
@@ -110,7 +110,8 @@ class RequireRouteMetric(ConformanceRule):
                         sub,
                         self.id,
                         "route_metric() must return the (sn, fd, d) triple "
-                        "the LoopChecker unpacks; this return has %d elements"
+                        "the invariant monitor unpacks; this return has %d "
+                        "elements"
                         % len(sub.value.elts),
                     )
 
@@ -128,7 +129,7 @@ def _self_attr(node: ast.expr) -> Optional[str]:
 
 def _successor_reads(function: ast.FunctionDef) -> Set[str]:
     """Self attributes the successor() implementation reads — these hold
-    the routing state the LoopChecker observes."""
+    the routing state the invariant monitor observes."""
     reads: Set[str] = set()
     for node in ast.walk(function):
         attr = _self_attr(node)
@@ -181,7 +182,7 @@ def _table_mutations(
     a local alias, a helper's parameter ``p`` or ``p.routes`` — to the
     tracked attribute it holds.  Field-level writes on individual entries
     (``entry.next_hop = ...``) are outside static reach; the runtime
-    LoopChecker still covers those.
+    invariant monitor still covers those.
     """
     mutations: List[Tuple[ast.AST, str]] = []
     for node in ast.walk(scope):
@@ -215,7 +216,7 @@ class RequireTableChangeNotify(ConformanceRule):
     """RL103: routing-table mutations must be post-dominated by a
     ``table_change_hook`` notification.
 
-    Invariant protected: *Theorem 4 auditability*.  The LoopChecker only
+    Invariant protected: *Theorem 4 auditability*.  The monitor only
     re-walks the successor graph when told; a table write without a
     subsequent ``_notify_table_change(dst)`` is a state change the audit
     never sees — a loop created there survives until some unrelated
@@ -255,7 +256,7 @@ class RequireTableChangeNotify(ConformanceRule):
                         self.id,
                         "%s.%s mutates routing table 'self.%s' without a "
                         "subsequent self._notify_table_change(...); the "
-                        "LoopChecker cannot audit this change"
+                        "invariant monitor cannot audit this change"
                         % (decl.name, method.name, attr),
                     )
 

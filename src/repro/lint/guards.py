@@ -4,10 +4,10 @@ The paper's loop-freedom argument (Theorems 2 and 4) is a statement
 about *when* a node may change its successor or feasible distance: only
 after the (sn, fd, d) feasibility conditions — NDC for LDR, SNC for the
 DUAL/ROAM family — have been checked against the advertisement being
-adopted.  The runtime LoopChecker verifies the *consequences* of every
-change; this rule verifies the *precondition* statically, so a feasibility
-guard deleted or bypassed in a refactor fails the build instead of
-waiting for a topology that happens to exercise the loop.
+adopted.  The runtime invariant monitor verifies the *consequences* of
+every change; this rule verifies the *precondition* statically, so a
+feasibility guard deleted or bypassed in a refactor fails the build
+instead of waiting for a topology that happens to exercise the loop.
 
 Mechanically it is a pragmatic dominator analysis over the AST: for each
 assignment to a guarded routing field (``successor``/``next_hop``/``fd``)
@@ -94,9 +94,10 @@ class GuardedUpdateRule(ProgramRule):
     """RL401: successor/fd assignments must be feasibility-dominated.
 
     Invariant protected: *Theorem 2/4 preconditions as a compile-time
-    gate*.  See the module docstring for the analysis; the LoopChecker
-    remains the runtime backstop for anything static reasoning cannot
-    see (field writes through exotic aliasing, data-dependent guards).
+    gate*.  See the module docstring for the analysis; the invariant
+    monitor remains the runtime backstop for anything static reasoning
+    cannot see (field writes through exotic aliasing, data-dependent
+    guards).
     """
 
     id = "RL401"

@@ -6,7 +6,7 @@ indirect route to the same state: a local alias (``t = self.table;
 t[dst] = e``), a helper that receives the table (or ``self``) as an
 argument and mutates it, and a method inherited from a mixin defined in
 another file.  Each of those is a path on which the routing table changes
-while the :class:`~repro.routing.loopcheck.LoopChecker` — the runtime
+while the :class:`~repro.faults.monitor.InvariantMonitor` — the runtime
 witness for the paper's Theorem 4 — is never told to look.  Van
 Glabbeek/Höfner's AODV analyses found exactly this shape: per-function
 reasoning holds, the composition loops.
@@ -174,8 +174,8 @@ class RequireReachableNotify(ProgramRule):
                         self.id,
                         "%s.%s mutates routing table 'self.%s' (inherited "
                         "into a protocol) without reaching "
-                        "table_change_hook; the LoopChecker cannot audit "
-                        "this change" % (owner.name, method.name, attr),
+                        "table_change_hook; the invariant monitor cannot "
+                        "audit this change" % (owner.name, method.name, attr),
                     )
 
             # Alias mutations, in every visible method.
@@ -188,7 +188,7 @@ class RequireReachableNotify(ProgramRule):
                     self.id,
                     "%s.%s mutates routing table 'self.%s' through a "
                     "local alias without reaching table_change_hook; "
-                    "the LoopChecker cannot audit this change"
+                    "the invariant monitor cannot audit this change"
                     % (owner.name, method.name, attr),
                 )
 
@@ -224,7 +224,7 @@ class RequireReachableNotify(ProgramRule):
                     self.id,
                     "%s.%s passes routing state to %s, which mutates "
                     "'%s' without reaching table_change_hook; the "
-                    "LoopChecker cannot audit this change"
+                    "invariant monitor cannot audit this change"
                     % (owner.name, method.name, callee_decl.name, mutated[0][1]),
                 )
 

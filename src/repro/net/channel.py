@@ -203,7 +203,7 @@ class WirelessChannel:
         # the event count per transmission drops from O(receivers) to 1 —
         # the single biggest event-queue load in dense scenarios.  Only
         # fuzz-delayed and duplicated receptions (strictly later times)
-        # keep their own events.
+        # keep their own events, each a one-element batch.
         batch = []
         nodes = self.nodes
         receptions = self._receptions
@@ -231,7 +231,7 @@ class WirelessChannel:
             if extra_delay > 0.0:
                 schedule(
                     duration + PROPAGATION_DELAY + extra_delay,
-                    self._complete, rid, rec, unicast_result,
+                    self._complete_batch, [(rid, rec)], unicast_result,
                 )
             else:
                 batch.append((rid, rec))
@@ -242,7 +242,7 @@ class WirelessChannel:
                 ongoing.append(dup)
                 schedule(
                     duration + 2 * PROPAGATION_DELAY + extra_delay,
-                    self._complete, rid, dup, unicast_result,
+                    self._complete_batch, [(rid, dup)], unicast_result,
                 )
         if batch:
             self.sim.schedule(
@@ -265,14 +265,13 @@ class WirelessChannel:
         return receiver_ids
 
     def _complete_batch(self, batch, unicast_result):
-        """Complete every on-time reception of one frame, in the order
-        the receivers were enumerated at transmit time (identical to the
-        fire order of the per-receiver events this replaces).
+        """Complete a batch of ``(receiver_id, reception)`` pairs of one
+        frame, in list order: every on-time reception in the order the
+        receivers were enumerated at transmit time, or one fuzz-delayed
+        or duplicated reception.
 
-        This is :meth:`_complete`'s body fused into one loop: every
-        reception in the batch carries the same frame, so its addressing
-        is resolved once instead of per receiver, and no per-reception
-        call frame is paid.  Keep the two in sync.
+        Every reception in a batch carries the same frame, so its
+        addressing is resolved once instead of per receiver.
         """
         receptions = self._receptions
         nodes = self.nodes
@@ -301,30 +300,6 @@ class WirelessChannel:
                 # Frames addressed to others reach promiscuous listeners
                 # (DSR-style snooping: route shortening, cache learning).
                 receiver.mac.promiscuous_fn(packet, sender, link_dst)
-
-    def _complete(self, receiver_id, rec, unicast_result):
-        receptions = self._receptions[receiver_id]
-        try:
-            receptions.remove(rec)
-        except ValueError:
-            pass
-        if rec.corrupted:
-            return
-        frame = rec.frame
-        receiver = self.nodes[receiver_id]
-        if not receiver.alive:
-            # The node crashed while the frame was in flight: nothing
-            # decodes, and a unicast toward it is never acknowledged.
-            return
-        if frame.is_broadcast or frame.link_dst == receiver_id:
-            if frame.link_dst == receiver_id:
-                unicast_result["decoded"] = True
-            receiver.mac.handle_frame(frame)
-        elif receiver.mac.promiscuous_fn is not None:
-            # Frames addressed to others reach promiscuous listeners
-            # (DSR-style snooping: route shortening, cache learning).
-            receiver.mac.promiscuous_fn(frame.packet, frame.sender,
-                                        frame.link_dst)
 
     def _report_unicast(self, sender, frame, unicast_result):
         sender.mac.on_tx_outcome(frame, unicast_result["decoded"])

@@ -33,7 +33,7 @@ class Node:
         # Rebuilds the routing protocol after a reboot: fn(node) -> protocol.
         # Set by the scenario/test harness; reboot without one is an error.
         self.routing_factory = None
-        # Optional observer fn(node, packet) before any delivery; the
+        # Optional observer fn(node_id, packet) before any delivery; the
         # invariant monitor uses it to catch deliveries to crashed nodes.
         self.deliver_hook = None
         channel.attach(self)
@@ -107,7 +107,7 @@ class Node:
     def deliver(self, packet):
         """Called by the routing layer for packets addressed to this node."""
         if self.deliver_hook is not None:
-            self.deliver_hook(self, packet)
+            self.deliver_hook(self.node_id, packet)
         if self.metrics is not None:
             self.metrics.on_data_delivered(self.node_id, packet)
         if self.deliver_fn is not None:

@@ -8,7 +8,7 @@ package provides it:
   canonical, deterministic serialization contract (schema-versioned).
 * :mod:`repro.obs.recorder` — :class:`TraceRecorder`, which instruments
   a scenario (channel, nodes, protocols, fault injector, invariant
-  monitor) and records the event stream under a bounded retention policy.
+  monitor) and records the event stream, keeping at most ``max_events``.
 * :mod:`repro.obs.writer` / :mod:`repro.obs.reader` — streaming JSONL
   trace files; byte-identical for identical ``(config, seed, fault_plan)``.
 * :mod:`repro.obs.profile` — the :class:`Profiler` counter/timer registry
@@ -23,13 +23,12 @@ package provides it:
 from repro.obs.events import EVENT_KINDS, SCHEMA_VERSION, TraceEvent, jsonable
 from repro.obs.profile import Profiler, StackSampler
 from repro.obs.reader import TraceError, iter_trace, read_trace, trace_ok
-from repro.obs.recorder import POLICIES, TraceRecorder
+from repro.obs.recorder import TraceRecorder
 from repro.obs.writer import JsonlTraceWriter, trace_header, write_trace
 
 __all__ = [
     "EVENT_KINDS",
     "JsonlTraceWriter",
-    "POLICIES",
     "Profiler",
     "SCHEMA_VERSION",
     "StackSampler",

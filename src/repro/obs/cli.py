@@ -13,6 +13,7 @@ diff      compare two traces event by event; exits 1 naming the first
           trial before and after a change to find its first effect
 """
 
+from repro.obs.events import first_divergence
 from repro.obs.reader import TraceError, read_trace
 
 
@@ -171,33 +172,26 @@ def cmd_routes(args, out):
 
 
 def cmd_diff(args, out):
-    header_a, events_a = read_trace(args.trace_a)
-    header_b, events_b = read_trace(args.trace_b)
+    _, events_a = read_trace(args.trace_a)
+    _, events_b = read_trace(args.trace_b)
     kind = None if args.kind == "all" else args.kind
     side_a = [e for e in events_a if kind is None or e.kind == kind]
     side_b = [e for e in events_b if kind is None or e.kind == kind]
     what = "events" if kind is None else "%s events" % kind
 
-    divergence = None
-    for index, (a, b) in enumerate(zip(side_a, side_b)):
-        if a.canonical() != b.canonical():
-            divergence = index
-            break
+    divergence = first_divergence(side_a, side_b)
     if divergence is None:
-        if len(side_a) == len(side_b):
-            print("identical: %d %s on both sides" % (len(side_a), what),
-                  file=out)
-            return 0
-        divergence = min(len(side_a), len(side_b))
-
-    print("traces diverge at %s #%d" % (what, divergence), file=out)
-    start = max(0, divergence - max(0, args.context))
-    for index in range(start, divergence):
-        print("  = %r" % side_a[index], file=out)
-    for tag, side, path in (("a", side_a, args.trace_a),
-                            ("b", side_b, args.trace_b)):
-        if divergence < len(side):
-            print("  %s %r" % (tag, side[divergence]), file=out)
+        print("identical: %d %s on both sides" % (len(side_a), what),
+              file=out)
+        return 0
+    index, event_a, event_b = divergence
+    print("traces diverge at %s #%d" % (what, index), file=out)
+    for earlier in side_a[max(0, index - max(0, args.context)):index]:
+        print("  = %r" % earlier, file=out)
+    for tag, event, side, path in (("a", event_a, side_a, args.trace_a),
+                                   ("b", event_b, side_b, args.trace_b)):
+        if event is not None:
+            print("  %s %r" % (tag, event), file=out)
         else:
             print("  %s (end of trace: %s has only %d %s)"
                   % (tag, path, len(side), what), file=out)

@@ -101,3 +101,21 @@ class TraceEvent:
         return "[{:10.6f}] {:<9} node={:<4} {}".format(
             self.time, self.kind, self.node, self.detail
         )
+
+
+def first_divergence(side_a, side_b):
+    """Where two event lists first differ, or None when they are equal.
+
+    Returns ``(index, event_a, event_b)``, comparing canonical forms;
+    either event is None when its side ran out first.  ``repro trace
+    diff`` and the verify grid's LDR-vs-AODV column both ask this.
+    """
+    for index, (a, b) in enumerate(zip(side_a, side_b)):
+        if a.canonical() != b.canonical():
+            return index, a, b
+    if len(side_a) == len(side_b):
+        return None
+    index = min(len(side_a), len(side_b))
+    return (index,
+            side_a[index] if index < len(side_a) else None,
+            side_b[index] if index < len(side_b) else None)

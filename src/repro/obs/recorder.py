@@ -12,20 +12,16 @@ and invariant-monitor violations.
         print(event)
     print(scenario.trace.summary())
 
-Retention is bounded by ``max_events`` under one of two documented
-policies — ``"oldest"`` keeps the first ``max_events`` events (the head
-of the run), ``"newest"`` keeps the last ``max_events`` (a ring buffer)
-— and an attached :class:`~repro.obs.writer.JsonlTraceWriter` receives
-**every** event regardless of the in-memory cap (spill-to-disk), so a
-bounded recorder can still produce a complete on-disk trace.
+Retention is bounded by ``max_events``: the recorder keeps the first
+``max_events`` events (the head of the run), counts every event in
+``recorded`` and sets ``truncated`` once one is dropped; the trace
+header carries both, so offline replay refuses to certify the
+incomplete stream.
 """
 
-from collections import Counter, deque
+from collections import Counter
 
 from repro.obs.events import TraceEvent
-
-#: Recognized retention policies for the in-memory event buffer.
-POLICIES = ("oldest", "newest")
 
 
 class TraceRecorder:
@@ -36,32 +32,15 @@ class TraceRecorder:
     sim:
         The simulator; events are stamped with ``sim.now``.
     max_events:
-        In-memory retention cap (None = unbounded).
-    policy:
-        ``"oldest"`` (default) keeps the first ``max_events`` events and
-        ignores later ones; ``"newest"`` keeps the most recent
-        ``max_events`` in a ring.  Either way :attr:`truncated` becomes
-        True the moment any event falls outside the buffer.
-    writer:
-        Optional object with an ``emit(event)`` method (e.g. a
-        :class:`~repro.obs.writer.JsonlTraceWriter`) that receives every
-        event *before* retention applies.
+        In-memory retention cap (None = unbounded): the first
+        ``max_events`` events are kept and later ones ignored, and
+        :attr:`truncated` becomes True the moment one is.
     """
 
-    def __init__(self, sim, max_events=100_000, policy="oldest", writer=None):
-        if policy not in POLICIES:
-            raise ValueError(
-                "unknown retention policy %r (choose from %s)"
-                % (policy, list(POLICIES))
-            )
+    def __init__(self, sim, max_events=100_000):
         self.sim = sim
         self.max_events = max_events
-        self.policy = policy
-        self.writer = writer
-        if policy == "newest" and max_events is not None:
-            self.events = deque(maxlen=max_events)
-        else:
-            self.events = []
+        self.events = []
         self.truncated = False
         self.recorded = 0  # total events seen, dropped ones included
         # Live registries captured at install time; route events sample the
@@ -76,8 +55,8 @@ class TraceRecorder:
     def install(self, scenario):
         """Attach to a Scenario (or any object with channel/nodes/protocols).
 
-        Hooks chain rather than replace: an already-installed loop checker
-        or invariant monitor keeps receiving table-change notifications.
+        Hooks chain rather than replace: an already-installed invariant
+        monitor keeps receiving table-change notifications.
         When the scenario carries a fault injector and/or monitor, their
         transitions and violations are traced too, and protocol instances
         created by reboots are re-instrumented.
@@ -203,15 +182,9 @@ class TraceRecorder:
         """Record one event at the current simulation time."""
         event = TraceEvent(self.sim.now, kind, node, data)
         self.recorded += 1
-        if self.writer is not None:
-            self.writer.emit(event)
-        if self.max_events is not None and self.policy == "oldest":
-            if len(self.events) >= self.max_events:
-                self.truncated = True
-                return event
-        elif isinstance(self.events, deque) and self.events.maxlen is not None:
-            if len(self.events) == self.events.maxlen:
-                self.truncated = True
+        if self.max_events is not None and len(self.events) >= self.max_events:
+            self.truncated = True
+            return event
         self.events.append(event)
         return event
 

@@ -73,30 +73,12 @@ def _dumps(doc):
 
 
 class JsonlTraceWriter:
-    """Writes a canonical JSONL trace to an open text stream.
-
-    Give one to :class:`~repro.obs.recorder.TraceRecorder` to stream
-    events to disk as they happen (spill-to-disk: the on-disk trace is
-    complete even when the recorder's in-memory buffer is capped).
-    :meth:`open` builds one over a file path, gzip-compressing when the
-    path ends in ``.gz``.
-    """
+    """Writes a canonical JSONL trace to an open text stream."""
 
     def __init__(self, stream, header=None):
         self.stream = stream
-        self.events_written = 0
         self._header_written = False
         self._header = header if header is not None else trace_header()
-
-    @classmethod
-    def open(cls, path, header=None):
-        """A writer over ``path`` (gzip when it ends in ``.gz``).
-
-        :meth:`close` closes the underlying file.  Unlike
-        :func:`write_trace` this streams (not atomic) — use it for
-        spill-to-disk recording, not for artifacts readers may race.
-        """
-        return cls(_open_text_for_write(path), header=header)
 
     def write_header(self):
         if not self._header_written:
@@ -107,7 +89,6 @@ class JsonlTraceWriter:
         """Append one :class:`~repro.obs.events.TraceEvent`."""
         self.write_header()
         self.stream.write(event.canonical() + "\n")
-        self.events_written += 1
 
     def close(self):
         """Flush the header even for empty traces; close the stream."""

@@ -151,7 +151,7 @@ class DsrProtocol(RouteDiscovery):
 
         Source routes are loop-free by construction (a route never
         repeats a node), so the LDR ordering criterion has no analogue;
-        the loop checker audits the cached-route successor graph for
+        the loop audit walks the cached-route successor graph for
         acyclicity only.
         """
         return None

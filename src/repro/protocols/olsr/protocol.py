@@ -192,7 +192,7 @@ class OlsrProtocol(RoutingProtocol):
         Routes come from a shortest-path computation over the topology
         database; there are no per-destination sequence numbers or
         feasible distances for the LDR ordering audit to compare.  The
-        loop checker audits the BFS-derived successor graph for
+        loop audit walks the BFS-derived successor graph for
         acyclicity only.
         """
         return None

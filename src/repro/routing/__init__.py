@@ -13,21 +13,17 @@
   AODV's circular 32-bit sequence-number comparison.
 * :mod:`repro.routing.loopcheck` — the one instant-by-instant
   successor-graph audit (Theorem 4 loops, Theorem 2 ordering, seqnum
-  ownership) behind the loop checker, the invariant monitor and the
-  offline trace replay.
+  ownership) behind the invariant monitor, live and in trace replay.
 """
 
 from repro.routing.base import PacketBuffer, RoutingProtocol
 from repro.routing.costs import DistanceCost, HopCost, TableCost
-from repro.routing.loopcheck import LoopChecker, LoopError
 from repro.routing.seqnum import LabeledSeq, circular_greater
 
 __all__ = [
     "DistanceCost",
     "HopCost",
     "LabeledSeq",
-    "LoopChecker",
-    "LoopError",
     "PacketBuffer",
     "RoutingProtocol",
     "TableCost",

@@ -26,7 +26,7 @@ class RoutingProtocol:
         self.metrics = metrics
         self._proto_rng = sim.stream("proto.%d" % node.node_id)
         # Optional observer: fn(protocol, destination) after any routing
-        # table change.  The loop checker plugs in here.
+        # table change.  The invariant monitor plugs in here.
         self.table_change_hook = None
         # Set by stop(): periodic ticks check this flag so a crashed
         # node's discarded protocol instance goes quiet.
@@ -57,13 +57,13 @@ class RoutingProtocol:
         raise NotImplementedError
 
     def successor(self, dst):
-        """Current next hop toward ``dst`` or None (for the loop checker)."""
+        """Current next hop toward ``dst`` or None (for the loop audit)."""
         return None
 
     def route_metric(self, dst):
         """(seqno, feasible_distance, distance) triple for invariant audits.
 
-        Protocols without those notions return ``None``; the loop checker
+        Protocols without those notions return ``None``; the loop audit
         then only verifies acyclicity, not the LDR ordering criterion.
         """
         return None

@@ -18,32 +18,18 @@ Each takes ``tables``, a mapping from node id to an object with
 ``successor(dst)`` and ``route_metric(dst)`` (a routing protocol, or a
 table rebuilt from a trace), walked in the mapping's iteration order; a
 node absent from the mapping (crashed, or unknown) ends a walk.  Every
-violation detail string is formatted here.  Three consumers share the
-engine: :class:`LoopChecker` (raises on the first breach), the
-fault-aware :class:`~repro.faults.monitor.InvariantMonitor` (records it)
-and the offline :class:`~repro.verify.replay.ReplayChecker` (re-derives it
-from a trace), so the online and offline verdicts cannot drift apart.
+violation detail string is formatted here.  One auditor runs the engine:
+the :class:`~repro.faults.monitor.InvariantMonitor`, over live protocols
+during a run and over tables rebuilt from a trace in the offline replay
+(:mod:`repro.verify.replay`), so the online and offline verdicts cannot
+drift apart.
 """
 
 from collections import namedtuple
 
-#: One loop/ordering breach: ``kind`` (``"loop"`` or ``"ordering"``), the
-#: human-readable ``detail``, and the ``edge`` ``(node, node, dst)`` where
-#: it was found — the walk's start and the revisited node for a loop, the
-#: offending upstream/downstream hop for an ordering breach.
-Breach = namedtuple("Breach", "kind detail edge")
-
-
-class LoopError(AssertionError):
-    """Routing tables formed a loop (or violated the ordering criterion).
-
-    ``kind`` is ``"loop"`` for a successor-graph cycle and ``"ordering"``
-    for a Theorem-2 breach.
-    """
-
-    def __init__(self, message, kind="loop"):
-        super().__init__(message)
-        self.kind = kind
+#: One loop/ordering breach: ``kind`` (``"loop"`` or ``"ordering"``) and
+#: the human-readable ``detail``.
+Breach = namedtuple("Breach", "kind detail")
 
 
 def first_breach(tables, dst, check_ordering=True):
@@ -71,7 +57,6 @@ def _walk(tables, start, dst, check_ordering):
             return Breach(
                 "loop",
                 "routing loop for destination {}: {}".format(dst, loop),
-                (start, current, dst),
             )
         seen.append(current)
         seen_set.add(current)
@@ -109,7 +94,6 @@ def _ordering_breach(tables, up_id, upstream, down_id, dst):
             "ordering",
             "ordering violated toward {}: {}(sn={}) uses {}(sn={})".format(
                 dst, up_id, up_sn, down_id, down_sn),
-            (up_id, down_id, dst),
         )
     if down_sn == up_sn and not (down_fd < up_fd):
         return Breach(
@@ -117,7 +101,6 @@ def _ordering_breach(tables, up_id, upstream, down_id, dst):
             "feasible-distance ordering violated toward {}: "
             "{} (fd={}) -> {} (fd={})".format(
                 dst, up_id, up_fd, down_id, down_fd),
-            (up_id, down_id, dst),
         )
     return None
 
@@ -174,40 +157,3 @@ def reaches(tables, src, dst):
         current = table.successor(dst)
     return current == dst
 
-
-class LoopChecker:
-    """Audits the union of all nodes' routing tables, raising on a breach.
-
-    ``protocols`` is an iterable of RoutingProtocol instances (one per
-    node).  Call :meth:`install` once; the checker then runs on every table
-    change.  ``check_ordering`` additionally enforces the LDR invariant on
-    protocols that expose :meth:`route_metric`.
-    """
-
-    def __init__(self, protocols, check_ordering=True):
-        self.protocols = {p.node_id: p for p in protocols}
-        self.check_ordering = check_ordering
-        self.checks_run = 0
-        self.violations = []  # breach edges, recorded before raising
-
-    def install(self):
-        for protocol in self.protocols.values():
-            protocol.table_change_hook = self.on_table_change
-        return self
-
-    def on_table_change(self, protocol, dst):
-        self.check_destination(dst)
-
-    def check_destination(self, dst):
-        """Walk every node's successor chain toward ``dst``."""
-        self.checks_run += 1
-        breach = first_breach(self.protocols, dst, self.check_ordering)
-        if breach is not None:
-            # Record before raising so callers that absorb the error (the
-            # audit CLI) still see it.
-            self.violations.append(breach.edge)
-            raise LoopError(breach.detail, kind=breach.kind)
-
-    def check_all(self, destinations):
-        for dst in destinations:
-            self.check_destination(dst)

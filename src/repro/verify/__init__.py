@@ -7,10 +7,10 @@ This package makes that claim *executable* in both directions:
 * :mod:`~repro.verify.counterexamples` — the published AODV loop
   interleavings (arXiv:1512.08891, arXiv:1512.08867) as deterministic
   scenarios that run against any registry protocol;
-* :mod:`~repro.verify.replay` — offline conformance replay: re-derive
-  the loop-freedom / ordering / seqnum-ownership verdict from a
-  ``.trace.jsonl(.gz)`` artifact alone, cross-checked against the online
-  monitor's recorded violations;
+* :mod:`~repro.verify.replay` — offline conformance replay: drive the
+  invariant monitor from a ``.trace.jsonl(.gz)`` artifact alone and
+  cross-check its verdict against the violations the monitor recorded
+  live;
 * :mod:`~repro.verify.grid` — the counterexample x protocol verdict
   matrix, with online/offline agreement gates and LDR-vs-AODV trace
   divergence pinpointing.
@@ -30,7 +30,6 @@ from repro.verify.counterexamples import (
 )
 from repro.verify.replay import (
     REPLAY_KINDS,
-    ReplayChecker,
     ReplayResult,
     replay_events,
     replay_trace,
@@ -51,7 +50,6 @@ __all__ = [
     "GRID_PROTOCOLS",
     "GridCell",
     "REPLAY_KINDS",
-    "ReplayChecker",
     "ReplayResult",
     "first_route_divergence",
     "format_grid",

@@ -15,6 +15,8 @@ part ways under the identical schedule?".
 """
 
 from repro.exec import CampaignEngine, ResultCache
+from repro.obs.events import first_divergence
+from repro.obs.reader import read_trace
 from repro.verify.counterexamples import load_suite, verdict_from_breakdown
 from repro.verify.replay import replay_trace
 
@@ -122,24 +124,13 @@ def first_route_divergence(path_a, path_b):
     """The first differing route event between two traces, or None.
 
     Returns ``(index, event_a, event_b)`` — either event may be None
-    when one side simply ran out of route events.  This is the exact
-    comparison ``repro trace diff --kind route`` performs.
+    when one side simply ran out of route events; ``repro trace diff
+    --kind route`` reports the same event.
     """
-    from repro.obs.reader import read_trace
-
     _, events_a = read_trace(path_a)
     _, events_b = read_trace(path_b)
-    side_a = [e for e in events_a if e.kind == "route"]
-    side_b = [e for e in events_b if e.kind == "route"]
-    for index, (a, b) in enumerate(zip(side_a, side_b)):
-        if a.canonical() != b.canonical():
-            return index, a, b
-    if len(side_a) != len(side_b):
-        index = min(len(side_a), len(side_b))
-        return (index,
-                side_a[index] if index < len(side_a) else None,
-                side_b[index] if index < len(side_b) else None)
-    return None
+    return first_divergence([e for e in events_a if e.kind == "route"],
+                            [e for e in events_b if e.kind == "route"])
 
 
 def format_grid(cells, divergences=None):

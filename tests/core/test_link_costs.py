@@ -8,8 +8,8 @@ and that the loop-freedom invariants hold unchanged.
 import pytest
 
 from repro.core import LdrConfig, LdrProtocol
+from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
-from repro.routing import LoopChecker
 from repro.routing.costs import DistanceCost, HopCost, TableCost
 from tests.conftest import Network
 
@@ -90,16 +90,16 @@ def test_loop_freedom_holds_with_weighted_costs():
                       (0, 3): 2, (1, 4): 3}, default=2)
     net = Network(LdrProtocol, placement,
                   config=LdrConfig(link_cost=cost), seed=8)
-    checker = LoopChecker(list(net.protocols.values()),
-                          check_ordering=True).install()
+    monitor = InvariantMonitor(net.sim, net.protocols, check_ordering=True,
+                               strict=True).install()
     for src, dst in ((0, 8), (2, 6), (6, 2)):
         net.send(src, dst)
     net.run(3.0)
     net.placement.move(4, 50_000.0, 0.0)
     net.send(0, 8)
     net.run(6.0)
-    assert checker.checks_run > 0
-    assert checker.violations == []
+    assert monitor.checks_run > 0
+    assert monitor.violations == []
 
 
 def test_unit_cost_default_matches_hop_count():

@@ -1,9 +1,10 @@
 """Empirical verification of Theorem 4: LDR is loop-free at every instant.
 
-A LoopChecker audits the union of all routing tables after *every* table
-change; any cycle — or violation of the Theorem-2 ordering criterion —
-raises immediately.  These tests drive the protocol through randomized
-mobile scenarios and adversarial churn; they are the test-suite's teeth.
+A strict invariant monitor audits the union of all routing tables after
+*every* table change; any cycle — or violation of the Theorem-2 ordering
+criterion — raises immediately.  These tests drive the protocol through
+randomized mobile scenarios and adversarial churn; they are the
+test-suite's teeth.
 """
 
 import random
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 
 from repro.core import LdrProtocol
 from repro.experiments import ScenarioConfig, build_scenario
+from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
-from repro.routing import LoopChecker
 from tests.conftest import Network
 
 
@@ -26,11 +27,11 @@ def test_property_mobile_scenario_never_loops(seed):
         num_flows=4, duration=12.0, pause_time=0.0, max_speed=25.0,
         seed=seed,
     ))
-    checker = LoopChecker(scenario.protocols.values(),
-                          check_ordering=True).install()
-    scenario.run()  # LoopChecker raises on any violation
-    assert checker.checks_run > 0
-    assert checker.violations == []
+    monitor = InvariantMonitor(scenario.sim, scenario.protocols,
+                               check_ordering=True, strict=True).install()
+    scenario.run()  # the strict monitor raises on any violation
+    assert monitor.checks_run > 0
+    assert monitor.violations == []
 
 
 @settings(max_examples=10, deadline=None)
@@ -46,7 +47,8 @@ def test_property_adversarial_teleport_churn(seed, moves):
     and ordered throughout."""
     placement = StaticPlacement.grid(3, 3, spacing=200.0)
     net = Network(LdrProtocol, placement, seed=seed)
-    LoopChecker(list(net.protocols.values()), check_ordering=True).install()
+    InvariantMonitor(net.sim, net.protocols, check_ordering=True,
+                     strict=True).install()
     rng = random.Random(seed)
 
     # Continuous traffic between random pairs.
@@ -68,8 +70,8 @@ def test_repeated_break_and_rediscover_cycle():
     """Break the same path over and over; invariants must hold every time."""
     placement = StaticPlacement.line(6, spacing=200.0)
     net = Network(LdrProtocol, placement, seed=3)
-    checker = LoopChecker(list(net.protocols.values()),
-                          check_ordering=True).install()
+    monitor = InvariantMonitor(net.sim, net.protocols, check_ordering=True,
+                               strict=True).install()
     for round_no in range(6):
         # Restore the line, send, then break a middle link.
         net.placement.move(3, 600.0, 0.0)
@@ -78,8 +80,8 @@ def test_repeated_break_and_rediscover_cycle():
         net.placement.move(3, 600.0, 50_000.0)
         net.send(0, 5)
         net.run(3.0)
-    assert checker.checks_run > 10
-    assert checker.violations == []
+    assert monitor.checks_run > 10
+    assert monitor.violations == []
 
 
 def test_simultaneous_discoveries_for_same_destination():
@@ -87,7 +89,8 @@ def test_simultaneous_discoveries_for_same_destination():
     (Lemmas 4/5) must not interfere or create loops."""
     placement = StaticPlacement.grid(4, 4, spacing=200.0)
     net = Network(LdrProtocol, placement, seed=5)
-    LoopChecker(list(net.protocols.values()), check_ordering=True).install()
+    InvariantMonitor(net.sim, net.protocols, check_ordering=True,
+                     strict=True).install()
     dst = 15
     sources = (0, 1, 4, 5, 2, 8)
     for _ in range(3):

@@ -9,8 +9,8 @@ below the feasible distance (Theorem 1 applies verbatim).
 
 from repro.core import LdrConfig, LdrProtocol
 from repro.core.messages import LdrRrep
+from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
-from repro.routing import LoopChecker
 from repro.routing.seqnum import LabeledSeq
 from tests.conftest import Network
 
@@ -110,8 +110,8 @@ def test_multipath_stays_loop_free_under_churn():
     placement = StaticPlacement.grid(3, 3, 200.0)
     net = Network(LdrProtocol, placement,
                   config=LdrConfig(multipath=True), seed=12)
-    checker = LoopChecker(list(net.protocols.values()),
-                          check_ordering=True).install()
+    monitor = InvariantMonitor(net.sim, net.protocols, check_ordering=True,
+                               strict=True).install()
     for src, dst in ((0, 8), (2, 6), (6, 2), (8, 0)):
         net.send(src, dst)
     net.run(3.0)
@@ -119,8 +119,8 @@ def test_multipath_stays_loop_free_under_churn():
     for src, dst in ((0, 8), (2, 6)):
         net.send(src, dst)
     net.run(6.0)
-    assert checker.checks_run > 0
-    assert checker.violations == []
+    assert monitor.checks_run > 0
+    assert monitor.violations == []
 
 
 def test_multipath_improves_or_matches_delivery_under_churn():

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import LdrConfig, LdrProtocol
 from repro.core.messages import LdrRreq
+from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
-from repro.routing import LoopChecker
 from tests.conftest import Network
 
 
@@ -147,16 +147,16 @@ def test_data_hop_limit_drops_runaway_packets():
 def test_loop_checker_clean_during_churn():
     placement = StaticPlacement.grid(3, 3, spacing=200.0)
     net = Network(LdrProtocol, placement)
-    checker = LoopChecker(list(net.protocols.values()),
-                          check_ordering=True).install()
+    monitor = InvariantMonitor(net.sim, net.protocols, check_ordering=True,
+                               strict=True).install()
     net.send(0, 8)
     net.run(3.0)
     net.placement.move(4, 10000.0, 0.0)  # knock out the grid centre
     net.send(0, 8)
     net.send(3, 8)
     net.run(10.0)
-    assert checker.checks_run > 0
-    assert checker.violations == []
+    assert monitor.checks_run > 0
+    assert monitor.violations == []
 
 
 def test_request_as_error_invalidates_route():

@@ -1,11 +1,12 @@
 """Stateful fuzzing of LDR with hypothesis.
 
 A RuleBasedStateMachine interleaves data sends, node teleports, node
-isolation and time advancement in arbitrary orders, with the LoopChecker
-armed on every routing-table change.  Invariants checked continuously:
+isolation and time advancement in arbitrary orders, with a strict
+invariant monitor armed on every routing-table change.  Invariants
+checked continuously:
 
 * no routing loops and no feasible-distance ordering violations
-  (LoopChecker raises inside the rules themselves);
+  (the monitor raises inside the rules themselves);
 * ``fd <= dist`` for every valid entry;
 * a node is never both active and engaged in its own computation;
 * buffered packets never exceed the configured capacity.
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core import LdrProtocol
 from repro.core.messages import INFINITY
+from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
-from repro.routing import LoopChecker
 from tests.conftest import Network
 
 NODES = 9  # 3x3 grid
@@ -31,8 +32,9 @@ class LdrMachine(RuleBasedStateMachine):
         self.net = Network(LdrProtocol,
                            StaticPlacement.grid(3, 3, spacing=200.0),
                            seed=seed)
-        self.checker = LoopChecker(
-            list(self.net.protocols.values()), check_ordering=True
+        self.monitor = InvariantMonitor(
+            self.net.sim, self.net.protocols, check_ordering=True,
+            strict=True,
         ).install()
 
     @rule(src=st.integers(0, NODES - 1), dst=st.integers(0, NODES - 1))
@@ -88,7 +90,7 @@ class LdrMachine(RuleBasedStateMachine):
 
     def teardown(self):
         if hasattr(self, "net"):
-            # Drain in-flight events; the checker audits every change.
+            # Drain in-flight events; the monitor audits every change.
             self.net.run(5.0)
 
 

@@ -3,8 +3,8 @@
 Each fixture is the smallest program exhibiting one of the indirect
 mutation paths RL103 cannot see — a local alias, a helper handed the
 table (or ``self``), a mixin method defined in another file — plus the
-conformant twin proving the rule stays silent when the LoopChecker is
-actually told.
+conformant twin proving the rule stays silent when the invariant
+monitor is actually told.
 """
 
 from repro.lint.reachability import RequireReachableNotify
@@ -171,7 +171,7 @@ def test_notifying_mixin_is_silent(lint_tree):
 
 def test_non_protocol_class_is_out_of_scope(lint_tree):
     # A class that never enters the RoutingProtocol hierarchy can alias
-    # whatever it likes; the LoopChecker never watches it.
+    # whatever it likes; the invariant monitor never watches it.
     assert _run(lint_tree, {
         "protocols/cache.py": (
             "class NeighborCache:\n"

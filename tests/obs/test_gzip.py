@@ -2,11 +2,8 @@
 
 import gzip
 
-import pytest
-
 from repro.__main__ import main
 from repro.obs import (
-    JsonlTraceWriter,
     TraceEvent,
     iter_trace,
     read_trace,
@@ -28,6 +25,13 @@ def test_write_trace_gz_roundtrip(tmp_path):
     header, events = read_trace(path)
     assert header["seed"] == 7
     assert events == EVENTS
+
+    # An empty trace still carries its header.
+    empty = tmp_path / "empty.trace.jsonl.gz"
+    assert write_trace(empty, [], header=trace_header(seed=1)) == 0
+    header, events = read_trace(empty)
+    assert header["type"] == "header" and header["seed"] == 1
+    assert events == []
 
 
 def test_gz_and_plain_decompress_identically(tmp_path):
@@ -62,25 +66,6 @@ def test_iter_trace_sniffs_magic_not_suffix(tmp_path):
     write_trace(plain, EVENTS, header=trace_header(seed=7))
     mislabeled.write_bytes(plain.read_bytes())
     assert len(list(iter_trace(mislabeled))) == 4
-
-
-def test_jsonl_writer_open_gz(tmp_path):
-    path = tmp_path / "stream.trace.jsonl.gz"
-    writer = JsonlTraceWriter.open(path, header=trace_header(seed=1))
-    for event in EVENTS:
-        writer.emit(event)
-    writer.close()
-    header, events = read_trace(path)
-    assert header["seed"] == 1
-    assert events == EVENTS
-
-
-def test_jsonl_writer_open_gz_empty_trace_has_header(tmp_path):
-    path = tmp_path / "empty.trace.jsonl.gz"
-    JsonlTraceWriter.open(path, header=trace_header(seed=1)).close()
-    header, events = read_trace(path)
-    assert header["type"] == "header"
-    assert events == []
 
 
 def test_run_cli_writes_gz_trace(tmp_path, capsys):

@@ -1,12 +1,8 @@
 """Tests for TraceRecorder retention, filtering, and hook wiring."""
 
-import io
-
-import pytest
-
 from repro.experiments import ScenarioConfig, build_scenario
 from repro.faults import FaultPlan, NodeCrash, NodeReboot
-from repro.obs import JsonlTraceWriter, TraceRecorder
+from repro.obs import TraceRecorder
 
 
 class StubSim:
@@ -23,25 +19,12 @@ def _fill(recorder, count):
         recorder.record("tx", i)
 
 
-def test_rejects_unknown_policy():
-    with pytest.raises(ValueError):
-        TraceRecorder(StubSim(), policy="middle")
-
-
 def test_oldest_policy_keeps_the_head():
-    recorder = TraceRecorder(StubSim(), max_events=5, policy="oldest")
+    recorder = TraceRecorder(StubSim(), max_events=5)
     _fill(recorder, 12)
     assert recorder.truncated
     assert recorder.recorded == 12
     assert [e.node for e in recorder.events] == [0, 1, 2, 3, 4]
-
-
-def test_newest_policy_keeps_the_tail():
-    recorder = TraceRecorder(StubSim(), max_events=5, policy="newest")
-    _fill(recorder, 12)
-    assert recorder.truncated
-    assert recorder.recorded == 12
-    assert [e.node for e in recorder.events] == [7, 8, 9, 10, 11]
 
 
 def test_unbounded_never_truncates():
@@ -52,24 +35,10 @@ def test_unbounded_never_truncates():
 
 
 def test_exactly_at_cap_is_not_truncated():
-    for policy in ("oldest", "newest"):
-        recorder = TraceRecorder(StubSim(), max_events=5, policy=policy)
-        _fill(recorder, 5)
-        assert not recorder.truncated
-        assert len(recorder.events) == 5
-
-
-def test_writer_receives_every_event_despite_cap():
-    """Spill-to-disk: the writer sees the full stream, the buffer is capped."""
-    stream = io.StringIO()
-    writer = JsonlTraceWriter(stream)
-    recorder = TraceRecorder(StubSim(), max_events=3, policy="oldest",
-                             writer=writer)
-    _fill(recorder, 10)
-    assert len(recorder.events) == 3
-    assert writer.events_written == 10
-    # header + one line per event
-    assert len(stream.getvalue().splitlines()) == 11
+    recorder = TraceRecorder(StubSim(), max_events=5)
+    _fill(recorder, 5)
+    assert not recorder.truncated
+    assert len(recorder.events) == 5
 
 
 def test_select_filters_compose():

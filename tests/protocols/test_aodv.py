@@ -1,9 +1,9 @@
 """Behavioural tests for the AODV baseline."""
 
+from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
 from repro.protocols.aodv import AodvConfig, AodvProtocol
 from repro.protocols.aodv.messages import AodvRreq
-from repro.routing import LoopChecker
 from tests.conftest import Network
 
 
@@ -145,15 +145,15 @@ def test_no_route_found_drops_buffer():
 def test_aodv_successor_graph_acyclic_under_churn():
     placement = StaticPlacement.grid(3, 3, spacing=200.0)
     net = Network(AodvProtocol, placement, seed=2)
-    checker = LoopChecker(list(net.protocols.values()),
-                          check_ordering=False).install()
+    monitor = InvariantMonitor(net.sim, net.protocols, check_ordering=False,
+                               strict=True).install()
     net.send(0, 8)
     net.send(6, 2)
     net.run(2.0)
     net.placement.move(4, 50000.0, 0.0)
     net.send(0, 8)
     net.run(5.0)
-    assert checker.checks_run > 0
+    assert monitor.checks_run > 0
 
 
 def test_own_sequence_value_reported():

@@ -1,9 +1,9 @@
 """Behavioural tests for the DUAL substrate."""
 
+from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
 from repro.protocols.dual import DualProtocol
 from repro.protocols.dual.protocol import INFINITY
-from repro.routing import LoopChecker
 from tests.conftest import Network
 
 
@@ -102,14 +102,14 @@ def test_route_repairs_after_node_returns():
 def test_successor_graph_acyclic_throughout_churn():
     placement = StaticPlacement.grid(3, 3, 200.0)
     net = Network(DualProtocol, placement, seed=4)
-    checker = LoopChecker(list(net.protocols.values()),
-                          check_ordering=False).install()
+    monitor = InvariantMonitor(net.sim, net.protocols, check_ordering=False,
+                               strict=True).install()
     net.run(8.0)
     net.placement.move(4, 50000.0, 0.0)
     net.run(10.0)
     net.placement.move(4, 200.0, 200.0)
     net.run(10.0)
-    assert checker.checks_run > 0
+    assert monitor.checks_run > 0
 
 
 def test_proactive_overhead_without_traffic():

@@ -1,9 +1,9 @@
 """Behavioural tests for the ROAM substrate."""
 
+from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
 from repro.protocols.roam import RoamConfig, RoamProtocol
 from repro.protocols.roam.protocol import INFINITY
-from repro.routing import LoopChecker
 from tests.conftest import Network
 
 
@@ -108,8 +108,8 @@ def test_route_expires_when_idle():
 def test_acyclic_under_churn():
     placement = StaticPlacement.grid(3, 3, 200.0)
     net = Network(RoamProtocol, placement, seed=6)
-    checker = LoopChecker(list(net.protocols.values()),
-                          check_ordering=False).install()
+    monitor = InvariantMonitor(net.sim, net.protocols, check_ordering=False,
+                               strict=True).install()
     net.run(2.0)
     net.send(0, 8)
     net.send(6, 2)
@@ -117,7 +117,7 @@ def test_acyclic_under_churn():
     net.placement.move(4, 50000.0, 0.0)
     net.send(0, 8)
     net.run(8.0)
-    assert checker.checks_run > 0
+    assert monitor.checks_run > 0
 
 
 def test_multiple_concurrent_searches():

@@ -1,10 +1,14 @@
-"""Unit tests for the successor-graph loop auditor."""
+"""Unit tests for the successor-graph loop audit.
+
+The engine functions are exercised directly; the tests at the end drive
+them through the strict :class:`~repro.faults.monitor.InvariantMonitor`,
+the one auditor that runs them.
+"""
 
 import pytest
 
+from repro.faults import InvariantMonitor, InvariantViolation
 from repro.routing.loopcheck import (
-    LoopChecker,
-    LoopError,
     first_breach,
     ownership_breaches,
     raise_ceiling,
@@ -28,6 +32,24 @@ class _FakeProtocol:
         return self._metrics.get(dst)
 
 
+class _Clock:
+    now = 0.0
+
+
+def _tables(*protos):
+    return {p.node_id: p for p in protos}
+
+
+def _breach(protos, check_ordering=True):
+    """The first loop/ordering breach toward destination 0, or None."""
+    return first_breach(_tables(*protos), 0, check_ordering=check_ordering)
+
+
+def _strict_monitor(protos, check_ordering=True):
+    return InvariantMonitor(_Clock(), _tables(*protos),
+                            check_ordering=check_ordering, strict=True)
+
+
 def test_acyclic_tree_passes():
     # 1 -> 2 -> 3 -> dst(0); 4 -> 2.
     protos = [
@@ -37,9 +59,7 @@ def test_acyclic_tree_passes():
         _FakeProtocol(3, {0: 0}),
         _FakeProtocol(4, {0: 2}),
     ]
-    checker = LoopChecker(protos, check_ordering=False)
-    checker.check_destination(0)
-    assert checker.checks_run == 1
+    assert _breach(protos, check_ordering=False) is None
 
 
 def test_two_node_loop_detected():
@@ -48,9 +68,7 @@ def test_two_node_loop_detected():
         _FakeProtocol(1, {0: 2}),
         _FakeProtocol(2, {0: 1}),
     ]
-    checker = LoopChecker(protos, check_ordering=False)
-    with pytest.raises(LoopError):
-        checker.check_destination(0)
+    assert _breach(protos, check_ordering=False).kind == "loop"
 
 
 def test_three_node_loop_detected():
@@ -60,19 +78,17 @@ def test_three_node_loop_detected():
         _FakeProtocol(2, {0: 3}),
         _FakeProtocol(3, {0: 1}),
     ]
-    with pytest.raises(LoopError):
-        LoopChecker(protos, check_ordering=False).check_destination(0)
+    assert _breach(protos, check_ordering=False).kind == "loop"
 
 
 def test_self_loop_detected():
     protos = [_FakeProtocol(0), _FakeProtocol(1, {0: 1})]
-    with pytest.raises(LoopError):
-        LoopChecker(protos, check_ordering=False).check_destination(0)
+    assert _breach(protos, check_ordering=False).kind == "loop"
 
 
 def test_dangling_successor_is_not_a_loop():
     protos = [_FakeProtocol(0), _FakeProtocol(1, {0: 99})]
-    LoopChecker(protos, check_ordering=False).check_destination(0)
+    assert _breach(protos, check_ordering=False) is None
 
 
 def test_ordering_violation_equal_sn_nondecreasing_fd():
@@ -82,8 +98,7 @@ def test_ordering_violation_equal_sn_nondecreasing_fd():
         _FakeProtocol(1, {0: 2}, {0: (5, 3, 4)}),
         _FakeProtocol(2, {0: 0}, {0: (5, 3, 3)}),
     ]
-    with pytest.raises(LoopError):
-        LoopChecker(protos, check_ordering=True).check_destination(0)
+    assert _breach(protos).kind == "ordering"
 
 
 def test_ordering_ok_with_decreasing_fd():
@@ -92,7 +107,7 @@ def test_ordering_ok_with_decreasing_fd():
         _FakeProtocol(1, {0: 2}, {0: (5, 3, 4)}),
         _FakeProtocol(2, {0: 0}, {0: (5, 2, 2)}),
     ]
-    LoopChecker(protos, check_ordering=True).check_destination(0)
+    assert _breach(protos) is None
 
 
 def test_ordering_ok_with_fresher_downstream_sn():
@@ -101,7 +116,7 @@ def test_ordering_ok_with_fresher_downstream_sn():
         _FakeProtocol(1, {0: 2}, {0: (5, 3, 4)}),
         _FakeProtocol(2, {0: 0}, {0: (6, 9, 9)}),  # newer sn resets fd
     ]
-    LoopChecker(protos, check_ordering=True).check_destination(0)
+    assert _breach(protos) is None
 
 
 def test_ordering_violation_older_downstream_sn():
@@ -110,8 +125,7 @@ def test_ordering_violation_older_downstream_sn():
         _FakeProtocol(1, {0: 2}, {0: (6, 3, 4)}),
         _FakeProtocol(2, {0: 0}, {0: (5, 1, 1)}),
     ]
-    with pytest.raises(LoopError):
-        LoopChecker(protos, check_ordering=True).check_destination(0)
+    assert _breach(protos).kind == "ordering"
 
 
 def test_loop_error_names_the_cycle():
@@ -121,8 +135,8 @@ def test_loop_error_names_the_cycle():
         _FakeProtocol(2, {0: 3}),
         _FakeProtocol(3, {0: 2}),  # 2 -> 3 -> 2, entered from 1
     ]
-    with pytest.raises(LoopError) as excinfo:
-        LoopChecker(protos, check_ordering=False).check_destination(0)
+    with pytest.raises(InvariantViolation) as excinfo:
+        _strict_monitor(protos, check_ordering=False).check_all([0])
     # The message pinpoints the cycle, not the entry path.
     assert "[2, 3, 2]" in str(excinfo.value)
 
@@ -135,8 +149,9 @@ def test_ordering_violation_mid_chain_detected():
         _FakeProtocol(2, {0: 3}, {0: (7, 3, 3)}),
         _FakeProtocol(3, {0: 0}, {0: (6, 1, 1)}),  # down_sn < up_sn
     ]
-    with pytest.raises(LoopError):
-        LoopChecker(protos, check_ordering=True).check_destination(0)
+    breach = _breach(protos)
+    assert breach.kind == "ordering"
+    assert "2(sn=7) uses 3(sn=6)" in breach.detail
 
 
 def test_ordering_violation_recorded_in_violations_list():
@@ -145,10 +160,12 @@ def test_ordering_violation_recorded_in_violations_list():
         _FakeProtocol(1, {0: 2}, {0: (6, 3, 4)}),
         _FakeProtocol(2, {0: 0}, {0: (5, 1, 1)}),
     ]
-    checker = LoopChecker(protos, check_ordering=True)
-    with pytest.raises(LoopError):
-        checker.check_destination(0)
-    assert checker.violations == [(1, 2, 0)]
+    monitor = _strict_monitor(protos)
+    with pytest.raises(InvariantViolation):
+        monitor.check_all([0])
+    # Recorded before raising, so callers that absorb the error see it.
+    assert monitor.violations == [
+        (0.0, "ordering", "ordering violated toward 0: 1(sn=6) uses 2(sn=5)")]
 
 
 def test_equal_sn_equal_fd_is_a_violation():
@@ -159,20 +176,19 @@ def test_equal_sn_equal_fd_is_a_violation():
         _FakeProtocol(1, {0: 2}, {0: (5, 3, 4)}),
         _FakeProtocol(2, {0: 0}, {0: (5, 3, 3)}),
     ]
-    with pytest.raises(LoopError):
-        LoopChecker(protos, check_ordering=True).check_destination(0)
+    assert _breach(protos).kind == "ordering"
 
 
 def test_early_advance_then_fd_ordering_resumes_downstream():
     # 2 advanced past 1 (down_sn > up_sn: benign), and 2 -> 3 must again
-    # satisfy the equal-sn strict-fd decrease.  Nothing raises here.
+    # satisfy the equal-sn strict-fd decrease.  Nothing breaches here.
     protos = [
         _FakeProtocol(0),
         _FakeProtocol(1, {0: 2}, {0: (5, 3, 4)}),
         _FakeProtocol(2, {0: 3}, {0: (6, 9, 9)}),
         _FakeProtocol(3, {0: 0}, {0: (6, 2, 2)}),
     ]
-    LoopChecker(protos, check_ordering=True).check_destination(0)
+    assert _breach(protos) is None
 
 
 def test_missing_metric_skips_ordering_but_still_walks():
@@ -183,8 +199,7 @@ def test_missing_metric_skips_ordering_but_still_walks():
         _FakeProtocol(1, {0: 2}),  # no metrics at all
         _FakeProtocol(2, {0: 1}),
     ]
-    with pytest.raises(LoopError):
-        LoopChecker(protos, check_ordering=True).check_destination(0)
+    assert _breach(protos).kind == "loop"
 
 
 def test_hop_into_destination_is_not_ordering_checked():
@@ -194,7 +209,7 @@ def test_hop_into_destination_is_not_ordering_checked():
         _FakeProtocol(0, {}, {0: (0, 0, 0)}),
         _FakeProtocol(1, {0: 0}, {0: (9, 1, 1)}),
     ]
-    LoopChecker(protos, check_ordering=True).check_destination(0)
+    assert _breach(protos) is None
 
 
 def test_check_ordering_false_ignores_metric_violations():
@@ -203,40 +218,32 @@ def test_check_ordering_false_ignores_metric_violations():
         _FakeProtocol(1, {0: 2}, {0: (6, 3, 4)}),
         _FakeProtocol(2, {0: 0}, {0: (5, 1, 1)}),  # would violate ordering
     ]
-    checker = LoopChecker(protos, check_ordering=False)
-    checker.check_destination(0)
-    assert checker.violations == []
+    monitor = _strict_monitor(protos, check_ordering=False)
+    monitor.check_all([0])
+    assert monitor.violations == []
 
 
 def test_install_wires_hooks():
     protos = [_FakeProtocol(0), _FakeProtocol(1, {0: 0})]
-    checker = LoopChecker(protos, check_ordering=False).install()
+    monitor = _strict_monitor(protos, check_ordering=False).install()
     assert all(p.table_change_hook is not None for p in protos)
     protos[1].table_change_hook(protos[1], 0)
-    assert checker.checks_run == 1
+    assert monitor.checks_run == 1
 
 
 def test_check_all_covers_destinations():
     protos = [_FakeProtocol(0), _FakeProtocol(1, {0: 0, 2: 0}), _FakeProtocol(2)]
-    checker = LoopChecker(protos, check_ordering=False)
-    checker.check_all([0, 2])
-    assert checker.checks_run == 2
+    monitor = _strict_monitor(protos, check_ordering=False)
+    monitor.check_all([0, 2])
+    assert monitor.checks_run == 2
 
 
-# -- the module-level engine the monitor and the replay share -------------
-
-
-def _tables(*protos):
-    return {p.node_id: p for p in protos}
-
-
-def test_first_breach_reports_kind_detail_and_edge():
+def test_first_breach_reports_kind_and_detail():
     tables = _tables(_FakeProtocol(0), _FakeProtocol(1, {0: 2}),
                      _FakeProtocol(2, {0: 1}))
     breach = first_breach(tables, 0, check_ordering=False)
     assert breach.kind == "loop"
     assert breach.detail == "routing loop for destination 0: [1, 2, 1]"
-    assert breach.edge == (1, 1, 0)
     assert first_breach(_tables(_FakeProtocol(0)), 0) is None
 
 

@@ -1,8 +1,8 @@
 """Tests for the trace recorder."""
 
 from repro.experiments import ScenarioConfig, build_scenario
+from repro.faults import InvariantMonitor
 from repro.obs import TraceRecorder
-from repro.routing import LoopChecker
 
 
 def _scenario():
@@ -68,9 +68,10 @@ def test_max_events_truncates():
 def test_loop_checker_still_runs_when_traced():
     """The recorder chains, not replaces, existing table-change hooks."""
     scenario = _scenario()
-    checker = LoopChecker(scenario.protocols.values()).install()
-    # The recorder installs after the checker; chaining must preserve it.
+    monitor = InvariantMonitor(scenario.sim, scenario.protocols,
+                               strict=True).install()
+    # The recorder installs after the monitor; chaining must preserve it.
     trace = TraceRecorder(scenario.sim).install(scenario)
     scenario.run()
-    assert checker.checks_run > 0
+    assert monitor.checks_run > 0
     assert trace.select(kind="route")

@@ -1,8 +1,9 @@
 """Cycle-detector unit tests: hand-built route-event streams.
 
-These exercise :class:`ReplayChecker` in isolation — no simulator, no
-monitor — on tiny synthetic traces, so the loop/ordering/ownership logic
-is pinned independently of the end-to-end agreement tests.
+These exercise the offline replay in isolation — no simulator, just the
+invariant monitor driven from tiny synthetic traces — so the
+loop/ordering/ownership logic is pinned independently of the end-to-end
+agreement tests.
 """
 
 from repro.obs.events import TraceEvent
@@ -89,7 +90,7 @@ def test_persisting_loop_is_refound_by_the_end_sweep():
 
 def test_at_most_one_loop_per_audit():
     # Two disjoint loops toward the same destination: the walk stops at
-    # the first breach per table change, mirroring LoopError semantics.
+    # the first breach per table change, as the live monitor records it.
     events = [
         route(1.0, 0, 4, 1), route(1.5, 3, 4, 3),   # self-loop at t=1.5
         route(2.0, 1, 4, 0),                        # 0<->1 loop at t=2.0

@@ -90,23 +90,19 @@ def test_agreement_across_fault_shapes(tmp_path, plan_name):
 def test_dropped_prefix_loop_is_never_certified(tmp_path):
     """Retention cap drops the loop's route events: refuse to certify.
 
-    ce-aodv-1 on AODV forms its loop around t=5.4; a ``newest``-policy
-    ring small enough to drop those events leaves a retained suffix with
-    no loop evidence.  The only sound verdict for that artifact is
+    ce-aodv-1 on AODV forms its loop at t=5.40089, in the 63rd event of
+    its trace; an oldest-first cap of 60 events keeps a head with no loop
+    evidence.  The only sound verdict for that artifact is
     ``inconclusive`` — an ``immune`` here would silently certify a trace
-    that *contains* a loop.
+    whose run *contains* a loop.
     """
-    from collections import deque
-
     from repro.verify import load_suite
 
     ce = load_suite()["ce-aodv-1"]
     config = ce.config("aodv", trace=True)
     scenario = build_scenario(config)
     recorder = scenario.trace
-    recorder.policy = "newest"
-    recorder.max_events = 40
-    recorder.events = deque(maxlen=40)
+    recorder.max_events = 60
     scenario.run()
     assert scenario.monitor.summary().get("loop")   # the loop DID happen
     assert recorder.truncated
@@ -115,9 +111,10 @@ def test_dropped_prefix_loop_is_never_certified(tmp_path):
     write_trace(path, recorder, header=trace_header(
         config=config, destinations=[2]))
     result = replay_trace(path)
+    assert result.violations == []     # the retained head shows no loop
     assert result.truncated is True
     assert result.verdict == "inconclusive"
     assert result.agreement is None
-    # Header bookkeeping: every event was counted even though most fell
-    # out of the ring.
-    assert result.header["recorded"] > 40
+    # Header bookkeeping: every event was counted even though most were
+    # dropped by the cap.
+    assert result.header["recorded"] > 60
