@@ -72,8 +72,9 @@ class MetricsCollector:
         else:
             self.data_transmissions += 1
 
-    def on_mac_receive(self, node_id, frame):
-        self.mac_receptions += 1
+    def on_mac_receive(self, frame, count):
+        """``count`` radios decoded ``frame`` (one completion batch)."""
+        self.mac_receptions += count
 
     def on_queue_drop(self, node_id, packet):
         self.queue_drops += 1

@@ -10,6 +10,10 @@ starts.  Reception fails when
 
 Carrier is signalled to all nodes in range so their MACs defer (CSMA).
 
+Each ``transmit`` makes one :class:`_Airing` record, shared by every
+receiver's copy, and each receiving radio keeps its own collision state
+(:meth:`~repro.net.mac.CsmaMac.hear`).
+
 Positions come from the mobility model; a transmission uses the positions
 at its start time.  This matches the granularity of packet-level simulators
 such as GloMoSim: links do not flip mid-frame.
@@ -52,15 +56,19 @@ class FuzzDecision:
         self.duplicate = duplicate
 
 
-class Reception:
-    """Book-keeping for one frame arriving at one receiver."""
+class _Airing:
+    """One frame on the air: every receiver's copy shares this record."""
 
-    __slots__ = ("frame", "end", "corrupted")
+    __slots__ = ("frame", "end", "corrupt", "decoded")
 
-    def __init__(self, frame, end, corrupted=False):
+    def __init__(self, frame, end):
         self.frame = frame
         self.end = end
-        self.corrupted = corrupted
+        # Receiver ids whose copy is corrupted (collision, half duplex or
+        # fuzz); a fuzz duplicate shares its receiver's entry.
+        self.corrupt = set()
+        # A unicast's destination decoded it (the abstracted ACK's answer).
+        self.decoded = False
 
 
 class WirelessChannel:
@@ -81,10 +89,9 @@ class WirelessChannel:
         # (tests/net/test_spatial_equivalence.py).
         self.index = index(sim, mobility, self.range)
         self.nodes = {}
-        # receiver id -> list of in-flight Reception records
-        self._receptions = {}
         # Observers called as fn(sender_id, frame, receiver_ids) on each
-        # transmission; used by metrics and by tests.
+        # transmission; used by metrics and by tests.  receiver_ids is
+        # the frame's completion batch too: observers must not mutate it.
         self.observers = []
         # Fault seams: unordered node pairs whose link is administratively
         # down, and an optional per-reception fuzzer installed by the
@@ -96,7 +103,6 @@ class WirelessChannel:
     def attach(self, node):
         """Register a node; called by :class:`~repro.net.node.Node`."""
         self.nodes[node.node_id] = node
-        self._receptions[node.node_id] = []
         self.index.attach(node.node_id)
 
     def deny_link(self, a, b):
@@ -126,26 +132,15 @@ class WirelessChannel:
         t = self.sim.now if at_time is None else at_time
         if self._prof is not None:
             self._prof.count("channel.neighbor_queries")
-        # Same filters as _is_alive/link_allowed, inlined: this loop runs
-        # for every candidate of every transmit and the per-candidate
-        # method calls were a measurable slice of whole-trial time.
+        # Same filters as _is_alive/link_allowed, inlined: this runs for
+        # every candidate of every transmit.  The index only returns
+        # attached ids, so every candidate has a node.
         nodes = self.nodes
         denied = self._denied_links
-        result = []
-        if denied:
-            for other_id in self.index.near(node_id, t):
-                node = nodes.get(other_id)
-                if node is None or not node.alive:
-                    continue
-                if frozenset((node_id, other_id)) in denied:
-                    continue
-                result.append(other_id)
-        else:
-            for other_id in self.index.near(node_id, t):
-                node = nodes.get(other_id)
-                if node is not None and node.alive:
-                    result.append(other_id)
-        return result
+        return [other_id for other_id in self.index.near(node_id, t)
+                if nodes[other_id].alive
+                and not (denied
+                         and frozenset((node_id, other_id)) in denied)]
 
     def in_range(self, a, b, at_time=None):
         """True when nodes ``a`` and ``b`` can currently hear each other."""
@@ -164,9 +159,10 @@ class WirelessChannel:
 
         Returns the list of receiver ids the frame was launched toward
         (successful decoding is decided when each reception completes).
-        For unicast frames the sender's MAC is told the outcome via
-        ``on_tx_outcome(frame, success)`` once the frame (plus an
-        abstracted ACK turnaround) completes.
+        The list is also the frame's completion batch, so callers and
+        observers must not mutate it.  For unicast frames the sender's
+        MAC is told the outcome via ``on_tx_outcome(frame, success)``
+        once the frame (plus an abstracted ACK turnaround) completes.
         """
         now = self.sim.now
         end = now + duration
@@ -183,123 +179,112 @@ class WirelessChannel:
         for obs in self.observers:
             obs(sender_id, frame, receiver_ids)
 
-        unicast_result = {"decoded": False}
-        if (not frame.is_broadcast and frame.link_dst in self.nodes
-                and self._is_alive(frame.link_dst)
-                and self.link_allowed(sender_id, frame.link_dst)):
+        nodes = self.nodes
+        link_dst = frame.link_dst
+        if (link_dst is not None and link_dst in nodes
+                and self._is_alive(link_dst)
+                and self.link_allowed(sender_id, link_dst)):
             # Virtual RTS/CTS: 802.11 protects unicast exchanges against
             # hidden terminals by having the receiver's neighborhood defer
             # (the CTS).  Model that by NAV-ing the destination's neighbors
             # for the exchange, even those the sender cannot reach.
-            for nid in self.neighbors_of(frame.link_dst):
+            for nid in self.neighbors_of(link_dst):
                 if nid != sender_id:
-                    self.nodes[nid].mac.set_nav(end)
-        # All on-time receptions of this frame complete at the same
-        # instant, and their completion events were always scheduled
-        # back-to-back (consecutive sequence numbers, so nothing can ever
-        # interleave between them).  Fold them into ONE event carrying
-        # the whole batch: per-receiver delivery order is the list order,
-        # which is exactly the order the individual events fired in, and
-        # the event count per transmission drops from O(receivers) to 1 —
-        # the single biggest event-queue load in dense scenarios.  Only
-        # fuzz-delayed and duplicated receptions (strictly later times)
-        # keep their own events, each a one-element batch.
-        batch = []
-        nodes = self.nodes
-        receptions = self._receptions
+                    nodes[nid].mac.set_nav(end)
+        # Every receiver's radio hears the frame: CSMA carrier (it defers
+        # until the frame ends), half duplex, and mutual corruption with
+        # any reception it has in flight.
+        airing = _Airing(frame, end)
         fuzz_fn = self.fuzz_fn
-        schedule = self.sim.schedule
-        for rid in receiver_ids:
-            # CSMA carrier (everyone in range defers until the frame
-            # ends) fused with the half-duplex check.
-            corrupted = nodes[rid].mac.sense_carrier(end, now)
-            ongoing = receptions[rid]
-            for other in ongoing:
-                if other.end > now:  # overlap -> mutual corruption
-                    other.corrupted = True
-                    corrupted = True
-            extra_delay = 0.0
-            duplicate = False
-            if fuzz_fn is not None:
+        if fuzz_fn is None:
+            for rid in receiver_ids:
+                nodes[rid].mac.hear(airing, now)
+            batch = receiver_ids
+        else:
+            corrupt = airing.corrupt
+            schedule = self.sim.schedule
+            batch = []
+            for rid in receiver_ids:
+                nodes[rid].mac.hear(airing, now)
+                extra_delay = 0.0
+                duplicate = False
                 fuzz = fuzz_fn(sender_id, rid, frame)
                 if fuzz is not None:
-                    corrupted = corrupted or fuzz.corrupt
+                    if fuzz.corrupt:
+                        corrupt.add(rid)
                     extra_delay = max(0.0, fuzz.delay)
                     duplicate = fuzz.duplicate
-            rec = Reception(frame, end, corrupted)
-            ongoing.append(rec)
-            if extra_delay > 0.0:
-                schedule(
-                    duration + PROPAGATION_DELAY + extra_delay,
-                    self._complete_batch, [(rid, rec)], unicast_result,
-                )
-            else:
-                batch.append((rid, rec))
-            if duplicate and not corrupted:
-                # A fuzzed duplicate: the same frame decodes twice, a bit
-                # later, as if a stale copy echoed through the medium.
-                dup = Reception(frame, end, False)
-                ongoing.append(dup)
-                schedule(
-                    duration + 2 * PROPAGATION_DELAY + extra_delay,
-                    self._complete_batch, [(rid, dup)], unicast_result,
-                )
+                if extra_delay > 0.0:
+                    schedule(duration + PROPAGATION_DELAY + extra_delay,
+                             self._complete_batch, airing, [rid])
+                else:
+                    batch.append(rid)
+                if duplicate and rid not in corrupt:
+                    # A fuzzed duplicate: the same frame decodes twice, a
+                    # bit later, as if a stale copy echoed through the
+                    # medium.
+                    schedule(duration + 2 * PROPAGATION_DELAY + extra_delay,
+                             self._complete_batch, airing, [rid])
+        # All on-time receptions of this frame complete at the same
+        # instant, so ONE event carries the whole batch: per-receiver
+        # delivery order is the list order, and the event count per
+        # transmission is 1 instead of O(receivers) — the single biggest
+        # event-queue load in dense scenarios.  Only fuzz-delayed and
+        # duplicated receptions (strictly later times) get their own
+        # events, each a one-element batch.
         if batch:
-            self.sim.schedule(
-                duration + PROPAGATION_DELAY,
-                self._complete_batch, batch, unicast_result,
-            )
+            self.sim.schedule(duration + PROPAGATION_DELAY,
+                              self._complete_batch, airing, batch)
 
-        if not frame.is_broadcast:
+        if link_dst is not None:
             # Abstracted ACK: the sender learns the outcome shortly after the
             # frame ends.  If the destination was out of range it never
             # decodes, so 'decoded' stays False.
-            sender = self.nodes[sender_id]
-            self.sim.schedule(
-                duration + 2 * PROPAGATION_DELAY,
-                self._report_unicast,
-                sender,
-                frame,
-                unicast_result,
-            )
+            self.sim.schedule(duration + 2 * PROPAGATION_DELAY,
+                              self._report_unicast, nodes[sender_id], airing)
         return receiver_ids
 
-    def _complete_batch(self, batch, unicast_result):
-        """Complete a batch of ``(receiver_id, reception)`` pairs of one
-        frame, in list order: every on-time reception in the order the
-        receivers were enumerated at transmit time, or one fuzz-delayed
-        or duplicated reception.
+    def _complete_batch(self, airing, batch):
+        """Complete ``airing`` at the receiver ids in ``batch``, in list
+        order: every on-time reception in the order the receivers were
+        enumerated at transmit time, or one fuzz-delayed or duplicated
+        reception.
 
-        Every reception in a batch carries the same frame, so its
-        addressing is resolved once instead of per receiver.
+        Every decoded copy reaches the protocol through
+        :meth:`~repro.net.mac.CsmaMac.handle_frame`; the MAC's receive
+        counters are bumped once per batch.
         """
-        receptions = self._receptions
-        nodes = self.nodes
-        frame = batch[0][1].frame
+        frame = airing.frame
+        corrupt = airing.corrupt
         link_dst = frame.link_dst
-        is_broadcast = link_dst is None
-        packet = frame.packet
-        sender = frame.sender
-        for receiver_id, rec in batch:
-            try:
-                receptions[receiver_id].remove(rec)
-            except ValueError:
-                pass
-            if rec.corrupted:
+        nodes = self.nodes
+        heard = 0
+        mac = None
+        for receiver_id in batch:
+            if receiver_id in corrupt:
                 continue
             receiver = nodes[receiver_id]
             if not receiver.alive:
                 # Crashed while the frame was in flight: nothing decodes,
                 # and a unicast toward it is never acknowledged.
                 continue
-            if is_broadcast or link_dst == receiver_id:
-                if link_dst == receiver_id:
-                    unicast_result["decoded"] = True
-                receiver.mac.handle_frame(frame)
+            if link_dst is None or link_dst == receiver_id:
+                if link_dst is not None:
+                    airing.decoded = True
+                mac = receiver.mac
+                if mac.handle_frame(frame):
+                    heard += 1
             elif receiver.mac.promiscuous_fn is not None:
                 # Frames addressed to others reach promiscuous listeners
                 # (DSR-style snooping: route shortening, cache learning).
-                receiver.mac.promiscuous_fn(packet, sender, link_dst)
+                receiver.mac.promiscuous_fn(frame.packet, frame.sender,
+                                            link_dst)
+        if heard:
+            if self._prof is not None:
+                self._prof.count("mac.frames_rx", heard)
+            # Every radio on a channel reports to the one collector.
+            if mac.metrics is not None:
+                mac.metrics.on_mac_receive(frame, heard)
 
-    def _report_unicast(self, sender, frame, unicast_result):
-        sender.mac.on_tx_outcome(frame, unicast_result["decoded"])
+    def _report_unicast(self, sender, airing):
+        sender.mac.on_tx_outcome(airing.frame, airing.decoded)

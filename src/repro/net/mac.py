@@ -85,6 +85,11 @@ class CsmaMac:
         self._tx_end = 0.0
         self._wait_event = None
         self.down = False  # True while the node is crashed
+        # Reception state, kept across crash and reboot like the medium
+        # itself: the latest end of any frame this radio has heard, and
+        # the one airing it may still be receiving cleanly (see hear).
+        self._rx_end = 0.0
+        self._rx_clean = None
 
     # ------------------------------------------------------------------
     # upper-layer API
@@ -146,28 +151,43 @@ class CsmaMac:
         if busy_until > self._nav:
             self._nav = busy_until
 
-    def is_transmitting(self):
-        return self._current is not None and self.sim.now < self._tx_end
+    def hear(self, airing, now):
+        """Channel signal: ``airing`` starts reaching this radio at ``now``.
 
-    def sense_carrier(self, busy_until, now):
-        """Fused ``set_nav`` + ``is_transmitting`` for the channel's
-        per-receiver loop: signal the medium busy until ``busy_until``
-        and report whether this radio is itself mid-transmission at
-        ``now`` (half duplex: it then cannot decode the frame)."""
-        if busy_until > self._nav:
-            self._nav = busy_until
-        return self._current is not None and now < self._tx_end
+        The medium is busy until the frame ends (CSMA).  The copy is lost
+        if the radio is transmitting (half duplex) or already receiving
+        (no capture: the frame in flight is lost too).  Overlapping
+        receptions are always both lost, so at most one in flight is
+        clean: ``_rx_clean``, the latest arrival if neither applied to it.
+        Something is in flight exactly when ``_rx_end > now``.
+        """
+        end = airing.end
+        if end > self._nav:
+            self._nav = end
+        if self._rx_end > now:
+            ongoing = self._rx_clean
+            if ongoing is not None:
+                ongoing.corrupt.add(self.node_id)
+            airing.corrupt.add(self.node_id)
+            self._rx_clean = None
+        elif self._current is not None and now < self._tx_end:
+            airing.corrupt.add(self.node_id)
+            self._rx_clean = None
+        else:
+            self._rx_clean = airing
+        if end > self._rx_end:
+            self._rx_end = end
 
     def handle_frame(self, frame):
-        """A frame addressed to us (or broadcast) decoded successfully."""
+        """A frame addressed to us (or broadcast) decoded successfully.
+
+        Returns False when the radio is down and the frame is lost.
+        """
         if self.down:
-            return
-        if self._prof is not None:
-            self._prof.count("mac.frames_rx")
-        if self.metrics is not None:
-            self.metrics.on_mac_receive(self.node_id, frame)
+            return False
         if self.receive_fn is not None:
             self.receive_fn(frame.packet, frame.sender)
+        return True
 
     def on_tx_outcome(self, frame, decoded):
         """Channel reports whether our unicast was decoded by its next hop."""

@@ -9,8 +9,8 @@ package provides it:
 * :mod:`repro.obs.recorder` — :class:`TraceRecorder`, which instruments
   a scenario (channel, nodes, protocols, fault injector, invariant
   monitor) and records the event stream, keeping at most ``max_events``.
-* :mod:`repro.obs.writer` / :mod:`repro.obs.reader` — streaming JSONL
-  trace files; byte-identical for identical ``(config, seed, fault_plan)``.
+* :mod:`repro.obs.writer` / :mod:`repro.obs.reader` — JSONL trace
+  files; byte-identical for identical ``(config, seed, fault_plan)``.
 * :mod:`repro.obs.profile` — the :class:`Profiler` counter/timer registry
   every :class:`~repro.sim.simulator.Simulator` carries (hot-path
   counters are deterministic, wall-clock phase timers are host-side
@@ -24,11 +24,10 @@ from repro.obs.events import EVENT_KINDS, SCHEMA_VERSION, TraceEvent, jsonable
 from repro.obs.profile import Profiler, StackSampler
 from repro.obs.reader import TraceError, iter_trace, read_trace, trace_ok
 from repro.obs.recorder import TraceRecorder
-from repro.obs.writer import JsonlTraceWriter, trace_header, write_trace
+from repro.obs.writer import trace_header, write_trace
 
 __all__ = [
     "EVENT_KINDS",
-    "JsonlTraceWriter",
     "Profiler",
     "SCHEMA_VERSION",
     "StackSampler",

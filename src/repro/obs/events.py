@@ -98,8 +98,10 @@ class TraceEvent:
         return hash(self.canonical())
 
     def __repr__(self):
+        # Fault and violation events belong to no node.
+        node = "-" if self.node is None else self.node
         return "[{:10.6f}] {:<9} node={:<4} {}".format(
-            self.time, self.kind, self.node, self.detail
+            self.time, self.kind, node, self.detail
         )
 
 

@@ -1,4 +1,4 @@
-"""Streaming JSONL trace output.
+"""JSONL trace output.
 
 File format (JSON Lines): one header object, then one object per event,
 all in canonical form (sorted keys, compact separators).  The header
@@ -68,34 +68,6 @@ def trace_header(config=None, seed=None, **extra):
     return header
 
 
-def _dumps(doc):
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-class JsonlTraceWriter:
-    """Writes a canonical JSONL trace to an open text stream."""
-
-    def __init__(self, stream, header=None):
-        self.stream = stream
-        self._header_written = False
-        self._header = header if header is not None else trace_header()
-
-    def write_header(self):
-        if not self._header_written:
-            self.stream.write(_dumps(self._header) + "\n")
-            self._header_written = True
-
-    def emit(self, event):
-        """Append one :class:`~repro.obs.events.TraceEvent`."""
-        self.write_header()
-        self.stream.write(event.canonical() + "\n")
-
-    def close(self):
-        """Flush the header even for empty traces; close the stream."""
-        self.write_header()
-        self.stream.close()
-
-
 def write_trace(path, events, header=None):
     """Atomically write ``events`` (any iterable of TraceEvents) to ``path``.
 
@@ -108,10 +80,10 @@ def write_trace(path, events, header=None):
     or a campaign worker racing another on a shared artifact directory —
     never observes a torn trace.  Returns the number of events written.
     """
+    header = dict(header) if header is not None else trace_header()
     if hasattr(events, "events"):
         recorder = events
         events = recorder.events
-        header = dict(header) if header is not None else trace_header()
         header["truncated"] = bool(getattr(recorder, "truncated", False))
         header["recorded"] = int(
             getattr(recorder, "recorded", len(events))
@@ -124,11 +96,11 @@ def write_trace(path, events, header=None):
     try:
         stream = _open_text_for_write(tmp)
         try:
-            writer = JsonlTraceWriter(stream, header=header)
-            writer.write_header()
+            stream.write(json.dumps(header, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
             count = 0
             for event in events:
-                writer.emit(event)
+                stream.write(event.canonical() + "\n")
                 count += 1
         finally:
             stream.close()

@@ -63,7 +63,7 @@ def test_drop_reasons_tallied():
 def test_mac_events():
     collector = MetricsCollector()
     frame = Frame(_data(), 0, 1)
-    collector.on_mac_receive(1, frame)
+    collector.on_mac_receive(frame, 1)
     collector.on_queue_drop(0, frame.packet)
     collector.on_mac_give_up(0, frame.packet)
     assert collector.mac_receptions == 1

@@ -2,12 +2,15 @@
 ``repro trace`` inspection subcommands."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.__main__ import main
 
 TINY = ["--nodes", "10", "--flows", "2", "--duration", "6", "--seed", "3"]
+CHURN_PLAN = (pathlib.Path(__file__).resolve().parents[2] / "examples"
+              / "churn_plan.json")
 
 
 def _make_trace(path, protocol="ldr", extra=()):
@@ -52,6 +55,20 @@ def test_trace_show_filters(tmp_path, capsys):
     assert out
     for line in out.splitlines():
         assert "route" in line
+
+
+def test_trace_show_renders_fault_events(tmp_path, capsys):
+    # Fault events belong to no node; the churn plan's blackout (10 s)
+    # and crash (15 s) fall inside the run.
+    path = tmp_path / "churn.jsonl"
+    assert main(["run", "--protocol", "ldr", "--nodes", "20", "--flows", "2",
+                 "--duration", "16", "--seed", "3", "--faults",
+                 str(CHURN_PLAN), "--trace", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["trace", "show", str(path), "--kind", "fault"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) >= 2
+    assert all(" fault " in line and "node=- " in line for line in lines)
 
 
 def test_trace_routes_replays_sn_fd_d_triplets(tmp_path, capsys):
