@@ -44,10 +44,16 @@ def test_header_line_is_first_and_canonical(tmp_path):
     assert first == json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def test_writer_flushes_header_for_empty_trace(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    assert write_trace(path, []) == 0
+    # one JSON document: the header alone
+    assert json.loads(path.read_text())["type"] == "header"
+
+
 def test_empty_trace_file_round_trips(tmp_path):
     path = tmp_path / "empty.jsonl"
     assert write_trace(path, []) == 0
-    assert len(path.read_text().splitlines()) == 1  # the header alone
     header, events = read_trace(path)
     assert header["type"] == "header"
     assert events == []
