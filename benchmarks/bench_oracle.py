@@ -1,12 +1,10 @@
 """Oracle bound + coordination cost (contextualizes Figures 2–5).
 
-Two measurements beyond the paper:
-
-* the **oracle** (god-view shortest paths, zero control traffic) bounds
-  what any protocol could deliver on each scenario — protocol-induced loss
-  is the gap to the oracle, not to 1.0;
-* **DUAL** and **TORA**, the coordination-based loop-free alternatives the
-  paper's introduction argues against, measured on the same workload.
+A measurement beyond the paper: the **oracle** (god-view shortest paths,
+zero control traffic) bounds what any protocol could deliver on each
+scenario, so protocol-induced loss is the gap to the oracle, not to 1.0.
+LDR and AODV run on the same workload beside it; the net-load column is
+the control traffic each pays for its deliveries.
 """
 
 from benchmarks.conftest import bench_campaign, save_result
@@ -14,7 +12,7 @@ from repro.analysis import connectivity_ratio
 from repro.experiments.campaigns import node_scenario
 from repro.experiments.scenario import build_scenario, run_scenario
 
-PROTOCOLS = ("oracle", "ldr", "aodv", "roam", "tora", "dual")
+PROTOCOLS = ("oracle", "ldr", "aodv")
 
 
 def _rows(campaign):
@@ -45,8 +43,5 @@ def test_oracle_bound_and_coordination_cost(benchmark):
     save_result("oracle_bound", "\n".join(lines))
 
     results = {protocol: delivery for protocol, delivery, _, _ in rows}
-    # Nothing beats the oracle, and on-demand LDR beats coordinated DUAL's
-    # overhead by a wide margin.
+    # Nothing beats the oracle.
     assert results["oracle"] >= max(results.values()) - 1e-9
-    loads = {protocol: load for protocol, _, load, _ in rows}
-    assert loads["dual"] > 3 * loads["ldr"]

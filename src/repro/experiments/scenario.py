@@ -18,16 +18,10 @@ from repro.protocols import (
     AodvProtocol,
     DsrConfig,
     DsrProtocol,
-    DualConfig,
-    DualProtocol,
     OlsrConfig,
     OlsrProtocol,
     OracleConfig,
     OracleProtocol,
-    RoamConfig,
-    RoamProtocol,
-    ToraConfig,
-    ToraProtocol,
 )
 from repro.sim import Simulator
 from repro.traffic import TrafficGenerator
@@ -54,11 +48,8 @@ CONFIG_CLASSES = {
         LdrConfig,
         AodvConfig,
         DsrConfig,
-        DualConfig,
         OlsrConfig,
         OracleConfig,
-        RoamConfig,
-        ToraConfig,
         MacConfig,
     )
 }
@@ -112,9 +103,6 @@ PROTOCOLS = {
     "dsr": (DsrProtocol, DsrConfig),
     "dsr7": (DsrProtocol, _dsr_draft7_config),
     "olsr": (OlsrProtocol, OlsrConfig),
-    "dual": (DualProtocol, DualConfig),
-    "tora": (ToraProtocol, ToraConfig),
-    "roam": (RoamProtocol, RoamConfig),
     "oracle": (OracleProtocol, OracleConfig),
 }
 

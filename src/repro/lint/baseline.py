@@ -1,11 +1,10 @@
 """The committed findings baseline (``lint_baseline.json``).
 
 A whole-program rule landing on a mature tree inevitably finds things the
-team decides are *correct as written* — DUAL's diffusing-computation
-termination resets the feasible distance without a feasibility comparison
-because that is what DUAL's coordination discipline prescribes, not
-because a guard was forgotten.  Deleting the rule would lose its
-protection everywhere else; suppressing inline would scatter waivers
+team decides are *correct as written* — OLSR hands its own per-node RNG
+stream to the shared jitter queue in ``net/``, a layer crossing that is
+deliberate delegation, not a leaked stream.  Deleting the rule would lose
+its protection everywhere else; suppressing inline would scatter waivers
 through protocol code.  The baseline pins those accepted findings in one
 reviewed, committed file:
 

@@ -2,18 +2,18 @@
 
 The paper's loop-freedom argument (Theorems 2 and 4) is a statement
 about *when* a node may change its successor or feasible distance: only
-after the (sn, fd, d) feasibility conditions — NDC for LDR, SNC for the
-DUAL/ROAM family — have been checked against the advertisement being
-adopted.  The runtime invariant monitor verifies the *consequences* of
-every change; this rule verifies the *precondition* statically, so a
+after the (sn, fd, d) feasibility conditions (NDC) have been checked
+against the advertisement being adopted.  The runtime invariant monitor
+verifies the *consequences* of every change; this rule verifies the
+*precondition* statically, so a
 feasibility guard deleted or bypassed in a refactor fails the build
 instead of waiting for a topology that happens to exercise the loop.
 
 Mechanically it is a pragmatic dominator analysis over the AST: for each
 assignment to a guarded routing field (``successor``/``next_hop``/``fd``)
 in a feasibility protocol (one whose ``route_metric`` returns the real
-``(sn, fd, d)`` triple — LDR, DUAL, ROAM; AODV and friends return None
-and opt out), the statements that dominate the write are its preceding
+``(sn, fd, d)`` triple — LDR; AODV and friends return None and opt
+out), the statements that dominate the write are its preceding
 siblings in every enclosing block plus the tests of enclosing ``if``/
 ``while``.  Evidence that a feasibility check governs the write is:
 
@@ -27,19 +27,15 @@ siblings in every enclosing block plus the tests of enclosing ``if``/
 
 Route *teardowns* (assigning ``None``/``INFINITY``) are exempt:
 withdrawing a route cannot create a loop, and Theorem 4's argument only
-constrains adoption.  A helper that is never locally guarded (DUAL's
-``_adopt``) passes when **every** resolved call site is dominated by
-evidence in its caller — the guard may live one frame up, but it must
-exist on all paths.
+constrains adoption.  A guard in the caller does not count: a helper
+that writes a guarded field must carry its own evidence.
 
 This is an over-approximation in the safe-for-signal direction: block
 siblings count as dominating even from branches that might not execute,
 so conformant code stays quiet; genuinely guard-free writes (the shape
 a refactor accident produces) have no evidence anywhere and still fire.
-Findings that are *correct by protocol design* — DUAL and ROAM reset fd
-at diffusing-computation termination, with safety coming from the
-coordination discipline, not a local comparison — are pinned in the
-committed ``lint_baseline.json`` with that justification.
+A finding that is *correct by protocol design* is pinned, with its
+justification, in the committed ``lint_baseline.json``.
 """
 
 from __future__ import annotations
@@ -118,7 +114,7 @@ class GuardedUpdateRule(ProgramRule):
                     continue
                 if function.name in TABLE_EXEMPT_METHODS:
                     continue
-                yield from self._check_function(program, contexts, ctx, function)
+                yield from self._check_function(program, ctx, function)
 
     @staticmethod
     def _feasibility_modules(program: ProgramModel) -> Set[str]:
@@ -143,14 +139,11 @@ class GuardedUpdateRule(ProgramRule):
     def _check_function(
         self,
         program: ProgramModel,
-        contexts: Dict[str, FileContext],
         ctx: FileContext,
         function: FunctionDecl,
     ) -> Iterator[Violation]:
         for stmt, field in self._guarded_writes(function.node):
             if self._write_evidenced(program, ctx, function, stmt):
-                continue
-            if self._callers_all_guarded(program, contexts, function):
                 continue
             where = function.key.split(":", 1)[1]
             yield ctx.violation(
@@ -287,48 +280,6 @@ class GuardedUpdateRule(ProgramRule):
                 if isinstance(sub, ast.Compare) and _mentions_metric(sub):
                     return True
         return False
-
-    # ------------------------------------------------------------------
-    # caller-side fallback
-    # ------------------------------------------------------------------
-    def _callers_all_guarded(
-        self,
-        program: ProgramModel,
-        contexts: Dict[str, FileContext],
-        function: FunctionDecl,
-    ) -> bool:
-        """True when the guard provably lives one frame up: the function
-        has call sites and every one is dominated by evidence."""
-        sites = program.callers_of(function.key)
-        if not sites:
-            return False
-        for site in sites:
-            caller = program.functions.get(site.caller)
-            if caller is None:
-                return False
-            caller_module = program.modules.get(caller.module)
-            if caller_module is None:
-                return False
-            caller_ctx = contexts.get(caller_module.relpath)
-            if caller_ctx is None:
-                return False
-            region = self._dominating_nodes(
-                caller_ctx, self._enclosing_stmt(caller_ctx, site.node)
-            )
-            if not self._region_evidenced(program, caller, region):
-                return False
-        return True
-
-    @staticmethod
-    def _enclosing_stmt(ctx: FileContext, node: ast.AST) -> ast.stmt:
-        """The statement a call expression belongs to."""
-        current: ast.AST = node
-        parents = ctx.parent_map()
-        while current is not None and not isinstance(current, ast.stmt):
-            current = parents.get(current)  # type: ignore[assignment]
-        if isinstance(current, ast.stmt):
-            return current
-        return ast.Pass(lineno=getattr(node, "lineno", 1), col_offset=0)
 
 
 GUARD_RULES: Tuple[type, ...] = (GuardedUpdateRule,)

@@ -165,7 +165,6 @@ class ProgramModel:
         self.functions: Dict[str, FunctionDecl] = {}
         self.calls: List[CallSite] = []
         self.calls_by_caller: Dict[str, List[CallSite]] = {}
-        self.calls_by_callee: Dict[str, List[CallSite]] = {}
         #: package name of the lint root ("repro" for src/repro), used to
         #: fold absolute ``repro.x.y`` imports onto root-relative names.
         self.root_package: str = ""
@@ -447,7 +446,6 @@ class ProgramModel:
             site = CallSite(caller=function.key, callee=callee, node=node)
             self.calls.append(site)
             self.calls_by_caller.setdefault(function.key, []).append(site)
-            self.calls_by_callee.setdefault(callee, []).append(site)
 
     def resolve_call(self, node: ast.Call, function: FunctionDecl) -> Optional[str]:
         """Key of the function a call inside ``function`` reaches, if it
@@ -487,10 +485,6 @@ class ProgramModel:
             if key in self.functions:
                 return key
         return None
-
-    def callers_of(self, function_key: str) -> List[CallSite]:
-        self._ensure_calls()
-        return self.calls_by_callee.get(function_key, [])
 
     def calls_in(self, function_key: str) -> List[CallSite]:
         self._ensure_calls()

@@ -34,7 +34,9 @@ The channel is also where the fault layer (:mod:`repro.faults`) plugs in:
   from the connectivity relation regardless of distance — blackouts and
   partitions are built from denied pairs;
 * crashed nodes (``node.alive`` False) neither receive nor acknowledge
-  frames, even ones already in flight toward them;
+  frames, even ones already in flight toward them, and a radio that
+  crashes mid-frame loses that frame even if it reboots before the frame
+  completes (:meth:`~repro.net.mac.CsmaMac.shutdown`);
 * an optional **fuzzer hook** (:attr:`WirelessChannel.fuzz_fn`) lets the
   fault injector corrupt, delay, or duplicate individual receptions from
   its own seeded RNG stream.
@@ -265,8 +267,9 @@ class WirelessChannel:
                 continue
             receiver = nodes[receiver_id]
             if not receiver.alive:
-                # Crashed while the frame was in flight: nothing decodes,
-                # and a unicast toward it is never acknowledged.
+                # Down when the copy completes (a crash mid-frame has
+                # already corrupted it): nothing decodes, and a unicast
+                # toward it is never acknowledged.
                 continue
             if link_dst is None or link_dst == receiver_id:
                 if link_dst is not None:

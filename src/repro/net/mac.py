@@ -85,9 +85,10 @@ class CsmaMac:
         self._tx_end = 0.0
         self._wait_event = None
         self.down = False  # True while the node is crashed
-        # Reception state, kept across crash and reboot like the medium
-        # itself: the latest end of any frame this radio has heard, and
-        # the one airing it may still be receiving cleanly (see hear).
+        # Reception state: the latest end of any frame this radio has
+        # heard, kept across crash and reboot like the medium itself, and
+        # the one airing it may still be receiving cleanly (see hear),
+        # which a crash loses (see shutdown).
         self._rx_end = 0.0
         self._rx_clean = None
 
@@ -125,8 +126,15 @@ class CsmaMac:
         return [job.frame.packet for job in self.queue.remove_if(lambda j: predicate(j.frame.packet))]
 
     def shutdown(self):
-        """Power the radio off (node crash): lose queue and in-flight state."""
+        """Power the radio off (node crash): lose queue and in-flight state.
+
+        The frame this radio is receiving cleanly is lost too, even if the
+        node reboots before the frame completes.
+        """
         self.down = True
+        if self._rx_clean is not None and self._rx_end > self.sim.now:
+            self._rx_clean.corrupt.add(self.node_id)
+            self._rx_clean = None
         self.queue.clear()
         if self._wait_event is not None:
             self._wait_event.cancel()

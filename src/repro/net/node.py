@@ -51,9 +51,10 @@ class Node:
     def crash(self):
         """Power off: lose the radio, all timers, and all routing state.
 
-        In-flight frames toward this node are dropped by the channel; the
-        old protocol instance is stopped and detached so late timer fires
-        cannot transmit or mutate anything observable.
+        Frames on the air toward this node are lost, even if it reboots
+        before they complete; the old protocol instance is stopped and
+        detached so late timer fires cannot transmit or mutate anything
+        observable.
         """
         if not self.alive:
             return

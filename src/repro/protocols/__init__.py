@@ -11,14 +11,9 @@ Section 4's baselines:
   HELLO/TC with multipoint relays, including the paper's FIFO jitter-queue
   fix to the INRIA implementation.
 
-Section 1's loop-free reference points, run for comparison only:
-
-* :mod:`repro.protocols.dual` — DUAL: feasible distances plus diffusing
-  computations.
-* :mod:`repro.protocols.roam` — ROAM: DUAL's invariant on demand, with a
-  reliable multi-hop search as its reset.
-* :mod:`repro.protocols.tora` — TORA: a destination-oriented DAG kept by
-  link reversal.
+Section 1's coordination-based alternatives (DUAL, TORA, ROAM) are not
+built: their loop-freedom proofs assume reliable, ordered delivery
+between neighbours, which the broadcast MAC does not give.
 
 And one instrument that is not a protocol:
 
@@ -28,25 +23,16 @@ And one instrument that is not a protocol:
 
 from repro.protocols.aodv import AodvConfig, AodvProtocol
 from repro.protocols.dsr import DsrConfig, DsrProtocol
-from repro.protocols.dual import DualConfig, DualProtocol
 from repro.protocols.olsr import OlsrConfig, OlsrProtocol
 from repro.protocols.oracle import OracleConfig, OracleProtocol
-from repro.protocols.roam import RoamConfig, RoamProtocol
-from repro.protocols.tora import ToraConfig, ToraProtocol
 
 __all__ = [
     "AodvConfig",
     "AodvProtocol",
     "DsrConfig",
     "DsrProtocol",
-    "DualConfig",
-    "DualProtocol",
     "OlsrConfig",
     "OlsrProtocol",
     "OracleConfig",
     "OracleProtocol",
-    "RoamConfig",
-    "RoamProtocol",
-    "ToraConfig",
-    "ToraProtocol",
 ]

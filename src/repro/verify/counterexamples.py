@@ -13,7 +13,8 @@ protocol — the point is to show the loop forming on AODV and the same
 schedule leaving LDR's NDC/FDC/SDC untouched.
 
 A counterexample carries an ``expected`` verdict map (protocol name →
-``"loop"`` / ``"flagged"`` / ``"immune"``, with ``"*"`` as fallback).
+``"loop"`` / ``"flagged"`` / ``"immune"``, with ``"*"`` as fallback);
+its keys, like those of ``notes``, must be registry protocol names.
 Where our RFC 3561 AODV *dodges* a published interleaving, the JSON says
 so — ``expected`` pins the dodge and ``notes`` documents precisely which
 draft-specific behavior prevents the loop (e.g. ce-aodv-2: the §6.11
@@ -24,7 +25,7 @@ that behavior flips the verdict and fails the suite.
 import json
 import pathlib
 
-from repro.experiments.scenario import ScenarioConfig, build_scenario
+from repro.experiments.scenario import PROTOCOLS, ScenarioConfig, build_scenario
 from repro.faults import FaultPlan
 
 #: Where the shipped counterexample suite lives (repo checkout layout:
@@ -73,6 +74,13 @@ class Counterexample:
                     "%s: unknown expected verdict %r (choose from %s)"
                     % (origin or self.name, verdict, list(VERDICTS))
                 )
+        for field in ("expected", "notes"):
+            for key in getattr(self, field):
+                if key != "*" and key not in PROTOCOLS:
+                    raise CounterexampleError(
+                        "%s: %s names unknown protocol %r (known: %s)"
+                        % (origin or self.name, field, key, sorted(PROTOCOLS))
+                    )
 
     def config(self, protocol, trace=False):
         """The :class:`ScenarioConfig` running this schedule on ``protocol``.

@@ -25,8 +25,8 @@ verdict must agree with the monitor's recorded ``violation`` events —
 suite treats that as a failure in its own right.  With one auditor, a
 divergence means the trace does not carry the state the monitor saw:
 agreement holds only for protocols whose ``successor()`` changes only
-alongside a table-change notification (TORA's depends on neighbour
-heights that change silently, so its replay can miss a loop).
+alongside a table-change notification: a successor that moved silently
+could show the live monitor a loop that no ``route`` event records.
 
 Truncated traces (header ``truncated`` flag — the recorder's retention
 cap dropped events) are never certified: the verdict is

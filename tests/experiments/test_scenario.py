@@ -15,7 +15,7 @@ def _tiny(**overrides):
 
 
 def test_registry_has_all_protocols():
-    assert {"ldr", "aodv", "dsr", "dsr7", "olsr", "dual"} <= set(PROTOCOLS)
+    assert {"ldr", "aodv", "dsr", "dsr7", "olsr"} <= set(PROTOCOLS)
 
 
 def test_unknown_protocol_rejected():

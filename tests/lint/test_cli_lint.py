@@ -119,11 +119,11 @@ def test_lint_list_rules_markdown_table(capsys):
 
 
 def test_lint_no_baseline_exposes_pinned_findings(capsys):
-    # The shipped tree is clean only modulo the committed baseline: the
-    # DUAL/ROAM diffusing-computation waivers resurface without it.
+    # The shipped tree is clean only modulo the committed baseline: OLSR's
+    # jitter-stream delegation (RL202) resurfaces without it.
     assert main(["lint", "--no-baseline"]) == 1
     out = capsys.readouterr().out
-    assert "RL401" in out
+    assert "RL202" in out
 
 
 def test_lint_update_baseline_roundtrip(tmp_path, capsys):

@@ -14,7 +14,9 @@ decoded or overheard copy in delivery order, every unicast outcome, and
 the NAV each radio ends with.  Programs deliberately hit the boundary
 cases: a frame starting exactly at another's end, one starting in the
 1 µs between another's end and its completion, three-way overlaps,
-receivers that are mid-transmission and crashes mid-frame.
+receivers that are mid-transmission and crashes mid-frame (a radio that
+powers off loses every frame still on the air at it, even if it reboots
+before the frame completes).
 
 The quick parametrization runs in tier-1; a wider sweep rides the
 ``slow`` marker.  End-to-end row identity lives in
@@ -140,6 +142,12 @@ class _ListChannel:
                 duration + 2 * PROPAGATION_DELAY,
                 lambda: sender.mac.on_tx_outcome(frame, result["decoded"]))
         return receiver_ids
+
+    def crash(self, rid):
+        """A radio powering off loses every frame still on the air at it."""
+        for rec in self.receptions[rid]:
+            if rec.end > self.sim.now:
+                rec.corrupted = True
 
     def _complete(self, rid, rec, result):
         self.receptions[rid].remove(rec)
@@ -268,6 +276,8 @@ def _replay(program, model=False):
             node.mac._tx_end = sim.now + duration
             channel.transmit(Frame(_Tagged(tag), sender, link_dst), duration)
         elif kind == "crash":
+            if model and nodes[arg].alive:
+                channel.crash(arg)
             nodes[arg].crash()
         elif kind == "reboot":
             nodes[arg].reboot()
@@ -370,7 +380,7 @@ def test_three_way_overlap_corrupts_all_three():
     assert _heard_at(1, positions, ops) == [3]
 
 
-def test_crash_mid_frame_loses_only_what_completes_while_down():
+def test_crash_mid_frame_loses_the_frame_even_after_reboot():
     ops = [(0.0, "tx", (0, 0, None, 1e-3)),
            (5e-4, "crash", 1),
            (7e-4, "reboot", 1),
@@ -378,6 +388,7 @@ def test_crash_mid_frame_loses_only_what_completes_while_down():
            (2.5e-3, "crash", 1),
            (4e-3, "reboot", 1),
            (5e-3, "tx", (2, 0, 1, 1e-3))]
-    # Node 1 is back up when frame 0 completes, so it decodes it; it is
-    # down when frame 1 completes.  The later unicast is acknowledged.
-    assert _heard_at(1, _LINE, ops) == [0, 2]
+    # Node 1's radio was off for part of frame 0, so it loses it although
+    # it is back up when the frame completes; it is down when frame 1
+    # completes.  The later unicast is acknowledged.
+    assert _heard_at(1, _LINE, ops) == [2]

