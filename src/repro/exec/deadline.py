@@ -10,18 +10,24 @@ raising :class:`TrialTimeout` *inside* the trial thread via the CPython
 
 Async exceptions land at bytecode boundaries, which the pure-Python
 simulation loop crosses constantly, so cancellation is prompt in
-practice.  Where hard cancellation is impossible — a non-CPython runtime
+practice.  One that lands inside a gc callback or a finaliser is reported
+as unraisable and lost, so the cancel is re-armed every
+``CANCEL_POLL`` seconds until the thread ends.  Where hard cancellation is impossible — a non-CPython runtime
 without the hook, or a trial wedged inside a C call — the deadline still
 *reports* on time and the outcome carries an explicit warning that the
 abandoned thread may keep running, rather than silently blocking forever.
 """
 
 import threading
+import time
 import traceback
 
 #: Seconds granted for an async-raised TrialTimeout to land before the
 #: thread is declared uncancellable.
 CANCEL_GRACE = 1.0
+
+#: Seconds between re-raises of a TrialTimeout the trial has not ended on.
+CANCEL_POLL = 0.02
 
 
 class TrialTimeout(BaseException):
@@ -92,7 +98,13 @@ def call_with_deadline(fn, timeout):
     if thread.is_alive():
         cancelled = _async_raise(thread.ident)
         if cancelled:
-            thread.join(CANCEL_GRACE)
+            grace_end = time.monotonic() + CANCEL_GRACE
+            thread.join(CANCEL_POLL)
+            while (not box and thread.is_alive()
+                   and time.monotonic() < grace_end):
+                _async_raise(thread.ident)
+                thread.join(CANCEL_POLL)
+            thread.join(max(0.0, grace_end - time.monotonic()))
         if "value" in box:
             # The trial finished in the races between join, cancel, and
             # grace; the result is real, return it.

@@ -62,6 +62,30 @@ def test_timeout_is_cancellable_inside_pure_python_loops():
     assert cancelled.wait(5.0), "TrialTimeout never landed in the loop"
 
 
+def test_swallowed_cancellation_is_raised_again():
+    # A TrialTimeout that lands inside a gc callback or a finaliser is
+    # reported as unraisable and lost there; the trial must still end on
+    # a later one rather than finish inside the grace and count as a pass.
+    swallowed = threading.Event()
+
+    def shrugs_once():
+        try:
+            while True:
+                sum(range(1000))
+        except TrialTimeout:
+            swallowed.set()
+        stop = time.monotonic() + 0.5
+        while time.monotonic() < stop:
+            sum(range(1000))
+        return "late"
+
+    outcome = call_with_deadline(shrugs_once, 0.1)
+    assert swallowed.is_set()
+    assert outcome["ok"] is False
+    assert "timed out" in outcome["error"]
+    assert "warning" not in outcome
+
+
 def test_trial_timeout_is_not_an_ordinary_exception():
     # Like KeyboardInterrupt: `except Exception` in trial code must not
     # be able to absorb the async-raised cancellation.

@@ -3,9 +3,10 @@
 The rule is the static face of Theorems 2/4: a successor/fd write in a
 feasibility protocol must be dominated by (sn, fd, d) evidence.  The
 fixtures cover the adoption idioms the shipped protocols use (inline
-compare, NDC predicate, guard-in-helper), a guard that lives only in the
-callers (which does not count), the teardown exemption, and the opt-out
-for protocols whose ``route_metric`` does not return the real triplet.
+compare, NDC predicate, guard-in-helper), a guard that lives only in some
+or all of the callers (which does not count), the teardown exemption, and
+the opt-out for protocols whose ``route_metric`` does not return the real
+triplet.
 """
 
 from repro.lint.guards import GuardedUpdateRule
@@ -115,6 +116,27 @@ def test_guard_in_every_caller_does_not_count(lint_tree):
     )
     assert rule_ids(violations) == ["RL401", "RL401"]
     assert all("_adopt" in v.message for v in violations)
+
+
+def test_one_unguarded_caller_breaks_the_fallback(lint_tree):
+    # A mixed caller set, one guarded and one not, gives the helper's write
+    # no cover from either side: the write fires once, on the helper.
+    violations = _run(
+        lint_tree,
+        "    def _adopt(self, entry, nbr, dist):\n"
+        "        entry.successor = nbr\n"
+        "\n"
+        "    def on_update(self, dst, nbr, adv_sn, adv_dist):\n"
+        "        entry = self.state[dst]\n"
+        "        if adv_sn >= entry.sn and adv_dist < entry.fd:\n"
+        "            self._adopt(entry, nbr, adv_dist)\n"
+        "\n"
+        "    def on_timer(self, dst, nbr):\n"
+        "        entry = self.state[dst]\n"
+        "        self._adopt(entry, nbr, 0)\n",
+    )
+    assert rule_ids(violations) == ["RL401"]
+    assert "_adopt" in violations[0].message
 
 
 def test_teardown_writes_are_exempt(lint_tree):
