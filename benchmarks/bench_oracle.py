@@ -1,4 +1,4 @@
-"""Oracle bound + coordination cost (contextualizes Figures 2–5).
+"""Oracle bound (contextualizes Figures 2–5).
 
 A measurement beyond the paper: the **oracle** (god-view shortest paths,
 zero control traffic) bounds what any protocol could deliver on each
@@ -29,11 +29,11 @@ def _rows(campaign):
     return bound, rows
 
 
-def test_oracle_bound_and_coordination_cost(benchmark):
+def test_oracle_bound(benchmark):
     campaign = bench_campaign()
     bound, rows = benchmark.pedantic(_rows, args=(campaign,),
                                      rounds=1, iterations=1)
-    lines = ["Oracle bound & coordination cost (50 nodes, 10 flows, pause 0)"]
+    lines = ["Oracle bound (50 nodes, 10 flows, pause 0)"]
     lines.append("all-pairs physical connectivity: %.3f" % bound)
     lines.append("{:<10}{:>10}{:>12}{:>12}".format(
         "protocol", "delivery", "net load", "latency"))

@@ -427,8 +427,12 @@ class LdrProtocol(RouteDiscovery):
                     and adv_sn == entry.seqno
                     and new_dist == entry.dist
                 ):
+                    revived = not entry.valid
                     entry.valid = True
                     entry.expiry = max(entry.expiry, now + lifetime)
+                    if revived:
+                        # successor(dst) went from None back to ``via``.
+                        self._notify_table_change(dst)
                 return False
             if (
                 entry.is_active(now)

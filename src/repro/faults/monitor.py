@@ -30,9 +30,26 @@ collector (``invariant_violations`` per kind), which is how they reach
 :class:`~repro.metrics.report.RunReport` rows and campaign tables.
 ``strict=True`` additionally raises at the first violation, for tests
 and ``repro audit``, which want the offending update pinpointed.
+
+**Audit cost.**  An audit after a table change does not re-walk every
+chain when it need not.  Once a full sweep of a destination comes out
+clean (and its ownership ceiling is known), the monitor keeps that
+destination's :class:`~repro.routing.loopcheck.CleanAudit`, and the
+next change at node ``v`` re-walks ``v``'s chain, re-checks the hops
+out of and into ``v`` and ``v``'s own label, and nothing else.  That is
+exact because of the hook contract (DESIGN.md §6): a table change
+notifies after every mutation, so between two audits of a destination
+only the notifying node's successor or metric toward it can have
+changed.  Any finding sends the audit back to the full sweep, which
+reports exactly what it always has; so do ``check_all``, the first
+audit of each destination, and every audit after a crash or reboot
+(each drops all kept records, since it changes which tables are
+walked).  Protocols that fire no hook (DSR, the oracle) are audited
+only by ``check_all``'s sweep, as before.
 """
 
 from repro.routing.loopcheck import (
+    CleanAudit,
     first_breach,
     ownership_breaches,
     raise_ceiling,
@@ -102,6 +119,7 @@ class InvariantMonitor:
         self.checks_run = 0  # audits: table changes plus swept destinations
         self._crashed = set()
         self._max_issued = {}  # dst -> freshest label the destination issued
+        self._clean = {}  # dst -> CleanAudit of its last audit, if clean
 
     # -- wiring ----------------------------------------------------------
 
@@ -120,12 +138,14 @@ class InvariantMonitor:
         """The fault layer crashed ``node_id``: drop it from the audits."""
         self._crashed.add(node_id)
         self._live.pop(node_id, None)
+        self._clean.clear()
 
     def on_reboot(self, node_id, protocol):
         """``node_id`` is back with a fresh ``protocol`` instance."""
         self._crashed.discard(node_id)
         self.protocols[node_id] = protocol
         self._live[node_id] = protocol
+        self._clean.clear()
         protocol.table_change_hook = self.on_table_change
         # Deliberately NOT resetting _max_issued[node_id]: the ownership
         # ceiling spans incarnations.  A correct reboot outruns the old
@@ -171,26 +191,45 @@ class InvariantMonitor:
             return
         if protocol is not self.protocols.get(node_id):
             return  # stale pre-reboot instance; its state is gone
-        self._audit(dst)
+        self._audit(dst, node_id)
 
     def check_all(self, destinations):
         """Audit every destination (end-of-run sweep)."""
         for dst in destinations:
             self._audit(dst)
 
-    def _audit(self, dst):
-        """Loop/ordering, then seqnum ownership, for one destination."""
+    def _audit(self, dst, changed=None):
+        """Loop/ordering, then seqnum ownership, for one destination.
+
+        ``changed`` is the node whose table change prompted the audit;
+        with a clean record of the last audit, only it is re-checked.
+        """
         self.checks_run += 1
+        clean = self._clean.pop(dst, None)
+        if clean is not None and changed is not None:
+            ceiling = self._ceiling(dst)
+            if clean.recheck(self._live, changed, ceiling):
+                self._max_issued[dst] = ceiling
+                self._clean[dst] = clean
+                return
         breach = first_breach(self._live, dst, self.check_ordering)
         if breach is not None:
             self._record(breach.kind, breach.detail)
+        ceiling = self._max_issued[dst] = self._ceiling(dst)
+        forged = ownership_breaches(self._live, dst, ceiling)
+        for detail in forged:
+            self._record("seqnum_ownership", detail)
+        if breach is None and not forged and ceiling is not None:
+            self._clean[dst] = CleanAudit(self._live, dst,
+                                          self.check_ordering)
+
+    def _ceiling(self, dst):
+        """``dst``'s ownership ceiling, raised by its label if it is up."""
+        ceiling = self._max_issued.get(dst)
         dest = self.protocols.get(dst)
         if dest is not None and dst not in self._crashed:
-            self._max_issued[dst] = raise_ceiling(
-                self._max_issued.get(dst), getattr(dest, "own_seq", None))
-        for detail in ownership_breaches(self._live, dst,
-                                         self._max_issued.get(dst)):
-            self._record("seqnum_ownership", detail)
+            ceiling = raise_ceiling(ceiling, getattr(dest, "own_seq", None))
+        return ceiling
 
     def on_deliver(self, node_id, packet):
         """``node_id`` handed ``packet`` to its application."""

@@ -217,10 +217,11 @@ class RequireTableChangeNotify(ConformanceRule):
     ``table_change_hook`` notification.
 
     Invariant protected: *Theorem 4 auditability*.  The monitor only
-    re-walks the successor graph when told; a table write without a
+    audits the successor graph when told, and after a clean audit it
+    re-checks only the node that notified; a table write without a
     subsequent ``_notify_table_change(dst)`` is a state change the audit
-    never sees — a loop created there survives until some unrelated
-    update happens to expose it, defeating the "instant by instant" claim.
+    never sees — a loop created there can survive until the end-of-run
+    sweep, defeating the "instant by instant" claim.
 
     Mechanically: the routing table is whatever ``self`` attributes the
     class's ``successor()`` reads.  Any method (outside ``__init__`` /

@@ -176,9 +176,6 @@ class PacketBuffer:
     def pending(self, dst):
         return len(self._buffers.get(dst, ()))
 
-    def destinations(self):
-        return list(self._buffers)
-
 
 class Discovery:
     """One destination's route discovery in progress (Procedure 1).

@@ -13,19 +13,20 @@ AODV uses a single unsigned 32-bit counter compared with signed rollover
 arithmetic (RFC 3561 §6.1); :func:`circular_greater` implements that.
 """
 
-from functools import total_ordering
-
 #: Counter width for LabeledSeq; small enough that wrap is exercised in
 #: tests, large enough that production-style use never wraps mid-run.
 COUNTER_MAX = 2 ** 16 - 1
 
 
-@total_ordering
 class LabeledSeq:
     """LDR's (timestamp, counter) destination sequence label.
 
     Immutable; :meth:`incremented` returns a new label.  Only a destination
     increments its own label — a protocol invariant, not enforced here.
+    Labels order as ``(timestamp, counter)`` tuples would; each operator
+    compares the two fields directly, since the audits compare labels on
+    every hop they check.  Any other operand type gets ``NotImplemented``,
+    so an ordering against it raises ``TypeError``.
     """
 
     __slots__ = ("timestamp", "counter")
@@ -40,19 +41,41 @@ class LabeledSeq:
             return LabeledSeq(timestamp=now, counter=0)
         return LabeledSeq(timestamp=self.timestamp, counter=self.counter + 1)
 
-    def _key(self):
-        return (self.timestamp, self.counter)
-
     def __eq__(self, other):
-        return isinstance(other, LabeledSeq) and self._key() == other._key()
+        return (isinstance(other, LabeledSeq)
+                and self.timestamp == other.timestamp
+                and self.counter == other.counter)
 
     def __lt__(self, other):
         if not isinstance(other, LabeledSeq):
             return NotImplemented
-        return self._key() < other._key()
+        return (self.timestamp < other.timestamp
+                or (self.timestamp == other.timestamp
+                    and self.counter < other.counter))
+
+    def __le__(self, other):
+        if not isinstance(other, LabeledSeq):
+            return NotImplemented
+        return (self.timestamp < other.timestamp
+                or (self.timestamp == other.timestamp
+                    and self.counter <= other.counter))
+
+    def __gt__(self, other):
+        if not isinstance(other, LabeledSeq):
+            return NotImplemented
+        return (self.timestamp > other.timestamp
+                or (self.timestamp == other.timestamp
+                    and self.counter > other.counter))
+
+    def __ge__(self, other):
+        if not isinstance(other, LabeledSeq):
+            return NotImplemented
+        return (self.timestamp > other.timestamp
+                or (self.timestamp == other.timestamp
+                    and self.counter >= other.counter))
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.timestamp, self.counter))
 
     def __repr__(self):
         return "LabeledSeq(ts={}, n={})".format(self.timestamp, self.counter)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import LdrConfig, LdrProtocol
-from repro.core.messages import LdrRreq
+from repro.core.messages import LdrRrep, LdrRreq
 from repro.faults import InvariantMonitor
 from repro.mobility import StaticPlacement
 from tests.conftest import Network
@@ -157,6 +157,40 @@ def test_loop_checker_clean_during_churn():
     net.run(10.0)
     assert monitor.checks_run > 0
     assert monitor.violations == []
+
+
+def test_refresh_that_revalidates_a_route_notifies():
+    # A same-successor refresh of an invalidated route turns successor(dst)
+    # from None back into the advertiser, so the table-change hook must
+    # fire.  Here the revived hop closes a loop the monitor can only see
+    # through that notification.
+    net = _line(3)
+    net.send(0, 2)
+    net.run(5.0)
+    origin, relay = net.protocols[0], net.protocols[1]
+    entry = origin.table[2]
+    assert entry.valid and entry.next_hop == 1 and entry.dist == 2
+    monitor = InvariantMonitor(net.sim, net.protocols,
+                               check_ordering=False).install()
+    notified = []
+    audit = origin.table_change_hook
+    origin.table_change_hook = lambda protocol, dst: (
+        notified.append(dst), audit(protocol, dst))
+    entry.invalidate()
+    origin._notify_table_change(2)
+    relay.table[2].next_hop = 0  # harmless while the origin's route is down
+    relay._notify_table_change(2)
+    assert monitor.violations == []
+    # An fd below dist (as a shorter earlier route would leave) makes the
+    # relay's offer infeasible under NDC, so only the refresh can take it.
+    entry.fd = 1
+    notified.clear()
+    origin.on_packet(LdrRrep(dst=2, sn_dst=entry.seqno, src=0, rreqid=99,
+                             dist=1, lifetime=5.0), from_id=1)
+    assert entry.valid and origin.successor(2) == 1
+    assert notified == [2]
+    assert [(kind, detail) for _, kind, detail in monitor.violations] == [
+        ("loop", "routing loop for destination 2: [0, 1, 0]")]
 
 
 def test_request_as_error_invalidates_route():

@@ -76,14 +76,6 @@ def test_buffer_ages_out_stale_packets():
     assert dropped == [(old, "buffer_expired")]
 
 
-def test_buffer_destinations():
-    sim = Simulator()
-    buf = PacketBuffer(sim)
-    buf.push(1, _Pkt("x"))
-    buf.push(4, _Pkt("y"))
-    assert sorted(buf.destinations()) == [1, 4]
-
-
 def test_pending_unknown_destination_is_zero():
     assert PacketBuffer(Simulator()).pending(42) == 0
 

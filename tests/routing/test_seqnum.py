@@ -1,5 +1,6 @@
 """Unit and property tests for sequence-number machinery."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -69,6 +70,50 @@ def test_property_total_order(pairs):
     ordered = sorted(seqs)
     for a, b in zip(ordered, ordered[1:]):
         assert a <= b
+
+
+_ORDERINGS = (
+    ("<", lambda a, b: a < b),
+    ("<=", lambda a, b: a <= b),
+    (">", lambda a, b: a > b),
+    (">=", lambda a, b: a >= b),
+    ("==", lambda a, b: a == b),
+    ("!=", lambda a, b: a != b),
+)
+
+
+def _assert_orders_like_tuples(a, b):
+    left, right = LabeledSeq(*a), LabeledSeq(*b)
+    for name, op in _ORDERINGS:
+        assert op(left, right) == op(a, b), (a, name, b)
+
+
+@given(st.tuples(st.sampled_from([0.0, 1.5, 2.0]), st.integers(0, 3)),
+       st.tuples(st.sampled_from([0.0, 1.5, 2.0]), st.integers(0, 3)))
+def test_property_operators_match_tuple_order(a, b):
+    # Few distinct values, so equal timestamps and equal labels are common.
+    _assert_orders_like_tuples(a, b)
+
+
+def test_operators_at_equal_timestamps():
+    for a, b in (((3.0, 1), (3.0, 2)), ((3.0, 2), (3.0, 1)),
+                 ((3.0, 2), (3.0, 2)), ((3.0, 9), (4.0, 0)),
+                 ((0.0, 0), (-0.0, 0))):
+        _assert_orders_like_tuples(a, b)
+
+
+def test_foreign_operands_are_not_ordered():
+    label = LabeledSeq(1.0, 2)
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(label, name)((1.0, 2)) is NotImplemented
+    for foreign in ((1.0, 2), 5, None, "x"):
+        for _, op in _ORDERINGS[:4]:
+            with pytest.raises(TypeError):
+                op(label, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, label)
+        assert label != foreign
+        assert not label == foreign
 
 
 # ----------------------------------------------------------------------
