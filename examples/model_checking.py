@@ -7,14 +7,15 @@ Simulation can only sample trajectories; this example *enumerates every
 reachable state* of an abstract LDR model — arbitrary message delay,
 duplication and loss, interleaved with link failures and destination
 resets — and checks that no reachable state contains a routing loop
-(the finite counterpart of the paper's Theorems 1-4).
+or breaks the Theorem-2 ordering (the finite counterpart of the paper's
+Theorems 1-4).
 
 It then swaps LDR's acceptance rule for plain distance-vector (drop the
 feasible-distance memory) and shows the checker immediately finds the
 classic count-to-infinity loop: the paper's invariant is load-bearing.
 """
 
-from repro.core.modelcheck import BrokenModel, LoopFound, verify_topology
+from repro.core.modelcheck import BreachFound, BrokenModel, verify_topology
 
 TOPOLOGIES = [
     ("3-node line", [(0, 1), (1, 2)], []),
@@ -46,9 +47,8 @@ def main():
                         flappable=[(0, 1), (0, 2)], model=BrokenModel(),
                         max_states=500_000)
         print("unexpectedly loop-free?!")
-    except LoopFound as exc:
-        print("LOOP FOUND: successor cycle {} — the count-to-infinity".format(
-            exc.cycle))
+    except BreachFound as exc:
+        print("LOOP FOUND: {} — the count-to-infinity".format(exc.detail))
         print("pattern that LDR's feasible-distance invariant forbids.")
 
 

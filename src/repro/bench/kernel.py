@@ -116,23 +116,26 @@ def _silent(line):
     """Default no-op progress sink."""
 
 
-#: Repetitions per timing point (the *minimum* is reported).  Single-shot
-#: readings on a shared box swing by 2-3x; the min of a few fresh runs is
-#: the classic stable estimator for "how fast can this go", which is what
-#: a dimensionless speedup ratio needs on both sides.
-NS_KERNEL_REPS = 3
+#: Repetitions per timing point.  Each one times both indexes back to
+#: back on fresh worlds, alternating which goes first, so a host episode
+#: long enough to matter lands on both legs of a pair instead of moving
+#: one leg's numbers against the other's; the pair with the median
+#: scan/grid ratio is reported.  Odd, so that pair is one repetition.
+NS_KERNEL_REPS = 9
 
 
-def _best_of(reps, fn):
-    """Minimum of ``reps`` fresh runs of ``fn`` (each rebuilds its world)."""
-    return min(fn() for _ in range(reps))
-
-
-def _pair(fn, *args):
-    """Run a timing kernel on both indexes -> (scan, grid, speedup)."""
-    scan = fn(ScanIndex, *args)
-    grid = fn(GridIndex, *args)
-    speedup = scan / grid if grid > 0 else float("inf")
+def _pair(fn):
+    """Time ``fn(index)`` on both indexes -> (scan, grid, speedup)."""
+    pairs = []
+    for rep in range(NS_KERNEL_REPS):
+        if rep % 2:
+            grid = fn(GridIndex)
+            scan = fn(ScanIndex)
+        else:
+            scan = fn(ScanIndex)
+            grid = fn(GridIndex)
+        pairs.append((scan / grid if grid > 0 else float("inf"), scan, grid))
+    speedup, scan, grid = sorted(pairs)[len(pairs) // 2]
     return scan, grid, speedup
 
 
@@ -162,9 +165,7 @@ def run_kernel_bench(
     for n in sizes:
         say("neighbors_of  n=%d" % n)
         scan_ns, grid_ns, speedup = _pair(
-            lambda index: _best_of(NS_KERNEL_REPS,
-                                   lambda: _time_neighbors(
-                                       n, index, rounds, seed)))
+            lambda index: _time_neighbors(n, index, rounds, seed))
         results.append({
             "bench": "neighbors_of", "n": n,
             "scan_ns_per_op": scan_ns, "grid_ns_per_op": grid_ns,
@@ -173,9 +174,7 @@ def run_kernel_bench(
     for n in sizes:
         say("transmit      n=%d" % n)
         scan_ns, grid_ns, speedup = _pair(
-            lambda index: _best_of(NS_KERNEL_REPS,
-                                   lambda: _time_transmit(
-                                       n, index, transmit_reps, seed)))
+            lambda index: _time_transmit(n, index, transmit_reps, seed))
         results.append({
             "bench": "transmit", "n": n,
             "scan_ns_per_op": scan_ns, "grid_ns_per_op": grid_ns,

@@ -19,20 +19,20 @@ Public API:
 """
 
 from repro.core.config import LdrConfig
-from repro.core.modelcheck import LoopFound, ModelChecker, verify_topology
+from repro.core.modelcheck import BreachFound, ModelChecker, verify_topology
 from repro.core.conditions import ndc_accepts, sdc_allows_reply, t_bit_update
 from repro.core.messages import LdrRerr, LdrRrep, LdrRreq
 from repro.core.protocol import LdrProtocol
 from repro.core.state import LdrRouteEntry
 
 __all__ = [
+    "BreachFound",
     "LdrConfig",
     "LdrProtocol",
     "LdrRerr",
     "LdrRouteEntry",
     "LdrRrep",
     "LdrRreq",
-    "LoopFound",
     "ModelChecker",
     "ndc_accepts",
     "sdc_allows_reply",

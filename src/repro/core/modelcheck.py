@@ -23,8 +23,10 @@ unreliable links and stale packets).  Transitions:
 
 Because NDC ignores message timing entirely, exploring all interleavings
 of these transitions covers every schedule a real network could produce
-(for the abstracted state).  The checker asserts the successor graph is
-acyclic in every reachable state, and that the Theorem-2 ordering holds.
+(for the abstracted state).  Every reachable state is audited by
+:func:`repro.routing.loopcheck.first_breach`, the engine the runtime
+invariant monitor runs: the successor graph must be acyclic and, for
+:class:`LdrModel`, keep the Theorem-2 ordering.
 
 A companion :class:`BrokenModel` removes the feasible-distance memory
 (using current distance instead, i.e. plain distance-vector) and the
@@ -32,6 +34,9 @@ checker *does* find looping states — evidence the check has teeth.
 """
 
 from collections import deque
+
+from repro.core.conditions import ndc_accepts
+from repro.routing.loopcheck import first_breach
 
 MAX_SN = 2     # sequence numbers explored: 0..MAX_SN
 MAX_DIST = 4   # distances are capped (larger = "too far", dropped)
@@ -56,17 +61,32 @@ class NodeLabel:
             self.sn, self.fd, self.dist, self.successor)
 
 
+class _LabelTable:
+    """One node's label read as a routing table by the loop audit."""
+
+    __slots__ = ("sn", "fd", "dist", "succ")
+
+    def __init__(self, key):
+        self.sn, self.fd, self.dist, self.succ = key
+
+    def successor(self, dst):
+        return self.succ
+
+    def route_metric(self, dst):
+        if self.sn is None:
+            return None
+        return (self.sn, self.fd, self.dist)
+
+
 class LdrModel:
     """The faithful abstraction: NDC acceptance + Procedure-3 update."""
 
     name = "ldr"
+    #: Audit the Theorem-2 ordering as well as acyclicity.
+    check_ordering = True
 
     def accepts(self, label, adv_sn, adv_dist):
-        if label.sn is None:
-            return True
-        if adv_sn > label.sn:
-            return True
-        return adv_sn == label.sn and adv_dist < label.fd
+        return ndc_accepts(label.sn, label.fd, adv_sn, adv_dist)
 
     def update(self, label, adv_sn, adv_dist, sender):
         new_dist = adv_dist + 1
@@ -86,6 +106,8 @@ class BrokenModel(LdrModel):
     """
 
     name = "broken"
+    #: Without fd the ordering does not hold, and only loops are of interest.
+    check_ordering = False
 
     def accepts(self, label, adv_sn, adv_dist):
         if label.sn is None:
@@ -108,13 +130,15 @@ class BrokenModel(LdrModel):
         return NodeLabel(adv_sn, new_dist, new_dist, sender)
 
 
-class LoopFound(Exception):
-    """A reachable state contains a successor cycle."""
+class BreachFound(Exception):
+    """A reachable state breaks the audit: a successor cycle (``kind``
+    ``"loop"``) or the Theorem-2 ordering (``"ordering"``)."""
 
-    def __init__(self, state, cycle):
-        super().__init__("loop {} in state {}".format(cycle, state))
+    def __init__(self, state, breach):
+        super().__init__("{} in state {}".format(breach.detail, state))
         self.state = state
-        self.cycle = cycle
+        self.kind = breach.kind
+        self.detail = breach.detail
 
 
 class ModelChecker:
@@ -230,25 +254,28 @@ class ModelChecker:
     # ------------------------------------------------------------------
     # the check
     # ------------------------------------------------------------------
-    def _assert_acyclic(self, state):
-        for start in self.nodes:
-            seen = []
-            node = start
-            while node is not None and node != self.dst:
-                if node in seen:
-                    raise LoopFound(state, seen[seen.index(node):] + [node])
-                seen.append(node)
-                node = self._label(state, node).successor
+    def check_state(self, state):
+        """Audit one state; raises :class:`BreachFound` on the first breach.
+
+        The destination's label is ``(sn, 0, 0)``, so the audit reads it
+        as the route metric the real protocol reports for itself.
+        """
+        tables = {
+            node: _LabelTable(key) for node, key in zip(self.nodes, state[0])
+        }
+        breach = first_breach(tables, self.dst, self.model.check_ordering)
+        if breach is not None:
+            raise BreachFound(state, breach)
 
     def run(self):
-        """Explore; raises :class:`LoopFound` on any loop.
+        """Explore; raises :class:`BreachFound` on the first breach.
 
         Returns the number of distinct states explored.
         """
         initial = self._initial_state()
         queue = deque([initial])
         visited = {initial}
-        self._assert_acyclic(initial)
+        self.check_state(initial)
         while queue:
             if len(visited) > self.max_states:
                 raise RuntimeError(
@@ -259,7 +286,7 @@ class ModelChecker:
                 if nxt in visited:
                     continue
                 visited.add(nxt)
-                self._assert_acyclic(nxt)
+                self.check_state(nxt)
                 queue.append(nxt)
         return self.states_explored
 

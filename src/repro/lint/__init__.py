@@ -22,15 +22,14 @@ needs the model's approximate call graph: *syntactic* rules
 reachability, ``RL4xx`` guarded-update conformance) walk it, because the
 bugs worth finding live in the composition of locally-plausible
 functions.
-Waivers are explicit and auditable: inline
-``# repro-lint: disable=RLxxx -- reason`` suppressions, or the
-committed ``lint_baseline.json`` (:mod:`repro.lint.baseline`) for
-accepted whole-program findings.  See DESIGN.md section "Static-analysis
-gates" for the rule-by-rule rationale.
+There is one way to waive a finding, and it sits beside the code it
+excuses: an inline ``# repro-lint: disable=RLxxx -- reason``.  One
+without a reason is itself a finding (RL000), and so, under
+``--strict-suppressions``, is one that no longer waives anything.  See
+DESIGN.md section "Static-analysis gates" for the rule-by-rule
+rationale.
 """
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
-from repro.lint.config import LintConfig
 from repro.lint.conformance import CONFORMANCE_RULES
 from repro.lint.core import (
     Linter,
@@ -48,11 +47,9 @@ from repro.lint.reporter import format_json, format_sarif, format_text
 from repro.lint.taint import TAINT_RULES
 
 __all__ = [
-    "Baseline",
     "CONFORMANCE_RULES",
     "DETERMINISM_RULES",
     "GUARD_RULES",
-    "LintConfig",
     "Linter",
     "ProgramModel",
     "ProgramRule",
@@ -65,6 +62,4 @@ __all__ = [
     "format_sarif",
     "format_text",
     "known_rule_ids",
-    "load_baseline",
-    "write_baseline",
 ]

@@ -10,12 +10,11 @@ Usage::
     python -m repro lint --list-rules       # rule catalogue with rationale
     python -m repro lint --list-rules --format md   # README reference table
     python -m repro lint --format sarif --out lint.sarif
-    python -m repro lint --update-baseline  # re-pin accepted findings
+    python -m repro lint --strict-suppressions  # also flag stale waivers
 
-Findings matching the committed ``lint_baseline.json`` (auto-discovered
-from the lint root upward; ``--baseline`` overrides, ``--no-baseline``
-disables) are filtered; stale baseline entries are themselves findings,
-so the pin file can only shrink deliberately.
+Every finding is reported unless an inline ``# repro-lint:
+disable=RLxxx -- reason`` beside it waives it; ``--strict-suppressions``
+reports a directive that waives nothing among the rules that ran.
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 """
@@ -27,13 +26,6 @@ import sys
 from pathlib import Path
 from typing import IO, List, Optional, Sequence
 
-from repro.lint.baseline import (
-    Baseline,
-    BaselineError,
-    discover_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.core import Linter, all_rules
 from repro.lint.reporter import (
     format_json,
@@ -110,40 +102,11 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
         help="run only the named rules",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="baseline file pinning accepted findings (default: the "
-        "first lint_baseline.json at or above the lint root)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file: report every finding",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings, keeping "
-        "existing justifications; new entries get a TODO placeholder",
-    )
-    parser.add_argument(
         "--strict-suppressions",
         action="store_true",
         help="report suppressions that no longer suppress anything",
     )
     return parser
-
-
-def _resolve_baseline_path(
-    args: argparse.Namespace, root: Path
-) -> Optional[Path]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    return discover_baseline(root)
 
 
 def run(args: argparse.Namespace, stream: IO[str]) -> int:
@@ -154,13 +117,6 @@ def run(args: argparse.Namespace, stream: IO[str]) -> int:
         else:
             format_rule_list(rules, stream)
         return 0
-    if args.no_baseline and (args.baseline or args.update_baseline):
-        print(
-            "repro lint: --no-baseline conflicts with "
-            "--baseline/--update-baseline",
-            file=sys.stderr,
-        )
-        return 2
     if args.select:
         wanted = {part.strip() for part in args.select.split(",")}
         unknown = wanted - {rule.id for rule in rules}
@@ -189,66 +145,11 @@ def run(args: argparse.Namespace, stream: IO[str]) -> int:
     if not paths:
         paths = [root]
 
-    baseline_path = _resolve_baseline_path(args, root)
-    baseline: Optional[Baseline] = None
-    if baseline_path is not None and not args.update_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print("repro lint: %s" % exc, file=sys.stderr)
-            return 2
-
-    linter = Linter(root=root, rules=rules)
-
-    if args.update_baseline:
-        target = baseline_path or Path("lint_baseline.json")
-        previous: Optional[Baseline] = None
-        if target.is_file():
-            try:
-                previous = load_baseline(target)
-            except BaselineError as exc:
-                print("repro lint: %s" % exc, file=sys.stderr)
-                return 2
-        violations = linter.run(
-            paths,
-            stage=args.stage,
-            strict_suppressions=args.strict_suppressions,
-        )
-        findings = [
-            (v.rule_id, linter._relpath(Path(v.path)), v.message)
-            for v in violations
-            if v.rule_id != "RL000"
-        ]
-        written = write_baseline(target, findings, previous)
-        todo = written.todo_entries()
-        stream.write(
-            "repro lint: baseline %s rewritten with %d finding%s"
-            % (
-                target,
-                len(written.entries),
-                "" if len(written.entries) == 1 else "s",
-            )
-        )
-        if todo:
-            stream.write(
-                "; %d need a justification before this can merge" % len(todo)
-            )
-        stream.write("\n")
-        return 0
-
-    violations = linter.run(
+    violations = Linter(root=root, rules=rules).run(
         paths,
         stage=args.stage,
         strict_suppressions=args.strict_suppressions,
-        baseline=baseline,
     )
-    if baseline is not None:
-        for entry in baseline.todo_entries():
-            print(
-                "repro lint: warning: baseline entry %s on %s still has a "
-                "TODO justification" % (entry.rule, entry.path),
-                file=sys.stderr,
-            )
 
     out = stream
     handle: Optional[IO[str]] = None

@@ -9,17 +9,14 @@ because it orchestrates trials from the host's point of view (cache entry
 ``created`` stamps, progress/ETA accounting) — it never runs inside the
 simulated world.
 
-Projects can extend the allowlist from ``pyproject.toml``::
-
-    [tool.repro-lint]
-    allow = { RL002 = ["exec/new_module.py"] }
+The allowlist is code, like every other scope here: widening it is a
+reviewed edit to this file.  A finding outside it can be waived only by
+an inline ``# repro-lint: disable=RLxxx -- reason`` beside the code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Mapping, Optional, Tuple
 
 #: Layers (top-level package directories) whose code runs *inside* the
 #: simulated world and therefore must be bit-deterministic under a seed.
@@ -124,58 +121,12 @@ def stream_owners(name: str) -> Optional[Tuple[str, ...]]:
     return None if best is None else STREAM_LAYERS[best]
 
 
-@dataclass
-class LintConfig:
-    """Resolved configuration for one lint run: the per-rule path
-    allowlist, the one setting ``[tool.repro-lint]`` extends."""
-
-    allowlist: Dict[str, Tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_ALLOWLIST)
-    )
-
-    def is_allowed(self, rule_id: str, relpath: str) -> bool:
-        """True when ``relpath`` is allowlisted for ``rule_id``."""
-        for entry in self.allowlist.get(rule_id, ()):
-            if entry.endswith("/"):
-                if relpath.startswith(entry):
-                    return True
-            elif relpath == entry:
+def is_allowed(rule_id: str, relpath: str) -> bool:
+    """True when ``relpath`` is on ``DEFAULT_ALLOWLIST`` for ``rule_id``."""
+    for entry in DEFAULT_ALLOWLIST.get(rule_id, ()):
+        if entry.endswith("/"):
+            if relpath.startswith(entry):
                 return True
-        return False
-
-    def extend_allowlist(self, extra: Mapping[str, Sequence[str]]) -> None:
-        for rule_id, entries in extra.items():
-            merged = tuple(self.allowlist.get(rule_id, ())) + tuple(
-                str(e) for e in entries
-            )
-            self.allowlist[rule_id] = merged
-
-
-def load_config(root: Path) -> LintConfig:
-    """Build a config, merging ``[tool.repro-lint]`` from a pyproject.toml
-    found at or above ``root`` (best effort; absent tomllib → defaults)."""
-    config = LintConfig()
-    try:
-        import tomllib
-    except ImportError:  # Python < 3.11: ship defaults, skip pyproject.
-        return config
-    for candidate in (root, *root.parents):
-        pyproject = candidate / "pyproject.toml"
-        if pyproject.is_file():
-            try:
-                with open(pyproject, "rb") as handle:
-                    data = tomllib.load(handle)
-            except (OSError, tomllib.TOMLDecodeError):
-                return config
-            section = data.get("tool", {}).get("repro-lint", {})
-            allow = section.get("allow", {})
-            if isinstance(allow, dict):
-                config.extend_allowlist(
-                    {
-                        str(k): v
-                        for k, v in allow.items()
-                        if isinstance(v, (list, tuple))
-                    }
-                )
-            return config
-    return config
+        elif relpath == entry:
+            return True
+    return False

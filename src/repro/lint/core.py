@@ -14,7 +14,10 @@ gate can run anywhere the test-suite runs.  A run has three phases:
    root), source, its module in the model, and the model itself.
 3. **Suppress** — ``# repro-lint: disable=RLxxx -- reason`` comments are
    honoured; a suppression *without* a justification is itself reported
-   (RL000) and suppresses nothing, so every waiver is auditable.
+   (RL000) and suppresses nothing, so every waiver is auditable.  With
+   ``strict_suppressions`` a directive that waived nothing is RL000 too,
+   for the rules that ran.  This is the one way to waive a finding; the
+   path allowlist in :mod:`repro.lint.config` is code, not a waiver.
 
 A suppression on a ``def``/``class`` line covers that whole definition;
 on any other line it covers that line and, when the comment stands alone,
@@ -29,8 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.baseline import Baseline
-from repro.lint.config import LintConfig, load_config
+from repro.lint.config import is_allowed
 from repro.lint.program import ProgramModel
 
 _SUPPRESS_RE = re.compile(
@@ -79,14 +81,12 @@ class FileContext:
         relpath: str,
         tree: ast.Module,
         source: str,
-        config: LintConfig,
         program: ProgramModel,
     ) -> None:
         self.path = path
         self.relpath = relpath
         self.tree = tree
         self.source = source
-        self.config = config
         self.program = program
         self.module = program.by_relpath[relpath]
         self.layer = self.module.layer
@@ -332,11 +332,9 @@ class Linter:
         self,
         root: Path,
         rules: Optional[Sequence[Rule]] = None,
-        config: Optional[LintConfig] = None,
     ) -> None:
         self.root = Path(root)
         self.rules: List[Rule] = list(rules) if rules is not None else all_rules()
-        self.config = config if config is not None else load_config(self.root)
 
     def collect_files(self, paths: Optional[Sequence[Path]] = None) -> List[Path]:
         if paths:
@@ -364,7 +362,6 @@ class Linter:
         paths: Optional[Sequence[Path]] = None,
         stage: str = "all",
         strict_suppressions: bool = False,
-        baseline: Optional[Baseline] = None,
     ) -> List[Violation]:
         files = self.collect_files(paths)
         parsed: List[Tuple[Path, str, ast.Module, str]] = []
@@ -405,7 +402,7 @@ class Linter:
         contexts: Dict[str, FileContext] = {}
         spans_of: Dict[str, _SuppressionSpans] = {}
         for path, relpath, tree, source in parsed:
-            ctx = FileContext(path, relpath, tree, source, self.config, program)
+            ctx = FileContext(path, relpath, tree, source, program)
             contexts[relpath] = ctx
             spans, problems = resolve_suppressions(
                 ctx, parse_suppressions(source), known
@@ -415,7 +412,7 @@ class Linter:
             for rule in active:
                 if rule.stage != "syntactic":
                     continue
-                if self.config.is_allowed(rule.id, relpath):
+                if is_allowed(rule.id, relpath):
                     continue
                 if not rule.applies_to(ctx):
                     continue
@@ -428,7 +425,7 @@ class Linter:
                 continue
             for violation in rule.check_program(program, contexts):
                 relpath = relpath_of.get(violation.path, violation.path)
-                if self.config.is_allowed(violation.rule_id, relpath):
+                if is_allowed(violation.rule_id, relpath):
                     continue
                 spans = spans_of.get(relpath)
                 if spans is not None and spans.covers(
@@ -454,38 +451,6 @@ class Linter:
                             ),
                         )
                     )
-
-        if baseline is not None:
-            violations = [
-                violation
-                for violation in violations
-                if not baseline.match(
-                    violation.rule_id,
-                    relpath_of.get(violation.path, violation.path),
-                    violation.message,
-                )
-            ]
-            for entry in baseline.stale_entries():
-                if entry.rule not in active_ids:
-                    continue  # that rule didn't run (stage/--select filter)
-                violations.append(
-                    Violation(
-                        path=str(baseline.path),
-                        line=1,
-                        col=0,
-                        rule_id="RL000",
-                        message=(
-                            "stale baseline entry: %s on %s (%s) no longer "
-                            "fires; remove it from %s in this PR"
-                            % (
-                                entry.rule,
-                                entry.path,
-                                entry.message,
-                                baseline.path.name,
-                            )
-                        ),
-                    )
-                )
 
         # Rules may visit overlapping scopes (module + nested functions);
         # report each distinct finding once.

@@ -34,8 +34,9 @@ This is an over-approximation in the safe-for-signal direction: block
 siblings count as dominating even from branches that might not execute,
 so conformant code stays quiet; genuinely guard-free writes (the shape
 a refactor accident produces) have no evidence anywhere and still fire.
-A finding that is *correct by protocol design* is pinned, with its
-justification, in the committed ``lint_baseline.json``.
+A finding that is *correct by protocol design* is waived inline at the
+write, by a ``# repro-lint: disable=RLxxx -- reason`` directive naming
+this rule, so the justification sits beside the code it excuses.
 """
 
 from __future__ import annotations

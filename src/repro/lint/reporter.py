@@ -120,8 +120,8 @@ def format_sarif(
                 },
                 "fullDescription": {
                     "text": _doc_summary(rule) if rule else (
-                        "RL000: unparsable file, unjustified or stale "
-                        "suppression, or stale baseline entry"
+                        "RL000: unparsable file, or an unjustified, "
+                        "unknown-id or stale suppression"
                     )
                 },
             }

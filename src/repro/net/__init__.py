@@ -8,8 +8,7 @@ Replaces the GloMoSim/QualNet stack the paper ran on:
 * :mod:`repro.net.mac` — CSMA/CA medium access: carrier sense, random
   backoff, unreliable broadcast, unicast with retries and link-failure
   feedback to the routing layer.
-* :mod:`repro.net.queue` — drop-tail interface queue and the FIFO jitter
-  queue the paper adds to OLSR (Section 4).
+* :mod:`repro.net.queue` — the drop-tail interface queue.
 * :mod:`repro.net.node` — a node: MAC + routing protocol + application.
 """
 

@@ -121,10 +121,6 @@ class CsmaMac:
         self._kick()
         return True
 
-    def purge(self, predicate):
-        """Remove queued packets matching ``predicate(packet)``."""
-        return [job.frame.packet for job in self.queue.remove_if(lambda j: predicate(j.frame.packet))]
-
     def shutdown(self):
         """Power the radio off (node crash): lose queue and in-flight state.
 

@@ -1,12 +1,5 @@
-"""Interface queues.
-
-:class:`DropTailQueue` is the standard bounded FIFO in front of the MAC.
-
-:class:`FifoJitterQueue` reproduces the paper's fix to the INRIA OLSR code
-(Section 4): outgoing control packets get a uniform 0–15 ms jitter *while
-preserving FIFO order*.  Plain per-packet jitter can reorder packets, which
-is exactly the bug the paper reports; keeping order is what made "the
-modified code perform substantially better than the base OLSR".
+"""The interface queue: :class:`DropTailQueue` is the standard bounded
+FIFO in front of the MAC.
 """
 
 from collections import deque
@@ -31,9 +24,6 @@ class DropTailQueue:
         self._items.append(item)
         return True
 
-    def peek(self):
-        return self._items[0] if self._items else None
-
     def pop(self):
         return self._items.popleft() if self._items else None
 
@@ -42,37 +32,3 @@ class DropTailQueue:
         removed = list(self._items)
         self._items.clear()
         return removed
-
-    def remove_if(self, predicate):
-        """Drop queued items matching ``predicate``; returns removed items."""
-        kept = deque()
-        removed = []
-        for item in self._items:
-            if predicate(item):
-                removed.append(item)
-            else:
-                kept.append(item)
-        self._items = kept
-        return removed
-
-
-class FifoJitterQueue:
-    """Order-preserving jitter shim in front of a send function.
-
-    Each packet is assigned ``release = max(now + U(0, max_jitter),
-    last_release)`` so packets leave in arrival order, spaced out in time.
-    """
-
-    def __init__(self, sim, send_fn, rng, max_jitter=0.015):
-        self.sim = sim
-        self.send_fn = send_fn
-        self.rng = rng
-        self.max_jitter = max_jitter
-        self._last_release = 0.0
-
-    def push(self, *send_args):
-        """Schedule ``send_fn(*send_args)`` after jitter, preserving order."""
-        jitter = self.rng.uniform(0.0, self.max_jitter)
-        release = max(self.sim.now + jitter, self._last_release)
-        self._last_release = release
-        self.sim.schedule_at(release, self.send_fn, *send_args)

@@ -8,7 +8,8 @@ over the partial topology graph.
 
 The paper patched the INRIA implementation with a **FIFO jitter queue**
 (uniform 0–15 ms, order-preserving) for control packets — reproduced here
-via :class:`repro.net.queue.FifoJitterQueue` and on by default.
+by :class:`repro.protocols.olsr.protocol.FifoJitterQueue`, on by default;
+it draws from OLSR's own per-node stream.
 """
 
 from repro.protocols.olsr.protocol import OlsrConfig, OlsrProtocol

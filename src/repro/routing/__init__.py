@@ -13,7 +13,8 @@
   AODV's circular 32-bit sequence-number comparison.
 * :mod:`repro.routing.loopcheck` — the one instant-by-instant
   successor-graph audit (Theorem 4 loops, Theorem 2 ordering, seqnum
-  ownership) behind the invariant monitor, live and in trace replay.
+  ownership) behind the invariant monitor, live and in trace replay,
+  and behind the model checker.
 """
 
 from repro.routing.base import PacketBuffer, RoutingProtocol

@@ -20,11 +20,13 @@ Each takes ``tables``, a mapping from node id to an object with
 ``successor(dst)`` and ``route_metric(dst)`` (a routing protocol, or a
 table rebuilt from a trace), walked in the mapping's iteration order; a
 node absent from the mapping (crashed, or unknown) ends a walk.  Every
-violation detail string is formatted here.  One auditor runs the engine:
-the :class:`~repro.faults.monitor.InvariantMonitor`, over live protocols
-during a run and over tables rebuilt from a trace in the offline replay
-(:mod:`repro.verify.replay`), so the online and offline verdicts cannot
-drift apart.
+violation detail string is formatted here.  One auditor runs the engine
+over simulations: the :class:`~repro.faults.monitor.InvariantMonitor`,
+over live protocols during a run and over tables rebuilt from a trace in
+the offline replay (:mod:`repro.verify.replay`), so the online and
+offline verdicts cannot drift apart.  The model checker
+(:mod:`repro.core.modelcheck`) audits each abstract state with
+:func:`first_breach` too.
 
 **Incremental re-checks.**  The full sweep walks every node's chain.
 After a sweep of ``dst`` finds nothing, a :class:`CleanAudit` answers

@@ -45,6 +45,27 @@ def test_report_shape_and_row_fields():
     assert json.loads(json.dumps(report)) == report  # JSON-able throughout
 
 
+def test_pair_alternates_legs_and_reports_the_median_ratio_pair():
+    from repro.bench.kernel import NS_KERNEL_REPS, _pair
+    from repro.net import GridIndex, ScanIndex
+
+    calls = []
+
+    def kernel(index):
+        calls.append(index)
+        rep = (len(calls) - 1) // 2
+        slow = 1.0 + rep  # the host slows, but both legs of a pair alike
+        if index is ScanIndex:
+            return 400.0 * slow
+        # Two outlier pairs (ratio 2 and 16); every other pair is 4.
+        return {0: 200.0, 1: 25.0}.get(rep, 100.0) * slow
+
+    scan, grid, speedup = _pair(kernel)
+    assert calls[:4] == [ScanIndex, GridIndex, GridIndex, ScanIndex]
+    assert len(calls) == 2 * NS_KERNEL_REPS
+    assert speedup == scan / grid == 4.0
+
+
 def test_progress_callback_sees_every_stage():
     lines = []
     _tiny_report(progress=lines.append)

@@ -4,9 +4,9 @@ tiny topologies) and the broken-model counterexample."""
 import pytest
 
 from repro.core.modelcheck import (
+    BreachFound,
     BrokenModel,
     LdrModel,
-    LoopFound,
     ModelChecker,
     verify_topology,
 )
@@ -45,12 +45,35 @@ def test_broken_model_without_fd_loops():
     """Replacing the feasible distance by the current distance (plain
     distance vector) admits a looping state — the checker finds it, which
     shows (a) fd is load-bearing and (b) the checker has teeth."""
-    with pytest.raises(LoopFound):
+    with pytest.raises(BreachFound) as found:
         verify_topology(
             links=[(0, 1), (1, 2), (0, 2)], dst=0,
             flappable=[(0, 1), (0, 2)],
             model=BrokenModel(), max_states=400_000,
         )
+    assert found.value.kind == "loop"
+    assert found.value.detail == "routing loop for destination 0: [1, 2, 1]"
+
+
+def test_ldr_model_rejects_fd_ordering_breach_without_loop():
+    """The audit checks Theorem 2, not only acyclicity: a hand-built state
+    where 2 -> 1 -> 0 all hold sn 0 but fd rises toward the destination
+    has no loop, yet LDR's checker rejects it."""
+    labels = (
+        (0, 0, 0, None),  # node 0, the destination
+        (0, 2, 2, 0),     # node 1: fd 2, via the destination
+        (0, 1, 2, 1),     # node 2: fd 1, via node 1 -- out of order
+    )
+    state = (labels, frozenset(), frozenset())
+    links = [(0, 1), (1, 2)]
+    with pytest.raises(BreachFound) as found:
+        ModelChecker([0, 1, 2], links, dst=0).check_state(state)
+    assert found.value.kind == "ordering"
+    assert found.value.detail == (
+        "feasible-distance ordering violated toward 0: 2 (fd=1) -> 1 (fd=2)")
+    # The strawman audits loops only, and the state has none.
+    ModelChecker([0, 1, 2], links, dst=0,
+                 model=BrokenModel()).check_state(state)
 
 
 def test_ldr_model_same_scenario_stays_loop_free():

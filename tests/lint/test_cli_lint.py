@@ -118,33 +118,6 @@ def test_lint_list_rules_markdown_table(capsys):
         assert rule_id in out
 
 
-def test_lint_no_baseline_exposes_pinned_findings(capsys):
-    # The shipped tree is clean only modulo the committed baseline: OLSR's
-    # jitter-stream delegation (RL202) resurfaces without it.
-    assert main(["lint", "--no-baseline"]) == 1
-    out = capsys.readouterr().out
-    assert "RL202" in out
-
-
-def test_lint_update_baseline_roundtrip(tmp_path, capsys):
-    tree = _program_fixture_tree(tmp_path)
-    pin = tmp_path / "lint_baseline.json"
-    assert main(["lint", "--baseline", str(pin), "--update-baseline",
-                 str(tree)]) == 0
-    out = capsys.readouterr().out
-    assert "1 finding" in out and "justification" in out
-    payload = json.loads(pin.read_text(encoding="utf-8"))
-    assert payload["findings"][0]["rule"] == "RL201"
-    # The freshly pinned finding is now filtered (TODO warning aside).
-    assert main(["lint", "--baseline", str(pin), str(tree)]) == 0
-    capsys.readouterr()
-
-
-def test_lint_no_baseline_conflicts_with_baseline(tmp_path):
-    assert main(["lint", "--no-baseline", "--baseline",
-                 str(tmp_path / "b.json"), str(tmp_path)]) == 2
-
-
 @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
 def test_same_named_files_outside_root_stay_separate(tmp_path, capsys, order):
     # Both files sit outside the lint root and share the name util.py;
@@ -159,7 +132,7 @@ def test_same_named_files_outside_root_stay_separate(tmp_path, capsys, order):
     plain.parent.mkdir()
     plain.write_text("def helper():\n    return 1\n", encoding="utf-8")
     files = {"a": clock, "b": plain}
-    assert main(["lint", "--no-baseline", "--format", "json"]
+    assert main(["lint", "--format", "json"]
                 + [str(files[name]) for name in order]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert [(f["rule"], f["path"]) for f in payload] == [("RL002", str(clock))]

@@ -94,3 +94,64 @@ def test_used_suppression_survives_strict_mode(lint_tree):
     )
     assert rule_ids(lint_tree({PROTO: source},
                               strict_suppressions=True)) == []
+
+
+# The inline directive is the one waiver for whole-program rules too.  The
+# shape: a protocol hands its own stream to a jitter queue in net/, a
+# layer that does not own the stream (RL202).
+_NET_QUEUE = (
+    "class JitterQueue:\n"
+    "    def __init__(self, sim, rng):\n"
+    "        self.sim = sim\n"
+    "        self.rng = rng\n"
+    "    def push(self, packet):\n"
+    "        return self.rng.uniform(0.0, 0.015)\n"
+)
+_OLSR = (
+    "{imports}"
+    "class Olsr:\n"
+    "    def __init__(self, sim, node_id):\n"
+    "        self._rng = sim.stream('olsr.%d' % node_id)\n"
+    "        self.queue = JitterQueue(sim, self._rng){directive}\n"
+)
+
+
+def _crossing_tree(directive):
+    return {
+        "net/queue.py": _NET_QUEUE,
+        "protocols/olsr.py": _OLSR.format(
+            imports="from net.queue import JitterQueue\n",
+            directive=directive),
+    }
+
+
+def test_justified_waiver_silences_whole_program_rule(lint_tree):
+    violations = lint_tree(_crossing_tree(""))
+    assert [(v.rule_id, v.line) for v in violations] == [("RL202", 5)]
+    assert "protocols/olsr.py" in violations[0].path
+    # The same finding, waived with a reason on the reported line.
+    tree = _crossing_tree(
+        "  # repro-lint: disable=RL202 -- fixture: deliberate delegation")
+    assert lint_tree(tree, strict_suppressions=True) == []
+
+
+def test_unjustified_waiver_of_whole_program_rule_is_rl000(lint_tree):
+    violations = lint_tree(
+        _crossing_tree("  # repro-lint: disable=RL202"))
+    # The naked waiver is reported and the finding it meant to hide stands.
+    assert sorted(rule_ids(violations)) == ["RL000", "RL202"]
+
+
+def test_waiver_goes_stale_once_the_stream_stops_crossing(lint_tree):
+    # The queue sits beside the protocol, in the stream's own layer.
+    olsr = _OLSR.format(
+        imports="",
+        directive="  # repro-lint: disable=RL202 -- fixture: delegation")
+    files = {"protocols/olsr.py": _NET_QUEUE + olsr}
+    stale = lint_tree(files, stage="program", strict_suppressions=True)
+    assert rule_ids(stale) == ["RL000"]
+    assert "stale suppression: RL202" in stale[0].message
+    # Stale checks cover only the rules that ran: the syntactic stage
+    # never evaluates RL202, so it cannot call the directive stale.
+    assert lint_tree(files, stage="syntactic",
+                     strict_suppressions=True) == []

@@ -98,20 +98,6 @@ def test_contending_senders_serialize():
     assert len(sinks[1].received) == 20
 
 
-def test_purge_removes_matching_packets():
-    sim, nodes, sinks = _build({0: (0, 0), 1: (100, 0)})
-    keep = Packet()
-    drop = Packet()
-    # Stall the MAC so packets stay queued: occupy the medium far into the
-    # future before sending.
-    nodes[0].mac.set_nav(100.0)
-    nodes[0].mac.send(keep, next_hop=1)
-    nodes[0].mac.send(drop, next_hop=1)
-    removed = nodes[0].mac.purge(lambda p: p is drop)
-    assert removed == [drop] or removed == []  # head may be in service
-    assert all(job.frame.packet is not drop for job in nodes[0].mac.queue._items)
-
-
 def test_transmission_duration_scales_with_size():
     config = MacConfig(bitrate=1e6, header_bytes=0)
     sim, nodes, sinks = _build({0: (0, 0), 1: (100, 0)}, mac_config=config)

@@ -2,7 +2,8 @@
 
 import random
 
-from repro.net.queue import DropTailQueue, FifoJitterQueue
+from repro.net.queue import DropTailQueue
+from repro.protocols.olsr.protocol import FifoJitterQueue
 from repro.sim import Simulator
 
 
@@ -22,22 +23,11 @@ def test_droptail_capacity_and_drop_count():
     assert len(q) == 2
 
 
-def test_droptail_peek_and_empty_pop():
+def test_droptail_empty_pop_and_length():
     q = DropTailQueue()
-    assert q.peek() is None
     assert q.pop() is None
     q.push("x")
-    assert q.peek() == "x"
     assert len(q) == 1
-
-
-def test_droptail_remove_if():
-    q = DropTailQueue()
-    for i in range(6):
-        q.push(i)
-    removed = q.remove_if(lambda x: x % 2 == 0)
-    assert removed == [0, 2, 4]
-    assert [q.pop() for _ in range(3)] == [1, 3, 5]
 
 
 def test_jitter_queue_preserves_order():

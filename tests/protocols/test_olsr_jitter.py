@@ -2,9 +2,8 @@
 
 from repro import ScenarioConfig, run_scenario
 from repro.mobility import StaticPlacement
-from repro.net.queue import FifoJitterQueue
 from repro.protocols.olsr import OlsrConfig, OlsrProtocol
-from repro.protocols.olsr.protocol import _PlainJitter
+from repro.protocols.olsr.protocol import FifoJitterQueue, _PlainJitter
 from tests.conftest import Network
 
 
